@@ -20,8 +20,8 @@ Quickstart::
     for pattern in result.patterns:
         print(pattern.describe())
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-paper-vs-measured reproduction log.
+See ARCHITECTURE.md for the architecture; ``python -m repro bench
+<id>`` regenerates each table and figure of the paper's evaluation.
 """
 
 from repro.core import (

@@ -33,9 +33,9 @@ also downgrades the screen's pruning config accordingly.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.approx.bounds import SampleBounds
-from repro.core.cells import Cell, CellEntry
-from repro.core.labels import label_for
 from repro.engine.plan import CellState, MiningContext, Stage
 from repro.engine.stages import CountStage, GenerateStage, LabelStage
 
@@ -62,49 +62,23 @@ class ApproxLabelStage(LabelStage):
     def __init__(self, bounds: SampleBounds) -> None:
         self._bounds = bounds
 
-    def margin_for(self, min_item_fraction: float) -> float:
-        """Correlation margin for an itemset whose rarest member has
-        the given *sampled* frequency (see the module docstring)."""
+    def margin_for(self, min_item_fraction: np.ndarray) -> np.ndarray:
+        """Correlation margin for itemsets whose rarest member has the
+        given *sampled* frequency (see the module docstring)."""
         bounds = self._bounds
         eps = bounds.epsilon_support
         half_band = max(0.0, (bounds.gamma - bounds.epsilon) / 2.0 - 1e-9)
-        raw = 2.0 * eps / max(min_item_fraction - 2.0 * eps, eps)
-        return min(half_band, raw)
+        raw = 2.0 * eps / np.maximum(min_item_fraction - 2.0 * eps, eps)
+        return np.minimum(half_band, raw)
 
-    def run(self, context: MiningContext, state: CellState) -> None:
-        level, k = state.task.level, state.task.k
-        cell = Cell(level=level, k=k, n_candidates=state.stats.candidates)
-        node_supports = context.node_supports[level]
-        theta = context.thresholds.min_count(level)
-        gamma = context.thresholds.gamma
-        epsilon = context.thresholds.epsilon
-        measure = context.measure
-        n_sample = self._bounds.n_sample
-        parent_cell = context.cells.get((level - 1, k))
-        for itemset, support in state.supports.items():
-            item_supports = [node_supports[node] for node in itemset]
-            correlation = measure(support, item_supports)
-            margin = self.margin_for(min(item_supports) / n_sample)
-            label = label_for(
-                support,
-                correlation,
-                theta,
-                gamma - margin,
-                epsilon + margin,
-            )
-            alive = self._chain_alive(
-                context, level, itemset, label, parent_cell
-            )
-            cell.add(
-                CellEntry(
-                    itemset=itemset,
-                    support=support,
-                    correlation=correlation,
-                    label=label,
-                    alive=alive,
-                )
-            )
-        state.cell = cell
+    def bands(
+        self, context: MiningContext, item_supports: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        margin = self.margin_for(
+            item_supports.min(axis=1) / self._bounds.n_sample
+        )
+        thresholds = context.thresholds
+        return thresholds.gamma - margin, thresholds.epsilon + margin
 
 
 def build_approx_stages(bounds: SampleBounds) -> list[Stage]:

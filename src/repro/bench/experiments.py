@@ -3,7 +3,7 @@
 Each ``run_*`` function regenerates one experiment at the current
 bench scale and returns ``(report_text, data)``; the pytest benches
 assert the shape checks and ``python -m repro bench <id>`` prints the
-report.  EXPERIMENTS.md archives a full run.
+report.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ NAIVE_VS_FULL = [
 
 def _header(title: str) -> str:
     scale = bench_scale()
-    return f"== {title} (bench scale {scale:g}; see EXPERIMENTS.md) =="
+    return f"== {title} (bench scale {scale:g}) =="
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
   profiles.
 * :func:`bench_config` — the paper's synthetic defaults scaled down
   to a pure-Python-friendly size (the scale is part of every bench
-  report; see EXPERIMENTS.md).
+  report).
 """
 
 from __future__ import annotations

@@ -11,22 +11,31 @@ Two generation regimes exist, matching the paper's framework:
   itemset whose vertical chain can still flip (each chain itemset has
   a chain-alive parent by Definition 2).
 
-Both regimes then pass through the same filters: SIBP bans and the
+The miner runs child expansion through :func:`expand_children`, which
+walks the product position by position as NumPy arrays and prunes
+prefixes by SIBP bans, the pair screen and prefix support as it goes.
+:func:`child_expansion_candidates` is the scalar reference it is
+property-tested against.  Both regimes then pass through the
 known-infrequent-subset test.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.cells import Cell
-from repro.core.itemsets import apriori_join, k_minus_one_subsets
+from repro.core.itemsets import apriori_join
 
 __all__ = [
     "pair_candidates",
     "row_join_candidates",
     "child_expansion_candidates",
+    "ChildExpansion",
+    "expand_children",
     "filter_banned",
     "filter_known_infrequent_subsets",
 ]
@@ -104,6 +113,184 @@ def child_expansion_candidates(
     return candidates
 
 
+#: ``frequent_of(itemsets) -> the ones whose support reaches θ_h`` — a
+#: batch frequency test, answered by counting or from earlier cells
+FrequentOf = Callable[[list[tuple[int, ...]]], set[tuple[int, ...]]]
+
+
+@dataclass
+class ChildExpansion:
+    """What :func:`expand_children` produced for one cell."""
+
+    #: canonical candidates, parent by parent in product order
+    candidates: list[tuple[int, ...]]
+    #: frequent children left out because SIBP banned them at this size
+    banned_children: int = 0
+
+
+def _contains_sorted(
+    sorted_keys: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Membership of ``keys`` in an ascending key array."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    index = np.searchsorted(sorted_keys, keys)
+    index[index == len(sorted_keys)] = 0
+    return sorted_keys[index] == keys
+
+
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For rows that each fan out into ``counts[i]`` rows: the source
+    row of every output row and its offset within its group."""
+    source = np.repeat(np.arange(len(counts)), counts)
+    first = np.cumsum(counts) - counts
+    return source, np.arange(len(source)) - first[source]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer matrix and, for every row, the
+    index of its distinct row — parents that share their first nodes
+    share prefixes, so a batch repeats many."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+def expand_children(
+    alive_parents: Sequence[tuple[int, ...]],
+    children_of: Mapping[int, Sequence[int]],
+    frequent_items: Collection[int],
+    *,
+    banned: Mapping[int, int],
+    frequent_pairs: FrequentOf,
+    frequent_prefixes: FrequentOf,
+) -> ChildExpansion:
+    """Child expansion of chain-alive (h-1,k)-itemsets, as arrays.
+
+    Every parent item is replaced by each of its children that is
+    frequent at level h and not SIBP-banned for size-k itemsets
+    (``banned[child] < k``).  The product is built one parent
+    position at a time, over all parents at once, and thinned as it
+    grows, so it never exists in full:
+
+    * **pair screen** (k >= 3): every child pair the expansion can
+      form is passed to ``frequent_pairs`` once; a prefix containing
+      a pair it leaves out dies.
+    * **prefix support**: the surviving prefixes of length 3 to k-1
+      are passed to ``frequent_prefixes`` in one batch per length,
+      and those it leaves out die.
+
+    Both tests are anti-monotone support arguments, so no candidate
+    that could be frequent is lost.  The result equals
+    :func:`child_expansion_candidates` with the same screen, minus
+    banned candidates and candidates with an infrequent prefix.
+    """
+    parents = list(alive_parents)
+    if not parents:
+        return ChildExpansion([])
+    k = len(parents[0])
+    nodes, node_of = np.unique(
+        np.array(parents, dtype=np.int64), return_inverse=True
+    )
+    node_of = node_of.reshape(len(parents), k)
+    # children of every distinct parent node, flattened (CSR)
+    flat: list[int] = []
+    counts = np.zeros(len(nodes), dtype=np.int64)
+    banned_children = 0
+    for index, node in enumerate(nodes.tolist()):
+        for child in children_of.get(node, ()):
+            if child not in frequent_items:
+                continue
+            if banned.get(child, k) < k:
+                banned_children += 1
+                continue
+            flat.append(child)
+            counts[index] += 1
+    children = np.array(flat, dtype=np.int64)
+    starts = np.cumsum(counts) - counts
+    node_of = node_of[(counts[node_of] > 0).all(axis=1)]
+    if not len(node_of):
+        return ChildExpansion([], banned_children)
+    base = int(children.max()) + 1
+
+    dead = np.zeros(0, dtype=np.int64)
+    if k >= 3:
+        dead = _dead_pairs(
+            node_of, counts, starts, children, base, frequent_pairs
+        )
+
+    owner = np.arange(len(node_of))
+    rows = np.zeros((len(node_of), 0), dtype=np.int64)
+    for position in range(k):
+        node = node_of[owner, position]
+        source, offset = _spread(counts[node])
+        added = children[starts[node][source] + offset]
+        owner, rows = owner[source], rows[source]
+        if len(dead) and position:
+            alive = np.ones(len(added), dtype=bool)
+            for column in rows.T:
+                low = np.minimum(column, added)
+                high = np.maximum(column, added)
+                alive &= ~_contains_sorted(dead, low * base + high)
+            owner, rows, added = owner[alive], rows[alive], added[alive]
+        rows = np.column_stack((rows, added))
+        if not len(rows):
+            return ChildExpansion([], banned_children)
+        if 3 <= position + 1 < k:
+            distinct, inverse = _distinct_rows(np.sort(rows, axis=1))
+            prefixes = list(map(tuple, distinct.tolist()))
+            kept = frequent_prefixes(prefixes)
+            frequent = np.fromiter(
+                (prefix in kept for prefix in prefixes),
+                dtype=bool,
+                count=len(prefixes),
+            )[inverse]
+            owner, rows = owner[frequent], rows[frequent]
+    return ChildExpansion(
+        list(map(tuple, np.sort(rows, axis=1).tolist())), banned_children
+    )
+
+
+def _dead_pairs(
+    node_of: np.ndarray,
+    counts: np.ndarray,
+    starts: np.ndarray,
+    children: np.ndarray,
+    base: int,
+    frequent_pairs: FrequentOf,
+) -> np.ndarray:
+    """Sorted ``low * base + high`` keys of the infrequent child
+    pairs, over every pair of parent nodes that share a parent."""
+    k = node_of.shape[1]
+    node_pairs = np.unique(
+        np.concatenate(
+            [node_of[:, [i, j]] for i in range(k) for j in range(i + 1, k)]
+        ),
+        axis=0,
+    )
+    left, right = node_pairs[:, 0], node_pairs[:, 1]
+    source, offset = _spread(counts[left])
+    first = children[starts[left][source] + offset]
+    right = right[source]
+    source, offset = _spread(counts[right])
+    second = children[starts[right][source] + offset]
+    first = first[source]
+    low = np.minimum(first, second)
+    high = np.maximum(first, second)
+    pairs = list(map(tuple, np.column_stack((low, high)).tolist()))
+    kept = frequent_pairs(pairs)
+    below = np.fromiter(
+        (pair not in kept for pair in pairs),
+        dtype=bool,
+        count=len(pairs),
+    )
+    return np.sort(low[below] * base + high[below])
+
+
 def filter_banned(
     candidates: Iterable[tuple[int, ...]],
     banned: Mapping[int, int],
@@ -142,20 +329,19 @@ def filter_known_infrequent_subsets(
     """
     if cell_left is None:
         return list(candidates), 0
-    entries = cell_left.entries
+    frequent = cell_left.entries
+    infrequent = cell_left.infrequent
+    if not strict and not infrequent:
+        return list(candidates), 0
     kept: list[tuple[int, ...]] = []
     dropped = 0
     for itemset in candidates:
-        prune = False
-        for subset in k_minus_one_subsets(itemset):
-            entry = entries.get(subset)
-            if entry is None:
-                if strict:
-                    prune = True
-                    break
-            elif not entry.is_frequent:
-                prune = True
-                break
+        # combinations of a sorted tuple are sorted: the (k-1)-subsets
+        subsets = itertools.combinations(itemset, len(itemset) - 1)
+        if strict:
+            prune = not all(map(frequent.__contains__, subsets))
+        else:
+            prune = not infrequent.isdisjoint(subsets)
         if prune:
             dropped += 1
         else:

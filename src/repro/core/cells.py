@@ -1,15 +1,22 @@
 """Cells of the two-dimensional search space (paper Fig. 6).
 
 The search space is the table ``M`` whose cell ``Q(h,k)`` holds the
-k-itemsets at taxonomy level ``h``.  A :class:`Cell` stores every
-*counted* candidate of one cell together with its support,
-correlation, Definition-1 label, and the chain-alive flag used for
-vertical extension.
+k-itemsets at taxonomy level ``h``.  A :class:`Cell` records every
+*counted* candidate of one cell.  Frequent ones keep a
+:class:`CellEntry` with their support, correlation, Definition-1 label
+and the chain-alive flag used for vertical extension.  Infrequent ones
+— nearly all of a wide cell — are kept only as far as the pruning
+rules read them: membership, for the Apriori subset test, and their
+correlations folded into the per-item maximum SIBP walks.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
+
+import numpy as np
 
 from repro.core.labels import Label
 
@@ -44,21 +51,56 @@ class Cell:
 
     level: int
     k: int
+    #: the frequent counted itemsets
     entries: dict[tuple[int, ...], CellEntry] = field(default_factory=dict)
     #: candidates generated for the cell (counted + filtered out), for stats
     n_candidates: int = 0
+    #: the counted itemsets found infrequent
+    infrequent: set[tuple[int, ...]] = field(default_factory=set)
+    #: per-item maximum correlation over ``infrequent``
+    _infrequent_max: dict[int, float] = field(default_factory=dict, repr=False)
 
     def add(self, entry: CellEntry) -> None:
-        self.entries[entry.itemset] = entry
+        if entry.is_frequent:
+            self.entries[entry.itemset] = entry
+        else:
+            self.add_infrequent([entry.itemset], [entry.correlation])
+
+    def add_infrequent(
+        self,
+        itemsets: Sequence[tuple[int, ...]],
+        correlations: Sequence[float] | np.ndarray,
+    ) -> None:
+        """Record counted itemsets that fell below the minimum
+        support, with their correlations."""
+        if not itemsets:
+            return
+        self.infrequent.update(itemsets)
+        items = np.fromiter(chain.from_iterable(itemsets), dtype=np.int64)
+        values = np.repeat(
+            np.asarray(correlations, dtype=np.float64),
+            [len(itemset) for itemset in itemsets],
+        )
+        best = np.full(int(items.max()) + 1, -np.inf)
+        np.maximum.at(best, items, values)
+        present = np.zeros(len(best), dtype=bool)
+        present[items] = True
+        nodes = np.flatnonzero(present)
+        merged = self._infrequent_max
+        for node, value in zip(nodes.tolist(), best[nodes].tolist()):
+            current = merged.get(node)
+            if current is None or value > current:
+                merged[node] = value
 
     def get(self, itemset: tuple[int, ...]) -> CellEntry | None:
+        """The entry of a *frequent* counted itemset."""
         return self.entries.get(itemset)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.entries) + len(self.infrequent)
 
     def __contains__(self, itemset: tuple[int, ...]) -> bool:
-        return itemset in self.entries
+        return itemset in self.entries or itemset in self.infrequent
 
     # ------------------------------------------------------------------
     # aggregate views used by the pruning rules
@@ -67,15 +109,11 @@ class Cell:
     @property
     def frequent_itemsets(self) -> list[tuple[int, ...]]:
         """Canonical itemsets of the frequent entries."""
-        return [
-            itemset
-            for itemset, entry in self.entries.items()
-            if entry.is_frequent
-        ]
+        return list(self.entries)
 
     @property
     def n_frequent(self) -> int:
-        return sum(1 for entry in self.entries.values() if entry.is_frequent)
+        return len(self.entries)
 
     @property
     def n_labeled(self) -> int:
@@ -104,10 +142,11 @@ class Cell:
 
     def max_correlation_per_item(self) -> dict[int, float]:
         """For SIBP: the maximum correlation over counted entries
-        containing each single item.  Items absent from every counted
-        entry are absent from the result (the SIBP walk must not treat
-        a vacuous maximum as evidence — see DESIGN.md)."""
-        best: dict[int, float] = {}
+        containing each single item, infrequent ones included.  Items
+        absent from every counted entry are absent from the result
+        (the SIBP walk must not treat a vacuous maximum as evidence —
+        see ARCHITECTURE.md, "SIBP vacuous-max guard")."""
+        best = dict(self._infrequent_max)
         for entry in self.entries.values():
             for item in entry.itemset:
                 current = best.get(item)

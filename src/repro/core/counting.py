@@ -289,10 +289,6 @@ class BitmapBackend:
     def scans(self) -> int:
         return self._scans
 
-    @property
-    def index(self) -> VerticalIndex:
-        return self._index
-
     def node_supports(self, level: int) -> dict[int, int]:
         if level not in self._node_supports:
             self._node_supports[level] = self._index.node_supports(level)

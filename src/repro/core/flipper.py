@@ -37,6 +37,7 @@ import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import cast
 
 from repro.core.cells import Cell
 from repro.core.counting import (
@@ -216,6 +217,14 @@ class FlipperMiner:
         sample_seed: int = 0,
         stages: "Sequence[Stage] | None" = None,
     ) -> None:
+        if not isinstance(
+            database, (TransactionDatabase, ShardedTransactionStore)
+        ):
+            raise ConfigError(
+                "FlipperMiner mines a TransactionDatabase or a "
+                "ShardedTransactionStore, not "
+                f"{type(database).__name__}"
+            )
         self._shard_tmpdir: tempfile.TemporaryDirectory[str] | None = None
         self._raw_thresholds = thresholds
         self._incremental_runner: object | None = None
@@ -280,7 +289,8 @@ class FlipperMiner:
                 memory_budget_mb,
             )
         else:
-            assert isinstance(database, TransactionDatabase)
+            # no store: the database is an in-memory TransactionDatabase
+            database = cast(TransactionDatabase, database)
             if isinstance(backend, str):
                 self._backend: CountingBackend = make_backend(
                     backend, database

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Label", "label_for", "flips"]
+import numpy as np
+
+__all__ = ["Label", "LABELS_BY_CODE", "label_for", "label_codes", "flips"]
 
 
 class Label(enum.Enum):
@@ -69,6 +71,31 @@ def label_for(
     if correlation <= epsilon:
         return Label.NEGATIVE
     return Label.NON_CORRELATED
+
+
+#: :func:`label_codes` output, indexed by code
+LABELS_BY_CODE: tuple[Label, ...] = (
+    Label.INFREQUENT,
+    Label.NON_CORRELATED,
+    Label.POSITIVE,
+    Label.NEGATIVE,
+)
+
+
+def label_codes(
+    supports: np.ndarray,
+    correlations: np.ndarray,
+    min_count: int,
+    gamma: float | np.ndarray,
+    epsilon: float | np.ndarray,
+) -> np.ndarray:
+    """:func:`label_for` over a batch, as indexes into
+    :data:`LABELS_BY_CODE` (``gamma``/``epsilon`` may be per-row)."""
+    codes = np.where(
+        correlations >= gamma, 2, np.where(correlations <= epsilon, 3, 1)
+    ).astype(np.int8)
+    codes[supports < min_count] = 0
+    return codes
 
 
 def flips(parent: Label, child: Label) -> bool:

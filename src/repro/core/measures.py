@@ -27,6 +27,8 @@ import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.errors import ConfigError
 
 __all__ = [
@@ -39,6 +41,12 @@ __all__ = [
     "kulczynski",
     "max_confidence",
     "conditional_probabilities",
+    "conditional_probability_matrix",
+    "all_confidence_array",
+    "coherence_array",
+    "cosine_array",
+    "kulczynski_array",
+    "max_confidence_array",
     "expected_support",
     "lift",
     "chi_square",
@@ -114,6 +122,125 @@ def max_confidence(sup_itemset: int, item_supports: Sequence[int]) -> float:
     return max(conditional_probabilities(sup_itemset, item_supports))
 
 
+# ---------------------------------------------------------------------------
+# array forms: one row per itemset, bit-identical to the scalar functions
+# ---------------------------------------------------------------------------
+#
+# ``sup_itemsets`` is an ``(n,)`` integer vector and ``item_supports``
+# the ``(n, k)`` matrix of member supports.  Sums run column by column,
+# left to right, with the same float operations as the builtin ``sum()``
+# the scalar functions use (NumPy's pairwise summation would reorder
+# them).  From Python 3.12 on, ``sum()`` of floats carries a Neumaier
+# compensation term; the probe below detects which one this interpreter
+# does, so the array forms match it on every supported version.
+
+_COMPENSATED_SUM = sum([0.1] * 10) == 1.0
+
+
+def conditional_probability_matrix(
+    sup_itemsets: np.ndarray, item_supports: np.ndarray
+) -> np.ndarray:
+    """Row-wise :func:`conditional_probabilities` as a float matrix."""
+    sups = np.asarray(sup_itemsets, dtype=np.int64)
+    members = np.asarray(item_supports, dtype=np.int64)
+    if members.ndim != 2 or members.shape[1] == 0:
+        raise ConfigError("itemset must contain at least one item")
+    if (sups < 0).any():
+        raise ConfigError("negative itemset support")
+    if (members < sups[:, None]).any():
+        raise ConfigError(
+            "item support below itemset support; supports are inconsistent"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        probabilities = sups[:, None] / members
+    probabilities[members == 0] = 0.0
+    return probabilities
+
+
+def _row_sums(matrix: np.ndarray) -> np.ndarray:
+    """Per-row ``sum()`` of a float matrix, bit-identical to the
+    builtin over each row."""
+    total = matrix[:, 0].copy()
+    if not _COMPENSATED_SUM:
+        for column in range(1, matrix.shape[1]):
+            total += matrix[:, column]
+        return total
+    compensation = np.zeros_like(total)
+    with np.errstate(invalid="ignore"):
+        for column in range(1, matrix.shape[1]):
+            x = matrix[:, column]
+            t = total + x
+            compensation += np.where(
+                np.abs(total) >= np.abs(x), (total - t) + x, (x - t) + total
+            )
+            total = t
+        use = (compensation != 0.0) & np.isfinite(compensation)
+    total[use] += compensation[use]
+    return total
+
+
+def all_confidence_array(
+    sup_itemsets: np.ndarray, item_supports: np.ndarray
+) -> np.ndarray:
+    """Array form of :func:`all_confidence`."""
+    probabilities = conditional_probability_matrix(sup_itemsets, item_supports)
+    return probabilities.min(axis=1)
+
+
+def coherence_array(
+    sup_itemsets: np.ndarray, item_supports: np.ndarray
+) -> np.ndarray:
+    """Array form of :func:`coherence`."""
+    probabilities = conditional_probability_matrix(sup_itemsets, item_supports)
+    k = probabilities.shape[1]
+    with np.errstate(divide="ignore"):
+        result = k / _row_sums(1.0 / probabilities)
+    result[(probabilities == 0.0).any(axis=1)] = 0.0
+    return result
+
+
+def cosine_array(
+    sup_itemsets: np.ndarray, item_supports: np.ndarray
+) -> np.ndarray:
+    """Array form of :func:`cosine`.
+
+    The logarithms and exponentials stay on :mod:`math`: NumPy's
+    vectorized ``log``/``exp`` need not round like the C library's,
+    and the scalar function is the oracle to the last bit.
+    """
+    probabilities = conditional_probability_matrix(sup_itemsets, item_supports)
+    n, k = probabilities.shape
+    logs = np.array(
+        [
+            math.log(p) if p > 0.0 else 0.0
+            for p in probabilities.ravel().tolist()
+        ],
+        dtype=np.float64,
+    ).reshape(n, k)
+    means = (_row_sums(logs) / k).tolist()
+    zero = (probabilities == 0.0).any(axis=1).tolist()
+    return np.array(
+        [0.0 if z else math.exp(m) for z, m in zip(zero, means)],
+        dtype=np.float64,
+    )
+
+
+def kulczynski_array(
+    sup_itemsets: np.ndarray, item_supports: np.ndarray
+) -> np.ndarray:
+    """Array form of :func:`kulczynski`."""
+    probabilities = conditional_probability_matrix(sup_itemsets, item_supports)
+    return _row_sums(probabilities) / probabilities.shape[1]
+
+
+def max_confidence_array(
+    sup_itemsets: np.ndarray, item_supports: np.ndarray
+) -> np.ndarray:
+    """Array form of :func:`max_confidence`."""
+    probabilities = conditional_probability_matrix(sup_itemsets, item_supports)
+    return probabilities.max(axis=1)
+
+
 @dataclass(frozen=True)
 class Measure:
     """A named correlation measure with its algebraic metadata.
@@ -134,6 +261,9 @@ class Measure:
         True for the five Table-2 measures.
     aliases:
         Accepted alternative spellings for :func:`get_measure`.
+    array_fn:
+        Optional ``array_fn(sup_itemsets, item_supports) -> ndarray``
+        over a whole batch, bit-identical to ``fn`` row by row.
     """
 
     name: str
@@ -142,11 +272,31 @@ class Measure:
     anti_monotonic: bool
     null_invariant: bool = True
     aliases: tuple[str, ...] = field(default_factory=tuple)
+    array_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __call__(
         self, sup_itemset: int, item_supports: Sequence[int]
     ) -> float:
         return self.fn(sup_itemset, item_supports)
+
+    def batch(
+        self, sup_itemsets: np.ndarray, item_supports: np.ndarray
+    ) -> np.ndarray:
+        """Correlations of a batch: ``sup_itemsets`` is ``(n,)``,
+        ``item_supports`` the ``(n, k)`` member supports.  Measures
+        without an ``array_fn`` map ``fn`` over the rows."""
+        if self.array_fn is not None:
+            return self.array_fn(sup_itemsets, item_supports)
+        return np.array(
+            [
+                self.fn(support, members)
+                for support, members in zip(
+                    np.asarray(sup_itemsets).tolist(),
+                    np.asarray(item_supports).tolist(),
+                )
+            ],
+            dtype=np.float64,
+        )
 
 
 MEASURES: dict[str, Measure] = {
@@ -155,6 +305,7 @@ MEASURES: dict[str, Measure] = {
         Measure(
             name="all_confidence",
             fn=all_confidence,
+            array_fn=all_confidence_array,
             mean_kind="minimum",
             anti_monotonic=True,
             aliases=("allconf", "all-confidence", "all confidence"),
@@ -162,6 +313,7 @@ MEASURES: dict[str, Measure] = {
         Measure(
             name="coherence",
             fn=coherence,
+            array_fn=coherence_array,
             mean_kind="harmonic",
             anti_monotonic=True,
             aliases=("jaccard",),
@@ -169,12 +321,14 @@ MEASURES: dict[str, Measure] = {
         Measure(
             name="cosine",
             fn=cosine,
+            array_fn=cosine_array,
             mean_kind="geometric",
             anti_monotonic=False,
         ),
         Measure(
             name="kulczynski",
             fn=kulczynski,
+            array_fn=kulczynski_array,
             mean_kind="arithmetic",
             anti_monotonic=False,
             aliases=("kulc", "kulczynsky"),
@@ -182,6 +336,7 @@ MEASURES: dict[str, Measure] = {
         Measure(
             name="max_confidence",
             fn=max_confidence,
+            array_fn=max_confidence_array,
             mean_kind="maximum",
             anti_monotonic=False,
             aliases=("maxconf", "max-confidence", "max confidence"),

@@ -23,9 +23,14 @@ class CellStats:
 
     level: int
     k: int
-    candidates: int = 0          # generated before any filtering
+    #: emitted by the generation regime, before the subset filter
+    #: (child expansion has already left out SIBP-banned children and
+    #: pruned prefixes by the pair screen and prefix support)
+    candidates: int = 0
     filtered_subset: int = 0     # removed: a counted subset was infrequent
-    filtered_banned: int = 0     # removed: SIBP-banned item
+    #: frequent children SIBP-banned at this size, which child
+    #: expansion left out of the product
+    filtered_banned: int = 0
     counted: int = 0             # actually support-counted
     frequent: int = 0
     labeled: int = 0             # positive or negative

@@ -5,8 +5,7 @@ request at a time; the executor decides *where* the chunks of that
 batch are counted:
 
 * :class:`SerialExecutor` — in-process, one chunk after another.  The
-  default, and the only executor that allows the bitmap backend's
-  fused generate+count fast path (a sequential DFS).
+  default.
 * :class:`ParallelExecutor` — fans chunks out across a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Worker processes
   obtain backend state either by **fork** (the parent's fully built
@@ -56,12 +55,6 @@ class Executor(Protocol):
         ...
 
     @property
-    def supports_fused(self) -> bool:
-        """Whether sequential fused generate+count fast paths may be
-        used instead of the staged generate → count pipeline."""
-        ...
-
-    @property
     def extra_scans(self) -> int:
         """Scans performed outside the parent backend's counter (e.g.
         in worker processes); the miner folds them into db_scans."""
@@ -83,7 +76,6 @@ class SerialExecutor:
     """Count everything in the calling process."""
 
     name = "serial"
-    supports_fused = True
 
     def __init__(
         self, backend: CountingBackend, chunk_size: int | None = None
@@ -187,7 +179,6 @@ class ParallelExecutor:
     """
 
     name = "process"
-    supports_fused = False
 
     def __init__(
         self,

@@ -125,7 +125,6 @@ class PartitionedExecutor:
     """
 
     name = "partitioned"
-    supports_fused = False
 
     def __init__(
         self,
@@ -282,8 +281,6 @@ class PartitionedCountStage:
     name = "count"
 
     def run(self, context: MiningContext, state: CellState) -> None:
-        if state.fused:
-            return
         executor = context.executor
         if not isinstance(executor, PartitionedExecutor):
             raise ConfigError(

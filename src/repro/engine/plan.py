@@ -57,9 +57,6 @@ class CellState:
     candidates: list[tuple[int, ...]] = field(default_factory=list)
     #: count → label: support of every counted candidate
     supports: dict[tuple[int, ...], int] = field(default_factory=dict)
-    #: set by a fused generate stage that already produced supports
-    #: (the bitmap DFS fast path); the count stage then no-ops
-    fused: bool = False
     #: label → prune: the finished cell
     cell: Cell | None = None
 
@@ -93,7 +90,7 @@ class MiningContext:
     #: SIBP: level -> {item -> largest itemset size it may join}
     banned: dict[int, dict[int, int]] = field(default_factory=dict)
     #: lazy per-level pair-support cache for the candidate screen
-    pair_supports: dict[int, dict[tuple[int, int], int]] = field(
+    pair_supports: dict[int, dict[tuple[int, ...], int]] = field(
         default_factory=dict
     )
     #: SIBP removal-candidate lists per processed cell

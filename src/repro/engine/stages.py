@@ -4,15 +4,16 @@ Ported from the pre-engine ``FlipperMiner._process_cell`` monolith and
 split along the data handoffs (see :mod:`repro.engine.plan`):
 
 * :class:`GenerateStage` — pick the generation regime (row join vs
-  child expansion), apply the SIBP-ban and known-infrequent-subset
-  filters.  With the bitmap backend under a fused-capable executor it
-  instead runs the fused expand+count DFS and skips the count stage.
+  child expansion) and apply the known-infrequent-subset filter.
+  Child expansion is one array-level path under every executor: it
+  drops SIBP-banned children and prunes prefixes by the pair screen
+  and by batch-counted prefix supports while it expands.
 * :class:`CountStage` — hand the candidate batch to the executor,
   which chunks it and counts through
   :meth:`~repro.core.counting.CountingBackend.supports_batched`.
 * :class:`LabelStage` — correlation, Definition-1 label and the
-  chain-alive flag for every counted candidate; builds the
-  :class:`~repro.core.cells.Cell`.
+  chain-alive flag for every counted candidate, as array operations
+  over the batch; builds the :class:`~repro.core.cells.Cell`.
 * :class:`SibpRemovalStage` — the per-cell half of SIBP: the R_h
   removal-candidate list (Theorem 2).  The cross-cell ban application
   stays in the sweep.
@@ -22,18 +23,18 @@ split along the data handoffs (see :mod:`repro.engine.plan`):
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from itertools import chain, compress
+
+import numpy as np
 
 from repro.core.candidates import (
-    child_expansion_candidates,
-    filter_banned,
+    expand_children,
     filter_known_infrequent_subsets,
     pair_candidates,
     row_join_candidates,
 )
 from repro.core.cells import Cell, CellEntry
-from repro.core.counting import BitmapBackend
-from repro.core.labels import Label, flips, label_for
+from repro.core.labels import LABELS_BY_CODE, Label, flips, label_codes
 from repro.engine.plan import CellState, MiningContext, Stage
 
 __all__ = [
@@ -46,24 +47,17 @@ __all__ = [
 
 
 class GenerateStage:
-    """Candidate generation + pre-count filters (or the fused path)."""
+    """Candidate generation + the pre-count subset filter."""
 
     name = "generate"
 
     def run(self, context: MiningContext, state: CellState) -> None:
         level, k = state.task.level, state.task.k
-        fused = self._fused_expansion_supports(context, state)
-        if fused is not None:
-            state.supports = fused
-            state.fused = True
-            return
-        candidates = self._generate(context, level, k)
+        if level == 1 or not context.pruning.flipping:
+            candidates = self._row_join(context, level, k)
+        else:
+            candidates = self._expand(context, state)
         state.stats.candidates = len(candidates)
-        if context.pruning.sibp and context.banned.get(level):
-            candidates, dropped = filter_banned(
-                candidates, context.banned[level]
-            )
-            state.stats.filtered_banned = dropped
         cell_left = context.cells.get((level, k - 1))
         candidates, dropped = filter_known_infrequent_subsets(
             candidates, cell_left, strict=not context.pruning.flipping
@@ -73,172 +67,86 @@ class GenerateStage:
 
     # -- generation regimes -------------------------------------------
 
-    def _generate(
+    def _row_join(
         self, context: MiningContext, level: int, k: int
     ) -> list[tuple[int, ...]]:
-        use_row_join = level == 1 or not context.pruning.flipping
-        if use_row_join:
-            if k == 2:
-                return pair_candidates(sorted(context.frequent_items[level]))
-            cell_left = context.cells.get((level, k - 1))
-            if cell_left is None:
-                return []
-            return row_join_candidates(cell_left)
+        if k == 2:
+            return pair_candidates(sorted(context.frequent_items[level]))
+        cell_left = context.cells.get((level, k - 1))
+        if cell_left is None:
+            return []
+        return row_join_candidates(cell_left)
+
+    def _expand(
+        self, context: MiningContext, state: CellState
+    ) -> list[tuple[int, ...]]:
+        """Child expansion of the chain-alive parents above.
+
+        Expanding a parent as a raw Cartesian product would
+        materialize ``fanout**k`` combinations, nearly all of which
+        support counting would discard.  :func:`expand_children`
+        instead prunes prefixes while it expands: the cheapest
+        unknowns — the level-h child pairs — are batch-counted once
+        per level (the pair screen, cached across columns), and each
+        surviving prefix of length 3 to k-1 is first looked up in the
+        already-processed cell of its length (a frequent entry keeps
+        it, a counted-infrequent one drops it); only the prefixes
+        that cell never counted are batch-counted through the
+        executor.  So an infrequent prefix kills its subtree under
+        every executor and backend.
+        """
+        level, k = state.task.level, state.task.k
         parent_cell = context.cells.get((level - 1, k))
         if parent_cell is None:
             return []
         alive = [entry.itemset for entry in parent_cell.alive_entries]
+        taxonomy = context.taxonomy
         children_of = {
-            node: context.taxonomy.children_ids(node)
+            node: taxonomy.children_ids(node)
             for parent in alive
             for node in parent
         }
-        pair_ok = None
-        if k >= 3:
-            pair_ok = self._pair_predicate(context, level, alive, children_of)
-        return child_expansion_candidates(
+        executor = context.executor
+        extra = context.stats.extra
+        theta = context.thresholds.min_count(level)
+        cache = context.pair_supports.setdefault(level, {})
+
+        def frequent_pairs(
+            pairs: list[tuple[int, ...]],
+        ) -> set[tuple[int, ...]]:
+            unknown = [pair for pair in pairs if pair not in cache]
+            if unknown:
+                cache.update(executor.supports(level, unknown))
+                screened = extra.get("screen_pairs", 0) + len(unknown)
+                extra["screen_pairs"] = screened
+            return {pair for pair in pairs if cache[pair] >= theta}
+
+        def frequent_prefixes(
+            prefixes: list[tuple[int, ...]],
+        ) -> set[tuple[int, ...]]:
+            known = context.cells.get((level, len(prefixes[0])))
+            frequent: set[tuple[int, ...]] = set()
+            unseen = prefixes
+            if known is not None:
+                frequent = {p for p in prefixes if p in known.entries}
+                unseen = [p for p in prefixes if p not in known]
+            if unseen:
+                supports = executor.supports(level, unseen)
+                frequent.update(p for p in unseen if supports[p] >= theta)
+                counted = extra.get("prefix_supports", 0) + len(unseen)
+                extra["prefix_supports"] = counted
+            return frequent
+
+        expansion = expand_children(
             alive,
             children_of,
             context.frequent_items[level],
-            pair_ok=pair_ok,
+            banned=context.banned[level] if context.pruning.sibp else {},
+            frequent_pairs=frequent_pairs,
+            frequent_prefixes=frequent_prefixes,
         )
-
-    def _pair_predicate(
-        self,
-        context: MiningContext,
-        level: int,
-        alive_parents: list[tuple[int, ...]],
-        children_of: dict[int, tuple[int, ...]],
-    ) -> Callable[[int, int], bool]:
-        """Build the ``pair_ok`` predicate for child expansion.
-
-        Child expansion at k >= 3 is complete but loose: after
-        vertical pruning the left cell can be missing subsets, so the
-        Apriori filter cannot reject much and the raw Cartesian
-        product explodes.  The cheapest unknowns — the level-h
-        2-subsets a candidate would contain — are batch-counted here
-        through the executor (once per level, cached) so the expansion
-        can prune prefixes containing a provably infrequent pair.
-        Pure support reasoning: no flipping pattern can be lost.
-        """
-        cache = context.pair_supports.setdefault(level, {})
-        frequent = context.frequent_items[level]
-        # Distinct parent-node pairs across all alive parents...
-        node_pairs: set[tuple[int, int]] = set()
-        for parent in alive_parents:
-            for i in range(len(parent)):
-                for j in range(i + 1, len(parent)):
-                    node_pairs.add((parent[i], parent[j]))
-        # ...then every frequent child pair under them.
-        unknown: set[tuple[int, int]] = set()
-        for node_x, node_y in node_pairs:
-            for a in children_of.get(node_x, ()):
-                if a not in frequent:
-                    continue
-                for b in children_of.get(node_y, ()):
-                    if b not in frequent:
-                        continue
-                    pair = (a, b) if a < b else (b, a)
-                    if pair not in cache:
-                        unknown.add(pair)
-        if unknown:
-            cache.update(context.executor.supports(level, sorted(unknown)))
-            context.stats.extra["screen_pairs"] = (
-                context.stats.extra.get("screen_pairs", 0) + len(unknown)
-            )
-        theta = context.thresholds.min_count(level)
-
-        def pair_ok(a: int, b: int) -> bool:
-            pair = (a, b) if a < b else (b, a)
-            support = cache.get(pair)
-            return support is None or support >= theta
-
-        return pair_ok
-
-    # -- fused fast path ----------------------------------------------
-
-    def _fused_expansion_supports(
-        self, context: MiningContext, state: CellState
-    ) -> dict[tuple[int, ...], int] | None:
-        """Child expansion fused with bitset prefix counting.
-
-        For flipping-mode cells below the top row, expanding an alive
-        parent's children as a raw Cartesian product materializes
-        ``fanout**k`` combinations per parent, nearly all of which
-        support counting would discard.  With the bitmap backend we
-        instead walk the product as a DFS that carries the AND-bitset
-        of the chosen prefix: a prefix whose support drops below the
-        level's minimum kills its entire subtree (anti-monotonicity of
-        support, so no flipping pattern can be lost).  Returns the
-        supports of the surviving candidates, or ``None`` when this
-        cell should use the staged path (top row, BASIC mode, a
-        non-bitmap backend, or an executor that fans counting out —
-        the DFS is inherently sequential).
-
-        ``state.stats.candidates`` counts DFS nodes explored — the
-        fused equivalent of "candidates generated".
-        """
-        level, k = state.task.level, state.task.k
-        if level == 1 or not context.pruning.flipping:
-            return None
-        if not context.executor.supports_fused:
-            return None
-        if not isinstance(context.backend, BitmapBackend):
-            return None
-        parent_cell = context.cells.get((level - 1, k))
-        if parent_cell is None:
-            return {}
-        index = context.backend.index
-        frequent = context.frequent_items[level]
-        banned = context.banned[level] if context.pruning.sibp else {}
-        theta = context.thresholds.min_count(level)
-        taxonomy = context.taxonomy
-        results: dict[tuple[int, ...], int] = {}
-        explored = 0
-        banned_dropped = 0
-        for entry in parent_cell.alive_entries:
-            child_lists: list[list[int]] = []
-            viable = True
-            for node in entry.itemset:
-                children: list[int] = []
-                for child in taxonomy.children_ids(node):
-                    if child not in frequent:
-                        continue
-                    if banned.get(child, k) < k:
-                        banned_dropped += 1
-                        continue
-                    children.append(child)
-                if not children:
-                    viable = False
-                    break
-                child_lists.append(children)
-            if not viable:
-                continue
-            chosen: list[int] = []
-
-            def dfs(position: int, bits: int | None) -> None:
-                nonlocal explored
-                for child in child_lists[position]:
-                    explored += 1
-                    child_bits = index.bitset(level, child)
-                    new_bits = (
-                        child_bits if bits is None else bits & child_bits
-                    )
-                    support = new_bits.bit_count()
-                    if support < theta and position < len(child_lists) - 1:
-                        # infrequent prefix: no extension can recover
-                        continue
-                    if position == len(child_lists) - 1:
-                        results[tuple(sorted(chosen + [child]))] = support
-                    else:
-                        chosen.append(child)
-                        dfs(position + 1, new_bits)
-                        chosen.pop()
-
-            dfs(0, None)
-        state.stats.candidates = explored
-        state.stats.filtered_banned = banned_dropped
-        return results
+        state.stats.filtered_banned = expansion.banned_children
+        return expansion.candidates
 
 
 class CountStage:
@@ -247,44 +155,84 @@ class CountStage:
     name = "count"
 
     def run(self, context: MiningContext, state: CellState) -> None:
-        if state.fused:
-            return
         state.supports = context.executor.supports(
             state.task.level, state.candidates
         )
 
 
 class LabelStage:
-    """Correlation, label and chain-alive flag; builds the cell."""
+    """Correlation, label and chain-alive flag; builds the cell.
+
+    The whole batch is labelled with array operations: the measure's
+    :meth:`~repro.core.measures.Measure.batch` over the supports and
+    the member-support matrix, then Definition 1 as masks.  Only
+    frequent itemsets become :class:`CellEntry` objects, and the
+    chain-alive walk runs only for the signed ones.
+    """
 
     name = "label"
 
     def run(self, context: MiningContext, state: CellState) -> None:
         level, k = state.task.level, state.task.k
         cell = Cell(level=level, k=k, n_candidates=state.stats.candidates)
+        state.cell = cell
+        supports = state.supports
+        if not supports:
+            return
+        itemsets = list(supports)
+        matrix = np.fromiter(
+            chain.from_iterable(itemsets),
+            dtype=np.int64,
+            count=len(itemsets) * k,
+        ).reshape(len(itemsets), k)
+        counts = np.fromiter(
+            supports.values(), dtype=np.int64, count=len(itemsets)
+        )
         node_supports = context.node_supports[level]
-        theta = context.thresholds.min_count(level)
-        gamma = context.thresholds.gamma
-        epsilon = context.thresholds.epsilon
-        measure = context.measure
+        lookup = np.zeros(max(node_supports) + 1, dtype=np.int64)
+        lookup[list(node_supports)] = list(node_supports.values())
+        members = lookup[matrix]
+        correlations = context.measure.batch(counts, members)
+        gamma, epsilon = self.bands(context, members)
+        codes = label_codes(
+            counts,
+            correlations,
+            context.thresholds.min_count(level),
+            gamma,
+            epsilon,
+        )
         parent_cell = context.cells.get((level - 1, k))
-        for itemset, support in state.supports.items():
-            item_supports = [node_supports[node] for node in itemset]
-            correlation = measure(support, item_supports)
-            label = label_for(support, correlation, theta, gamma, epsilon)
-            alive = self._chain_alive(
+        frequent = np.flatnonzero(codes)
+        for row, code, correlation in zip(
+            frequent.tolist(),
+            codes[frequent].tolist(),
+            correlations[frequent].tolist(),
+        ):
+            itemset = itemsets[row]
+            label = LABELS_BY_CODE[code]
+            alive = label.is_signed and self._chain_alive(
                 context, level, itemset, label, parent_cell
             )
             cell.add(
                 CellEntry(
                     itemset=itemset,
-                    support=support,
+                    support=supports[itemset],
                     correlation=correlation,
                     label=label,
                     alive=alive,
                 )
             )
-        state.cell = cell
+        infrequent = codes == 0
+        cell.add_infrequent(
+            list(compress(itemsets, infrequent.tolist())),
+            correlations[infrequent],
+        )
+
+    def bands(
+        self, context: MiningContext, item_supports: np.ndarray
+    ) -> tuple[float | np.ndarray, float | np.ndarray]:
+        """The (γ, ε) pair each row is labelled against."""
+        return context.thresholds.gamma, context.thresholds.epsilon
 
     def _chain_alive(
         self,
@@ -294,9 +242,8 @@ class LabelStage:
         label: Label,
         parent_cell: Cell | None,
     ) -> bool:
-        """Is the whole vertical chain down to this itemset flipping?"""
-        if not label.is_signed:
-            return False
+        """Is the whole vertical chain down to this signed itemset
+        flipping?"""
         if level == 1:
             return True
         if parent_cell is None:
@@ -320,7 +267,7 @@ class SibpRemovalStage:
     frequent-item list whose members have max correlation below γ
     among the cell's counted itemsets.  The walk stops at the first
     item with a positive itemset — or with *no* counted itemset, since
-    a vacuous maximum is not evidence (see DESIGN.md, "SIBP
+    a vacuous maximum is not evidence (see ARCHITECTURE.md, "SIBP
     vacuous-max guard").  Skipped entirely when SIBP is off.
     """
 

@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
+from repro import FlipperMiner, PruningConfig, Thresholds
+from repro.core.candidates import filter_known_infrequent_subsets
 from repro.core.cells import Cell, CellEntry
 from repro.core.labels import Label
+from repro.engine.stages import (
+    CountStage,
+    GenerateStage,
+    LabelStage,
+    SibpRemovalStage,
+)
 
 
 def entry(itemset, support=10, corr=0.5, label=Label.POSITIVE, alive=False):
@@ -64,3 +72,86 @@ class TestCell:
         assert best[2] == 0.3
         assert best[3] == 0.7
         assert 4 not in best  # vacuous items are absent, not 0
+
+    def test_infrequent_entries_keep_their_accounting(self):
+        cell = Cell(level=2, k=2)
+        cell.add(entry((1, 2), corr=0.5, label=Label.POSITIVE))
+        cell.add(entry((1, 3), corr=0.9, label=Label.INFREQUENT))
+        cell.add_infrequent([(3, 4), (2, 4)], [0.8, 0.2])
+        assert len(cell) == 4
+        assert (1, 3) in cell and (3, 4) in cell
+        assert cell.get((1, 3)) is None  # no entry object kept
+        assert cell.n_frequent == 1
+        assert cell.frequent_itemsets == [(1, 2)]
+        assert cell.has_positive
+        assert cell.max_correlation_per_item() == {
+            1: 0.9,
+            2: 0.5,
+            3: 0.9,
+            4: 0.8,
+        }
+        kept, dropped = filter_known_infrequent_subsets(
+            [(1, 2, 3), (1, 2, 5), (2, 3, 4)], cell, strict=False
+        )
+        assert kept == [(1, 2, 5)] and dropped == 2
+
+
+class _RecordingCount(CountStage):
+    def __init__(self, seen):
+        self.seen = seen
+
+    def run(self, context, state):
+        super().run(context, state)
+        self.seen[(state.task.level, state.task.k)] = dict(state.supports)
+
+
+def test_mined_cells_count_every_counted_itemset(random_db):
+    """Infrequent counted itemsets stay visible to ``len``,
+    ``CellStats.counted``, ``stored_entries``, the SIBP per-item
+    maximum and the subset test, although only frequent ones keep a
+    :class:`CellEntry`."""
+    thresholds = Thresholds(
+        gamma=0.4, epsilon=0.3, min_support=[0.2, 0.1, 0.05]
+    )
+    seen: dict = {}
+    miner = FlipperMiner(
+        random_db,
+        thresholds,
+        pruning=PruningConfig.full(),
+        stages=[
+            GenerateStage(),
+            _RecordingCount(seen),
+            LabelStage(),
+            SibpRemovalStage(),
+        ],
+    )
+    result = miner.mine()
+    measure = miner.context.measure
+    node_supports = miner.context.node_supports
+    total_infrequent = 0
+    for cell_stats in result.stats.cells:
+        key = (cell_stats.level, cell_stats.k)
+        supports = seen[key]
+        cell = miner.cell(*key)
+        theta = miner.context.thresholds.min_count(cell_stats.level)
+        infrequent = {i for i, s in supports.items() if s < theta}
+        total_infrequent += len(infrequent)
+        assert cell_stats.counted == len(cell) == len(supports)
+        assert cell.infrequent == infrequent
+        assert all(itemset in cell for itemset in supports)
+        best: dict[int, float] = {}
+        for itemset, support in supports.items():
+            correlation = measure(
+                support, [node_supports[key[0]][n] for n in itemset]
+            )
+            for item in itemset:
+                best[item] = max(best.get(item, correlation), correlation)
+        assert cell.max_correlation_per_item() == best
+        for itemset in infrequent:
+            superset = itemset + (max(itemset) + 10_000,)
+            _, dropped = filter_known_infrequent_subsets(
+                [superset], cell, strict=False
+            )
+            assert dropped == 1
+    assert total_infrequent > 0
+    assert result.stats.stored_entries == sum(len(s) for s in seen.values())

@@ -102,6 +102,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="backend"):
             FlipperMiner(example3_db, example3_thresholds, backend="gpu")
 
+    @pytest.mark.parametrize("partitions", [None, 2])
+    def test_rejects_raw_transactions(self, example3_thresholds, partitions):
+        with pytest.raises(
+            ConfigError,
+            match="TransactionDatabase or a ShardedTransactionStore, not list",
+        ):
+            FlipperMiner(
+                [["a11", "b11"]], example3_thresholds, partitions=partitions
+            )
+
 
 class TestBackendsAgree:
     def test_same_patterns(self, example3_db, example3_thresholds):

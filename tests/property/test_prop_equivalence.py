@@ -8,8 +8,8 @@ On random small databases with random taxonomies and thresholds:
 * the flipping / +TPG / +SIBP configurations must never report a
   false pattern (soundness), and in practice match exactly — the
   theoretical corner case where TPG over-prunes is documented in
-  DESIGN.md and exercised deterministically in
-  tests/regression/test_tpg_corner_case.py.
+  ARCHITECTURE.md ("TPG corner case") and exercised deterministically
+  in tests/regression/test_tpg_corner_case.py.
 """
 
 from __future__ import annotations

@@ -7,10 +7,12 @@ and basic range/consistency properties.
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from repro.core.measures import (
     MEASURES,
+    Measure,
     all_confidence,
     coherence,
     cosine,
@@ -108,3 +110,64 @@ def test_anti_monotone_measures_decrease_with_extra_item(instance):
     for name in ("all_confidence", "coherence"):
         measure = MEASURES[name]
         assert measure(sup, grown) <= measure(sup, items) + TOL
+
+
+@st.composite
+def support_batches(draw):
+    """A batch of consistent instances sharing one k (1..6), with zero
+    itemset supports and zero member supports mixed in."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.integers(min_value=1, max_value=12))
+    sups: list[int] = []
+    members: list[list[int]] = []
+    for _ in range(rows):
+        sup = draw(
+            st.one_of(
+                st.just(0),
+                st.integers(min_value=1, max_value=50),
+                st.integers(min_value=1, max_value=10**9),
+            )
+        )
+        low = sup if sup else 0
+        members.append(
+            [
+                draw(
+                    st.one_of(
+                        st.just(low),
+                        st.integers(min_value=low, max_value=low + 60),
+                        st.integers(min_value=low, max_value=2 * 10**9),
+                    )
+                )
+                for _ in range(k)
+            ]
+        )
+        sups.append(sup)
+    return sups, members
+
+
+@settings(max_examples=300)
+@given(support_batches())
+def test_array_forms_equal_scalar_functions_exactly(batch):
+    """Every registered measure's array form is bit-identical to its
+    scalar function, row by row (``==``, not approx)."""
+    sups, members = batch
+    for measure in MEASURES.values():
+        assert measure.array_fn is not None, measure.name
+        got = measure.batch(np.array(sups), np.array(members)).tolist()
+        expected = [measure.fn(sup, row) for sup, row in zip(sups, members)]
+        assert got == expected, measure.name
+
+
+@given(support_batches())
+def test_user_measure_batch_maps_scalar_fn(batch):
+    """A measure without an array form maps its scalar function."""
+    sups, members = batch
+
+    def gap(sup, items):
+        return max_confidence(sup, items) - all_confidence(sup, items)
+
+    custom = Measure(
+        name="gap", fn=gap, mean_kind="custom", anti_monotonic=False
+    )
+    got = custom.batch(np.array(sups), np.array(members)).tolist()
+    assert got == [custom(sup, row) for sup, row in zip(sups, members)]

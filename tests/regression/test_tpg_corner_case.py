@@ -1,4 +1,5 @@
-"""The documented TPG over-pruning corner case (DESIGN.md §4).
+"""The documented TPG over-pruning corner case (ARCHITECTURE.md,
+"TPG corner case").
 
 Theorem 3's premise — "all itemsets in Q(h,k) and Q(h+1,k) are
 non-positive" — is verified by the algorithm over *counted* itemsets.
@@ -131,8 +132,8 @@ class TestDivergence:
         """Algorithm 1 as published: TPG fires at k=2 (both top cells
         have no positive) and prunes the k=3 column where the pattern
         lives.  If this test ever starts finding the pattern, the
-        implementation has drifted from the paper — update DESIGN.md
-        accordingly."""
+        implementation has drifted from the paper — update
+        ARCHITECTURE.md accordingly."""
         result = mine_flipping_patterns(
             corner_db, thresholds, pruning=PruningConfig.flipping_tpg()
         )
