@@ -1,9 +1,9 @@
-"""Engine smoke bench: serial vs parallel executor on one tiny profile.
+"""Engine smoke bench: in-memory vs partitioned mining on one profile.
 
-The pytest-benchmark face of ``python -m repro bench engine``: runs
-the full Flipper configuration under both executors, asserts the
-pattern sets agree, and writes the ``BENCH_engine.json`` baseline the
-CI engine-smoke job checks.
+The pytest-benchmark face of ``python -m repro bench engine``: mines
+the groceries corpus in memory and over 3 shards, asserts the pattern
+sets agree byte-for-byte, and writes the ``BENCH_engine.json``
+baseline the CI engine-smoke job checks.
 """
 
 from __future__ import annotations
@@ -13,15 +13,15 @@ import json
 import pytest
 
 from conftest import one_shot
-from repro import PruningConfig
+from repro import PruningConfig, mine_flipping_patterns
 from repro.bench import run_method
 from repro.bench.engine import run_engine_smoke
 from repro.datasets import generate_groceries
 from repro.datasets.groceries import GROCERIES_THRESHOLDS
 
-EXECUTORS = [
-    ("serial", {"executor": "serial"}),
-    ("process", {"executor": "process", "workers": 2, "chunk_size": 50}),
+RUNS = [
+    ("in_memory", {}),
+    ("partitions_3", {"partitions": 3}),
 ]
 
 
@@ -31,9 +31,9 @@ def planted_db():
 
 
 @pytest.mark.parametrize(
-    "label,config", EXECUTORS, ids=[label for label, _ in EXECUTORS]
+    "label,config", RUNS, ids=[label for label, _ in RUNS]
 )
-def test_executor_runtime(benchmark, planted_db, label, config):
+def test_run_runtime(benchmark, planted_db, label, config):
     record = one_shot(
         benchmark,
         run_method,
@@ -43,22 +43,24 @@ def test_executor_runtime(benchmark, planted_db, label, config):
         f"full[{label}]",
         **config,
     )
-    assert record.executor == config["executor"]
+    assert record.partitions == config.get("partitions", 1)
     assert record.n_patterns > 0
 
 
-def test_executors_find_identical_patterns(planted_db):
-    records = {
-        label: run_method(
-            planted_db,
-            GROCERIES_THRESHOLDS,
-            PruningConfig.full(),
-            label,
-            **config,
+def test_runs_find_identical_patterns(planted_db):
+    fingerprints = {
+        label: json.dumps(
+            [
+                pattern.to_dict()
+                for pattern in mine_flipping_patterns(
+                    planted_db, GROCERIES_THRESHOLDS, **config
+                ).patterns
+            ],
+            sort_keys=True,
         )
-        for label, config in EXECUTORS
+        for label, config in RUNS
     }
-    assert records["serial"].n_patterns == records["process"].n_patterns > 0
+    assert fingerprints["in_memory"] == fingerprints["partitions_3"]
 
 
 def test_engine_smoke_writes_baseline(tmp_path, capsys):

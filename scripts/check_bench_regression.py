@@ -2,24 +2,20 @@
 """Perf-regression gate over the engine bench baseline.
 
 Compares a freshly produced ``BENCH_engine.json`` against the
-committed baseline and fails (exit 1) when a tracked metric regressed
-beyond the tolerance factor.  Tracked metrics:
-
-* ``counting.batched_over_per_itemset`` — the batched/per-itemset
-  counting ratio.  A machine-independent ratio: if batching gets
-  slower relative to the seed path, the engine's core bargain broke.
-* serial executor stage totals — the summed per-stage wall-clock of
-  the serial end-to-end run.  Absolute seconds vary across runners,
-  so on top of the tolerance factor a regression must also exceed an
-  absolute noise floor (``NOISE_FLOOR_SECONDS``): at the bench's tiny
-  scale the totals sit in scheduler-jitter territory, and a gate that
-  fires on sub-millisecond cross-machine drift would be flaky on
-  every PR.  The floor still catches real regressions (an accidental
-  quadratic loop shows up as whole seconds, not milliseconds).
+committed baseline and fails (exit 1) when the in-memory run's stage
+totals — the summed per-stage wall-clock of the default end-to-end
+mine — regressed beyond the tolerance factor.  Absolute seconds vary
+across runners, so on top of the tolerance factor a regression must
+also exceed an absolute noise floor (``NOISE_FLOOR_SECONDS``): at the
+bench's tiny scale the totals sit in scheduler-jitter territory, and a
+gate that fires on sub-millisecond cross-machine drift would be flaky
+on every PR.  The floor still catches real regressions (an accidental
+quadratic loop shows up as whole seconds, not milliseconds).
 
 Checks that the current run's own shape assertions
-(``checks_pass``) hold, too — a bench that fails its internal parity
-checks is a regression regardless of timing.
+(``checks_pass``, which include in-memory vs 3-shard pattern parity)
+hold, too — a bench that fails its internal parity checks is a
+regression regardless of timing.
 
 When ``--incremental-baseline``/``--incremental-current`` are given,
 the gate additionally checks ``BENCH_incremental.json``: the current
@@ -101,32 +97,15 @@ import json
 import sys
 from pathlib import Path
 
-#: (human name, path into the bench JSON) of every gated metric
-TRACKED_METRICS: list[tuple[str, tuple[str, ...]]] = [
-    (
-        "counting.batched_over_per_itemset",
-        ("counting", "batched_over_per_itemset"),
-    ),
-]
-
 #: absolute stage-total growth below this is scheduler noise, not a
 #: regression (see module docstring)
 NOISE_FLOOR_SECONDS = 0.05
 
 
-def metric_at(data: dict, path: tuple[str, ...]) -> float:
-    node: object = data
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            raise KeyError(".".join(path))
-        node = node[key]
-    return float(node)  # type: ignore[arg-type]
-
-
-def serial_stage_total(data: dict) -> float:
-    """Summed per-stage seconds of the serial end-to-end run."""
+def in_memory_stage_total(data: dict) -> float:
+    """Summed per-stage seconds of the in-memory end-to-end run."""
     stages = (
-        data.get("executors", {}).get("serial", {}).get("stage_seconds", {})
+        data.get("runs", {}).get("in_memory", {}).get("stage_seconds", {})
     )
     return float(sum(stages.values()))
 
@@ -139,30 +118,18 @@ def compare(baseline: dict, current: dict, tolerance: float) -> list[str]:
             "current bench failed its internal shape checks "
             "(checks_pass is false)"
         )
-    for name, path in TRACKED_METRICS:
-        try:
-            base = metric_at(baseline, path)
-            now = metric_at(current, path)
-        except KeyError as missing:
-            problems.append(f"metric {missing} missing from a bench file")
-            continue
-        if now > base * tolerance:
-            problems.append(
-                f"{name} regressed: {now:.4f} vs baseline {base:.4f} "
-                f"(> {tolerance:g}x)"
-            )
-    base_total = serial_stage_total(baseline)
-    now_total = serial_stage_total(current)
+    base_total = in_memory_stage_total(baseline)
+    now_total = in_memory_stage_total(current)
     if base_total <= 0.0:
-        problems.append("baseline serial stage totals missing or zero")
+        problems.append("baseline in-memory stage totals missing or zero")
     elif now_total <= 0.0:
-        problems.append("current serial stage totals missing or zero")
+        problems.append("current in-memory stage totals missing or zero")
     elif (
         now_total > base_total * tolerance
         and now_total - base_total > NOISE_FLOOR_SECONDS
     ):
         problems.append(
-            f"serial stage totals regressed: {now_total:.4f}s vs "
+            f"in-memory stage totals regressed: {now_total:.4f}s vs "
             f"baseline {base_total:.4f}s (> {tolerance:g}x and > "
             f"{NOISE_FLOOR_SECONDS:g}s above it)"
         )
@@ -738,14 +705,10 @@ def main(argv: list[str] | None = None) -> int:
         for problem in problems:
             print(f"  - {problem}")
         return 1
-    for name, path in TRACKED_METRICS:
-        print(
-            f"ok: {name} = {metric_at(current, path):.4f} "
-            f"(baseline {metric_at(baseline, path):.4f})"
-        )
     print(
-        f"ok: serial stage totals = {serial_stage_total(current):.4f}s "
-        f"(baseline {serial_stage_total(baseline):.4f}s)"
+        "ok: in-memory stage totals = "
+        f"{in_memory_stage_total(current):.4f}s "
+        f"(baseline {in_memory_stage_total(baseline):.4f}s)"
     )
     if incremental_current is not None:
         print(

@@ -75,12 +75,8 @@ from repro.fpm import (
 )
 from repro.engine import (
     ExecutionPlan,
-    Executor,
     IncrementalMiner,
     MiningContext,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
 )
 from repro.errors import (
     ConfigError,
@@ -145,14 +141,10 @@ __all__ = [
     "fp_growth",
     "level_frequent_itemsets",
     "mine_flipping_posthoc",
-    # engine (plan -> stages -> executor -> backend; see ARCHITECTURE.md)
+    # engine (plan -> stages -> backend; see ARCHITECTURE.md)
     "ExecutionPlan",
     "IncrementalMiner",
     "MiningContext",
-    "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "make_executor",
     # substrate
     "VerticalIndex",
     "TaxonomyNode",

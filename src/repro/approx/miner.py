@@ -156,7 +156,6 @@ class ApproxMiner:
         partitions: int | None = None,
         memory_budget_mb: float | None = None,
         shard_dir: str | None = None,
-        chunk_size: int | None = None,
         verify_backend: PartitionedBackend | None = None,
     ) -> None:
         if not 0.0 < sample_rate <= 1.0:
@@ -181,14 +180,13 @@ class ApproxMiner:
                     "ShardedTransactionStore"
                 )
             self._verify_backend = verify_backend
-            self._inner = verify_backend.inner_name
         else:
             self._verify_backend = DeltaCounter(
                 self._store,
                 inner=backend,
                 memory_budget_mb=memory_budget_mb,
             )
-            self._inner = backend
+        self._inner = self._verify_backend.inner_name
         self._thresholds = thresholds
         self._measure = get_measure(measure)
         self._pruning = pruning
@@ -199,7 +197,6 @@ class ApproxMiner:
         self._max_sample_rows = max_sample_rows
         self._sample_memory_budget_mb = sample_memory_budget_mb
         self._max_k = max_k
-        self._chunk_size = chunk_size
         #: phase-1 candidates of the most recent run (CIs included)
         self.candidates: list[ApproxCandidate] = []
         #: the derived bounds of the most recent run
@@ -294,7 +291,6 @@ class ApproxMiner:
             "min_counts": list(resolved.min_counts),
             "height": taxonomy.height,
             "n_transactions": n_total,
-            "executor": "approx",
             "partitions": self._store.n_shards,
             "approx": {
                 **bounds.to_dict(),
@@ -395,9 +391,7 @@ class ApproxMiner:
             for level, itemsets in by_level.items():
                 for node_id, count in backend.node_supports(level).items():
                     node_supports[level][node_id] += count
-                counts = backend.supports_batched(
-                    level, itemsets, chunk_size=self._chunk_size
-                )
+                counts = backend.supports(level, itemsets)
                 merge_shard_counts(exact[level], counts)
         return exact, node_supports
 

@@ -1,48 +1,30 @@
-"""Engine bench: batched counting + executor smoke on one tiny profile.
+"""Engine bench: in-memory vs partitioned mining smoke on one profile.
 
-Two questions, answered quickly enough for CI:
-
-1. Is the batched bitmap path (``supports_batched``) at least as fast
-   as the seed per-itemset path (``supports``) on the Fig-8 synthetic
-   profile?  (It must be: batching exists so executors can fan work
-   out, not to trade single-thread speed away.)
-2. Do the serial and process executors produce byte-identical pattern
-   sets — and what does each cost end to end?
+One question, answered quickly enough for CI: do the default in-memory
+mine and a ``partitions=3`` mine of the same groceries corpus produce
+byte-identical pattern sets — and what does each cost end to end?
 
 ``run_engine_smoke`` measures both, renders a report, and writes the
 machine-readable baseline ``BENCH_engine.json`` (path overridable via
-``REPRO_BENCH_ENGINE_OUT``) so later PRs can diff engine regressions.
+``REPRO_BENCH_ENGINE_OUT``); CI's perf-regression gate diffs the
+in-memory run's stage totals against the committed baseline.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
-import time
-from collections.abc import Callable
 from pathlib import Path
 
-from repro.bench.profiles import (
-    DEFAULT_MINSUP,
-    bench_config,
-    bench_scale,
-    thresholds_for_profile,
-)
+from repro.bench.profiles import bench_scale
 from repro.bench.report import ShapeCheck, format_table, render_checks
-from repro.core.counting import BitmapBackend
 from repro.core.flipper import FlipperMiner
 from repro.core.patterns import MiningResult
 from repro.datasets.groceries import GROCERIES_THRESHOLDS, generate_groceries
-from repro.datasets.synthetic import generate_synthetic
 
 __all__ = ["run_engine_smoke", "DEFAULT_OUT_PATH"]
 
 DEFAULT_OUT_PATH = "BENCH_engine.json"
-
-#: Timed repeats per counting path; the minimum is reported (the
-#: standard way to strip scheduler noise from a microbench).
-_REPEATS = 7
 
 
 def _pattern_fingerprint(result: MiningResult) -> str:
@@ -51,137 +33,59 @@ def _pattern_fingerprint(result: MiningResult) -> str:
     )
 
 
-def _time_counting(
-    callable_: Callable[[], object], repeats: int = _REPEATS
-) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def run_engine_smoke(
     out_path: str | os.PathLike[str] | None = None,
 ) -> tuple[str, dict[str, object]]:
     """Run the engine smoke bench and write ``BENCH_engine.json``."""
     if out_path is None:
         out_path = os.environ.get("REPRO_BENCH_ENGINE_OUT", DEFAULT_OUT_PATH)
-    database = generate_synthetic(bench_config())
-    thresholds = thresholds_for_profile(
-        DEFAULT_MINSUP, n_transactions=database.n_transactions
-    )
-
-    # --- 1. batched vs per-itemset bitmap counting --------------------
-    backend = BitmapBackend(database)
-    resolved = thresholds.resolve(
-        database.taxonomy.height, database.n_transactions
-    )
-    workload: list[tuple[int, list[tuple[int, ...]]]] = []
-    for level in range(1, database.taxonomy.height + 1):
-        theta = resolved.min_count(level)
-        frequent = sorted(
-            node
-            for node, support in backend.node_supports(level).items()
-            if support >= theta
-        )
-        pairs = [tuple(pair) for pair in itertools.combinations(frequent, 2)]
-        if pairs:
-            workload.append((level, pairs))
-    n_candidates = sum(len(pairs) for _level, pairs in workload)
-
-    def per_itemset() -> None:
-        for level, pairs in workload:
-            backend.supports(level, pairs)
-
-    def batched() -> None:
-        for level, pairs in workload:
-            backend.supports_batched(level, pairs)
-
-    seconds_per_itemset = _time_counting(per_itemset)
-    seconds_batched = _time_counting(batched)
-    ratio = seconds_batched / max(seconds_per_itemset, 1e-12)
-
-    # --- 2. serial vs process executor, full Flipper ------------------
-    # The synthetic profile has no planted flips at tiny scales, so the
-    # executor-parity half runs on the groceries simulator, which does.
+    # The synthetic profile has no planted flips at tiny scales; the
+    # groceries simulator does, so parity is checked on real patterns.
     grocery_db = generate_groceries(
         scale=min(1.0, max(0.1, bench_scale() * 10))
     )
     runs: dict[str, dict[str, object]] = {}
     fingerprints: dict[str, str] = {}
-    workers = max(2, min(4, os.cpu_count() or 1))
-    for name, kwargs in (
-        ("serial", {"executor": "serial"}),
-        ("process", {"executor": "process", "workers": workers}),
-    ):
-        miner = FlipperMiner(grocery_db, GROCERIES_THRESHOLDS, **kwargs)
-        result = miner.mine()
+    for name, partitions in (("in_memory", None), ("partitions_3", 3)):
+        result = FlipperMiner(
+            grocery_db, GROCERIES_THRESHOLDS, partitions=partitions
+        ).mine()
         fingerprints[name] = _pattern_fingerprint(result)
         runs[name] = {
             "seconds": result.stats.elapsed_seconds,
             "n_patterns": len(result.patterns),
-            "executor": result.config["executor"],
-            "workers": result.config["workers"],
-            "chunk_size": result.config["chunk_size"],
+            "partitions": result.config["partitions"],
             "stage_seconds": dict(
                 result.stats.extra.get("stage_seconds", {})
             ),
         }
-    identical = fingerprints["serial"] == fingerprints["process"]
+    identical = fingerprints["in_memory"] == fingerprints["partitions_3"]
 
     checks = [
         ShapeCheck(
-            "batched bitmap counting no slower than per-itemset",
-            ratio <= 1.10,
-            f"batched {seconds_batched:.4f}s vs per-itemset "
-            f"{seconds_per_itemset:.4f}s ({ratio:.2f}x) over "
-            f"{n_candidates} candidates",
-        ),
-        ShapeCheck(
-            "serial and process executors agree byte-for-byte",
-            identical and runs["serial"]["n_patterns"] > 0,  # type: ignore[operator]
-            f"{runs['serial']['n_patterns']} vs "
-            f"{runs['process']['n_patterns']} patterns",
+            "in-memory and 3-shard runs agree byte-for-byte",
+            identical and runs["in_memory"]["n_patterns"] > 0,  # type: ignore[operator]
+            f"{runs['in_memory']['n_patterns']} vs "
+            f"{runs['partitions_3']['n_patterns']} patterns",
         ),
     ]
     data: dict[str, object] = {
         "bench": "engine_smoke",
         "scale": bench_scale(),
-        "n_transactions": database.n_transactions,
-        "counting": {
-            "n_candidates": n_candidates,
-            "seconds_per_itemset": seconds_per_itemset,
-            "seconds_batched": seconds_batched,
-            "batched_over_per_itemset": ratio,
-        },
-        "executors": runs,
+        "runs": runs,
         "patterns_identical": identical,
         "checks_pass": all(check.passed for check in checks),
     }
     Path(out_path).write_text(json.dumps(data, indent=2) + "\n")
 
     rows = [
-        [
-            name,
-            f"{run['seconds']:.3f}",
-            run["n_patterns"],
-            run["workers"],
-            run["chunk_size"] if run["chunk_size"] is not None else "auto",
-        ]
+        [name, f"{run['seconds']:.3f}", run["n_patterns"], run["partitions"]]
         for name, run in runs.items()
     ]
     report = "\n".join(
         [
             f"== Engine smoke (bench scale {bench_scale():g}) ==",
-            f"counting: per-itemset {seconds_per_itemset:.4f}s, "
-            f"batched {seconds_batched:.4f}s ({ratio:.2f}x) "
-            f"over {n_candidates} candidates",
-            "",
-            format_table(
-                ["executor", "seconds", "patterns", "workers", "chunk"], rows
-            ),
+            format_table(["run", "seconds", "patterns", "partitions"], rows),
             "",
             render_checks(checks),
             f"baseline written to {out_path}",

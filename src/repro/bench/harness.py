@@ -30,11 +30,7 @@ LADDER: list[tuple[str, PruningConfig]] = [
 
 @dataclass
 class RunRecord:
-    """One (method, workload) measurement.
-
-    ``executor``/``workers``/``chunk_size`` record the engine
-    configuration the run used, so ablation benches can compare
-    serial vs parallel rows of the same method."""
+    """One (method, workload) measurement."""
 
     method: str
     seconds: float
@@ -47,9 +43,6 @@ class RunRecord:
     tpg_events: int
     sibp_bans: int
     peak_memory_bytes: int | None = None
-    executor: str = "serial"
-    workers: int = 1
-    chunk_size: int | None = None
     partitions: int = 1
     memory_budget_mb: float | None = None
 
@@ -60,9 +53,6 @@ class RunRecord:
         miner: FlipperMiner,
         n_patterns: int,
         peak_memory: int | None = None,
-        executor: str = "serial",
-        workers: int = 1,
-        chunk_size: int | None = None,
         partitions: int = 1,
         memory_budget_mb: float | None = None,
     ) -> "RunRecord":
@@ -79,9 +69,6 @@ class RunRecord:
             tpg_events=len(stats.tpg_events),
             sibp_bans=len(stats.sibp_bans),
             peak_memory_bytes=peak_memory,
-            executor=executor,
-            workers=workers,
-            chunk_size=chunk_size,
             partitions=partitions,
             memory_budget_mb=memory_budget_mb,
         )
@@ -94,9 +81,6 @@ def run_method(
     label: str | None = None,
     measure: str | Measure = "kulczynski",
     backend: str = "bitmap",
-    executor: str = "serial",
-    workers: int | None = None,
-    chunk_size: int | None = None,
     max_k: int | None = None,
     partitions: int | None = None,
     memory_budget_mb: float | None = None,
@@ -107,8 +91,6 @@ def run_method(
     With ``track_memory=True`` the run is wrapped in ``tracemalloc``
     (Fig. 9(b)); this slows Python down noticeably, so runtime and
     memory are measured in separate benches, as the paper did.
-    ``executor``/``workers``/``chunk_size`` select the engine
-    configuration and are recorded in the returned row.
     """
     peak = None
     if track_memory:
@@ -120,9 +102,6 @@ def run_method(
             measure=measure,
             pruning=pruning,
             backend=backend,
-            executor=executor,
-            workers=workers,
-            chunk_size=chunk_size,
             max_k=max_k,
             partitions=partitions,
             memory_budget_mb=memory_budget_mb,
@@ -138,9 +117,6 @@ def run_method(
         miner,
         len(result.patterns),
         peak,
-        executor=result.config["executor"],
-        workers=result.config["workers"],
-        chunk_size=result.config["chunk_size"],
         partitions=result.config["partitions"],
         memory_budget_mb=result.config["memory_budget_mb"],
     )

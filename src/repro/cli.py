@@ -123,21 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--backend",
         default="bitmap",
-        choices=["bitmap", "horizontal", "numpy"],
-    )
-    mine.add_argument(
-        "--executor",
-        default="serial",
-        choices=["serial", "process", "partitioned"],
-        help="where batched support counting runs (see ARCHITECTURE.md)",
-    )
-    mine.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for --executor process (default: CPU count)",
-    )
-    mine.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="candidates per counting chunk (default: auto)",
+        choices=["bitmap", "horizontal"],
     )
     mine.add_argument(
         "--partitions", type=int, default=None,
@@ -146,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--memory-budget-mb", type=float, default=None,
-        help="bound resident per-shard counting state (per process) in "
-             "a partitioned run; shards are evicted LRU and re-read "
+        help="bound resident per-shard counting state in a "
+             "partitioned run; shards are evicted LRU and re-read "
              "from disk (requires --partitions)",
     )
     mine.add_argument(
@@ -267,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     update.add_argument(
         "--backend",
         default="bitmap",
-        choices=["bitmap", "horizontal", "numpy"],
+        choices=["bitmap", "horizontal"],
     )
     update.add_argument("--memory-budget-mb", type=float, default=None)
     update.add_argument("--max-k", type=int, default=None)
@@ -304,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend",
         default="bitmap",
-        choices=["bitmap", "horizontal", "numpy"],
+        choices=["bitmap", "horizontal"],
     )
     serve.add_argument("--memory-budget-mb", type=float, default=None)
     serve.add_argument("--max-k", type=int, default=None)
@@ -611,9 +597,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         measure=args.measure,
         pruning=_PRUNING_CHOICES[args.pruning](),
         backend=args.backend,
-        executor=args.executor,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
         max_k=args.max_k,
         partitions=partitions,
         memory_budget_mb=args.memory_budget_mb,

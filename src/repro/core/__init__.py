@@ -6,7 +6,6 @@ from repro.core.counting import (
     BitmapBackend,
     CountingBackend,
     HorizontalBackend,
-    NumpyBackend,
     make_backend,
 )
 from repro.core.flipper import (
@@ -68,7 +67,6 @@ __all__ = [
     "HorizontalBackend",
     "make_backend",
     "CountingBackend",
-    "NumpyBackend",
     "mine_top_k",
     "top_k_most_flipping",
     "mine_discriminative",

@@ -1,29 +1,28 @@
 """Support-counting backends.
 
 The miner asks one question: *how many transactions contain this
-(h,k)-itemset?*  Three interchangeable backends answer it:
+(h,k)-itemset?*  Two interchangeable backends answer it over an
+in-memory database:
 
 * :class:`BitmapBackend` (default) — per-level bitsets from
   :class:`~repro.data.vertical.VerticalIndex`; one popcount per
   itemset.  Fastest in pure Python.
 * :class:`HorizontalBackend` — scans the level-projected transaction
-  list once per *batch* of candidates, mirroring the paper's
-  disk-resident sequential-scan cost model (one scan per cell).  Used
-  by the backend ablation bench and as an independent cross-check of
-  the bitmap arithmetic.
-* :class:`NumpyBackend` — per-level boolean matrices; supports of a
-  candidate batch are column-AND reductions.  A third independent
-  implementation of the same contract, and the vectorized option for
-  very wide candidate batches.
+  list once per candidate batch, mirroring the paper's disk-resident
+  sequential-scan cost model (one scan per cell).  Used by the backend
+  ablation bench and as an independent cross-check of the bitmap
+  arithmetic.
 
-All backends implement the batched entry point
-:meth:`~CountingBackend.supports_batched`, the unit of work the
-engine's executors fan out across workers (see ARCHITECTURE.md):
-candidates are counted in deterministic chunks, so a chunk is both
-the horizontal backend's "one scan of the disk-resident input" and
-the parallel executor's per-worker task.  ``node_supports`` results
-are cached per level — the engine's stages and the SIBP device ask
-for them repeatedly and must not trigger rescans.
+A sharded store counts through :class:`PartitionedBackend` (one inner
+backend per shard, exact per-shard counts summed — the SON merge) or
+its caching, delta-maintained subclass :class:`DeltaCounter`.
+
+Every backend counts one candidate batch per
+:meth:`~CountingBackend.supports` call; the engine's stages hand it a
+cell's whole batch, so a horizontal batch is one scan.
+``node_supports`` results are cached per level — the engine's stages
+and the SIBP device ask for them repeatedly and must not trigger
+rescans.
 
 All count *scans* so the harness can report IO-model work alongside
 wall-clock time.
@@ -32,12 +31,13 @@ wall-clock time.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.data.columnar import (
+    IMAGE_BACKEND,
     ColumnarShard,
     read_backend_image,
     taxonomy_fingerprint,
@@ -56,41 +56,13 @@ __all__ = [
     "CountingBackend",
     "BitmapBackend",
     "HorizontalBackend",
-    "NumpyBackend",
     "PartitionedBackend",
     "DeltaCounter",
     "ShardBackendPool",
     "make_backend",
-    "backend_name_of",
-    "iter_chunks",
+    "resolve_backend_name",
     "merge_shard_counts",
 ]
-
-
-def iter_chunks(
-    itemsets: Sequence[tuple[int, ...]], chunk_size: int | None
-) -> Iterator[Sequence[tuple[int, ...]]]:
-    """Deterministic chunking of a candidate batch.
-
-    ``chunk_size=None`` (or a size covering the whole batch) yields a
-    single chunk.  Order is preserved, so merging per-chunk results in
-    yield order reproduces the unchunked result exactly.  Invalid
-    chunk sizes raise at the call, not on first ``next()``.
-    """
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-    return _iter_chunks(itemsets, chunk_size)
-
-
-def _iter_chunks(
-    itemsets: Sequence[tuple[int, ...]], chunk_size: int | None
-) -> Iterator[Sequence[tuple[int, ...]]]:
-    if chunk_size is None or chunk_size >= len(itemsets):
-        if itemsets:
-            yield itemsets
-        return
-    for start in range(0, len(itemsets), chunk_size):
-        yield itemsets[start : start + chunk_size]
 
 
 @runtime_checkable
@@ -109,21 +81,8 @@ class CountingBackend(Protocol):
     def supports(
         self, level: int, itemsets: Sequence[tuple[int, ...]]
     ) -> dict[tuple[int, ...], int]:
-        """Support of each candidate itemset at ``level``."""
-        ...
-
-    def supports_batched(
-        self,
-        level: int,
-        itemsets: Sequence[tuple[int, ...]],
-        chunk_size: int | None = None,
-    ) -> dict[tuple[int, ...], int]:
-        """Support of each candidate, counted in deterministic chunks.
-
-        Semantically identical to :meth:`supports` for every chunk
-        size; the chunk is the batching/parallelism unit the engine's
-        executors dispatch.
-        """
+        """Support of each candidate itemset at ``level``, counted as
+        one batch."""
         ...
 
 
@@ -300,28 +259,13 @@ class BitmapBackend:
         support = self._index.support
         return {itemset: support(level, itemset) for itemset in itemsets}
 
-    def supports_batched(
-        self,
-        level: int,
-        itemsets: Sequence[tuple[int, ...]],
-        chunk_size: int | None = None,
-    ) -> dict[tuple[int, ...], int]:
-        support = self._index.support
-        out: dict[tuple[int, ...], int] = {}
-        for chunk in iter_chunks(itemsets, chunk_size):
-            for itemset in chunk:
-                out[itemset] = support(level, itemset)
-        return out
-
 
 class HorizontalBackend:
     """Sequential-scan counting over level projections.
 
-    Every batch (chunk) walks the projected transaction list exactly
-    once, whatever the number of candidates — the paper's "counting by
-    sequential scans of disk-resident input data" model.  A chunk is
-    one scan, so ``supports_batched`` with a finite ``chunk_size``
-    models a candidate set too large for one in-memory pass.
+    Every batch walks the projected transaction list exactly once,
+    whatever the number of candidates — the paper's "counting by
+    sequential scans of disk-resident input data" model.
     """
 
     def __init__(self, database: TransactionDatabase) -> None:
@@ -374,234 +318,6 @@ class HorizontalBackend:
                     counts[itemset] += 1
         return counts
 
-    def supports_batched(
-        self,
-        level: int,
-        itemsets: Sequence[tuple[int, ...]],
-        chunk_size: int | None = None,
-    ) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {}
-        for chunk in iter_chunks(itemsets, chunk_size):
-            out.update(self.supports(level, chunk))
-        return out
-
-
-class NumpyBackend:
-    """Boolean-matrix counting on NumPy.
-
-    Each level is materialized lazily as an ``(n_transactions,
-    n_nodes)`` boolean matrix; a candidate's support is the count of
-    rows where all its columns are True.  Functionally identical to
-    the other backends (the ablation bench asserts it), with the
-    vectorization profile of a column store.  ``supports_batched``
-    counts whole chunks with a single gather + AND-reduction, so the
-    chunk size bounds the temporary ``(n, chunk, k)`` tensor.
-    """
-
-    def __init__(self, database: TransactionDatabase) -> None:
-        self._database: TransactionDatabase | None = database
-        self._taxonomy = database.taxonomy
-        self._scans = 1  # materializing a level reads the database once
-        #: level -> (matrix, node_id -> column)
-        self._levels: dict[int, tuple[np.ndarray, dict[int, int]]] = {}
-        self._node_supports: dict[int, dict[int, int]] = {}
-        #: columnar source (reader, global item id per local id) — set
-        #: by :meth:`from_columnar`, drives the vectorized level build
-        self._columnar: tuple[ColumnarShard, np.ndarray] | None = None
-        self._row_index: np.ndarray | None = None
-        #: lazy database loader for image-restored backends that get
-        #: asked for a level the image did not carry
-        self._loader: Callable[[], TransactionDatabase | None] | None = None
-
-    @classmethod
-    def from_columnar(
-        cls, reader: ColumnarShard, taxonomy: Taxonomy
-    ) -> "NumpyBackend":
-        """Count straight off a shard's mapped CSR arrays.
-
-        Levels are still materialized lazily, but each build is one
-        vectorized scatter over the mapped ``(row, item)`` pairs — the
-        per-row Python-object loop of the database path never runs.
-        """
-        backend = cls.__new__(cls)
-        backend._database = None
-        backend._taxonomy = taxonomy
-        backend._scans = 1
-        backend._levels = {}
-        backend._node_supports = {}
-        backend._columnar = (reader, _local_item_ids(reader, taxonomy))
-        backend._row_index = None
-        backend._loader = None
-        return backend
-
-    @classmethod
-    def from_image(
-        cls,
-        taxonomy: Taxonomy,
-        header: dict[str, Any],
-        arrays: list[np.ndarray],
-        *,
-        reader: ColumnarShard | None = None,
-        loader: Callable[[], TransactionDatabase | None] | None = None,
-    ) -> "NumpyBackend":
-        """Reattach level matrices from a persisted backend image.
-
-        The mapped boolean matrices are served directly (``scans``
-        stays 0).  ``reader``/``loader`` supply a fallback source for
-        any level the image does not carry.
-        """
-        n_rows = int(header["n_rows"])
-        backend = cls.__new__(cls)
-        backend._database = None
-        backend._taxonomy = taxonomy
-        backend._scans = 0
-        backend._levels = {}
-        backend._node_supports = {}
-        backend._columnar = (
-            None
-            if reader is None
-            else (reader, _local_item_ids(reader, taxonomy))
-        )
-        backend._row_index = None
-        backend._loader = loader
-        for entry, matrix in zip(header["levels"], arrays):
-            nodes = entry["nodes"]
-            if (
-                matrix.ndim != 2
-                or matrix.dtype != np.bool_
-                or matrix.shape != (n_rows, len(nodes))
-            ):
-                raise DataError("numpy image matrix shape mismatch")
-            columns = {int(node_id): i for i, node_id in enumerate(nodes)}
-            backend._levels[int(entry["level"])] = (matrix, columns)
-        return backend
-
-    def image_payload(
-        self, n_rows: int
-    ) -> tuple[dict[str, Any], list[np.ndarray]]:
-        """The persistable form: every *materialized* level's node
-        table and boolean matrix (a level never asked for is not in
-        the image; a restored backend rebuilds it on demand)."""
-        levels: list[dict[str, Any]] = []
-        arrays: list[np.ndarray] = []
-        for level in sorted(self._levels):
-            matrix, columns = self._levels[level]
-            nodes = sorted(columns, key=columns.__getitem__)
-            levels.append({"level": level, "nodes": nodes})
-            arrays.append(np.ascontiguousarray(matrix))
-        return {"backend": "numpy", "levels": levels}, arrays
-
-    @property
-    def scans(self) -> int:
-        return self._scans
-
-    def _level(self, level: int) -> tuple[np.ndarray, dict[int, int]]:
-        if level not in self._levels:
-            nodes = self._taxonomy.nodes_at_level(level)
-            columns = {node_id: i for i, node_id in enumerate(nodes)}
-            mapping = self._taxonomy.item_ancestor_map(level)
-            if self._columnar is not None:
-                reader, local_items = self._columnar
-                if self._row_index is None:
-                    self._row_index = reader.row_index()
-                matrix = np.zeros((reader.n_rows, len(nodes)), dtype=bool)
-                if reader.n_values:
-                    local_to_col = np.array(
-                        [
-                            columns[mapping[int(item)]]
-                            for item in local_items
-                        ],
-                        dtype=np.intp,
-                    )
-                    matrix[self._row_index, local_to_col[reader.items]] = True
-            else:
-                if self._database is None and self._loader is not None:
-                    self._database = self._loader()
-                    self._scans += 1  # the fallback re-reads the rows
-                if self._database is None:
-                    raise DataError(
-                        f"level {level} is not in this backend's image "
-                        "and no row source is attached"
-                    )
-                matrix = np.zeros(
-                    (self._database.n_transactions, len(nodes)),
-                    dtype=bool,
-                )
-                for row, transaction in enumerate(self._database):
-                    for item in transaction:
-                        matrix[row, columns[mapping[item]]] = True
-            self._levels[level] = (matrix, columns)
-        return self._levels[level]
-
-    def node_supports(self, level: int) -> dict[int, int]:
-        if level not in self._node_supports:
-            matrix, columns = self._level(level)
-            sums = matrix.sum(axis=0)
-            self._node_supports[level] = {
-                node_id: int(sums[col]) for node_id, col in columns.items()
-            }
-        return self._node_supports[level]
-
-    def _columns_of(
-        self, level: int, itemset: tuple[int, ...], columns: dict[int, int]
-    ) -> list[int]:
-        try:
-            return [columns[node_id] for node_id in itemset]
-        except KeyError as exc:
-            raise DataError(
-                f"itemset {itemset} contains a node not at level {level}"
-            ) from exc
-
-    def supports(
-        self, level: int, itemsets: Sequence[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], int]:
-        matrix, columns = self._level(level)
-        out: dict[tuple[int, ...], int] = {}
-        for itemset in itemsets:
-            cols = self._columns_of(level, itemset, columns)
-            out[itemset] = int(matrix[:, cols].all(axis=1).sum())
-        return out
-
-    #: target element count of the (n, run, k) gather temporary; runs
-    #: are split so one tensor op stays around ~256 MiB of bools
-    _GATHER_BUDGET = 256 * 1024 * 1024
-
-    def supports_batched(
-        self,
-        level: int,
-        itemsets: Sequence[tuple[int, ...]],
-        chunk_size: int | None = None,
-    ) -> dict[tuple[int, ...], int]:
-        matrix, columns = self._level(level)
-        n = max(1, matrix.shape[0])
-        out: dict[tuple[int, ...], int] = {}
-        for chunk in iter_chunks(itemsets, chunk_size):
-            # One gather per uniform-k run within the chunk: cells have
-            # uniform k, so this is normally one tensor op per chunk.
-            # Runs are additionally capped so chunk_size=None cannot
-            # materialize an unbounded (n, run, k) temporary.
-            start = 0
-            while start < len(chunk):
-                k = len(chunk[start])
-                stop = start
-                while stop < len(chunk) and len(chunk[stop]) == k:
-                    stop += 1
-                cap = max(1, self._GATHER_BUDGET // (n * max(1, k)))
-                while start < stop:
-                    run = chunk[start : min(stop, start + cap)]
-                    cols = np.array(
-                        [
-                            self._columns_of(level, itemset, columns)
-                            for itemset in run
-                        ],
-                        dtype=np.intp,
-                    )
-                    counts = matrix[:, cols].all(axis=2).sum(axis=0)
-                    for itemset, count in zip(run, counts):
-                        out[itemset] = int(count)
-                    start += len(run)
-        return out
-
 
 def merge_shard_counts(
     merged: dict[tuple[int, ...], int],
@@ -629,9 +345,9 @@ class ShardBackendPool:
     ``scans`` counter stays truthful.
 
     Re-admitting an evicted shard normally means parse-and-rebuild.
-    With ``persist_images`` (the default, for the ``bitmap`` and
-    ``numpy`` inners) the pool writes an evicted backend's built
-    structure next to the shard as a backend image (see
+    With ``persist_images`` (the default, for the ``bitmap`` inner)
+    the pool writes an evicted backend's built bitsets next to the
+    shard as a backend image (see
     :mod:`repro.data.columnar`), and a later admit of the same shard
     becomes an mmap plus a header check.  Image validity is enforced
     on every admit — format version, backend kind, row count, source
@@ -668,9 +384,6 @@ class ShardBackendPool:
     #: plus a dict slot) in the analytic bitmap size model
     _BITSET_OVERHEAD = 64
 
-    #: inner backends that support persisted images
-    _IMAGE_BACKENDS = frozenset({"bitmap", "numpy"})
-
     def __init__(
         self,
         store: ShardedTransactionStore,
@@ -680,11 +393,7 @@ class ShardBackendPool:
         persist_images: bool = True,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if inner not in _BACKENDS:
-            known = ", ".join(sorted(_BACKENDS))
-            raise ConfigError(
-                f"unknown counting backend {inner!r}; known: {known}"
-            )
+        inner = resolve_backend_name(inner)
         if memory_budget_mb is not None and memory_budget_mb <= 0:
             raise ConfigError(
                 f"memory_budget_mb must be > 0, got {memory_budget_mb}"
@@ -711,9 +420,7 @@ class ShardBackendPool:
         #: backend images written on eviction / save_images()
         self.images_saved = 0
         self._built: set[int] = set()
-        self._persist_images = (
-            persist_images and inner in self._IMAGE_BACKENDS
-        )
+        self._persist_images = persist_images and inner == IMAGE_BACKEND
         self._fingerprint = taxonomy_fingerprint(store.taxonomy)
         #: resident shards whose backend came from (or was saved to)
         #: an on-disk image — no need to rewrite it on eviction
@@ -755,34 +462,31 @@ class ShardBackendPool:
         return total
 
     def _analytic_built_bytes(self, index: int) -> int:
-        """Size model of the built ``inner`` structure of one shard —
-        exact array math for numpy, bitset bytes plus per-object
-        overhead for bitmap."""
+        """Size model of one shard's built bitmap index: bitset bytes
+        plus per-object overhead."""
         n_rows = self._store.shard_sizes[index]
         taxonomy = self._store.taxonomy
-        total = 0
-        for level in range(1, taxonomy.height + 1):
-            n_nodes = len(taxonomy.nodes_at_level(level))
-            if self._inner == "numpy":
-                total += n_nodes * n_rows  # bool matrix
-            else:  # bitmap
-                total += n_nodes * ((n_rows + 7) // 8 + self._BITSET_OVERHEAD)
-        return total
+        per_node = (n_rows + 7) // 8 + self._BITSET_OVERHEAD
+        return sum(
+            len(taxonomy.nodes_at_level(level)) * per_node
+            for level in range(1, taxonomy.height + 1)
+        )
 
     def _estimate_bytes(self, index: int) -> int:
         """Resident cost of one shard's backend.
 
-        Columnar shards are charged truthfully: the mapped shard file
-        plus either the mapped image file (when one exists for this
-        inner) or the analytic size of the structure a build would
-        materialize.  Jsonl shards keep the legacy expansion-factor
-        heuristic — their resident cost is dominated by parsed Python
-        objects, which no file size reflects.
+        Columnar shards counted by the bitmap inner are charged
+        truthfully: the mapped shard file plus either the mapped image
+        file (when one exists) or the analytic size of the bitsets a
+        build would materialize.  Jsonl shards and the horizontal inner
+        keep the expansion-factor heuristic — their resident cost is
+        dominated by parsed Python objects, which no file size
+        reflects.
         """
         size = self._store.shard_bytes(index)
         if (
             self._store.shard_format(index) != "columnar"
-            or self._inner not in self._IMAGE_BACKENDS
+            or self._inner != IMAGE_BACKEND
         ):
             return max(1, size) * self.RESIDENCY_FACTOR
         image_path = self._store.image_path(index, self._inner)
@@ -863,8 +567,8 @@ class ShardBackendPool:
                 saved += 1
         return saved
 
-    def _admit_from_image(self, index: int) -> CountingBackend | None:
-        """Map a persisted backend image if — and only if — its header
+    def _admit_from_image(self, index: int) -> BitmapBackend | None:
+        """Map a persisted bitmap image if — and only if — its header
         proves it matches this shard, backend and taxonomy."""
         if not self._persist_images:
             return None
@@ -884,41 +588,25 @@ class ShardBackendPool:
         levels = header.get("levels")
         if not isinstance(levels, list) or len(levels) != len(arrays):
             return None
-        taxonomy = self._store.taxonomy
         try:
-            if self._inner == "bitmap":
-                return BitmapBackend.from_image(
-                    header, arrays, taxonomy.height
-                )
-            if self._store.shard_format(index) == "columnar":
-                return NumpyBackend.from_image(
-                    taxonomy,
-                    header,
-                    arrays,
-                    reader=self._store.columnar_reader(index),
-                )
-            store, inner_index = self._store, index
-            return NumpyBackend.from_image(
-                taxonomy,
-                header,
-                arrays,
-                loader=lambda: store.shard_database(inner_index),
+            return BitmapBackend.from_image(
+                header, arrays, self._store.taxonomy.height
             )
         except (DataError, KeyError, TypeError, ValueError):
             return None
 
     def _build(self, index: int) -> CountingBackend:
-        """Parse-and-build one shard's backend.  Columnar shards feed
-        the vectorized ``from_columnar`` constructors; jsonl shards
-        (and the horizontal inner) go through a per-shard database."""
-        if self._store.shard_format(index) == "columnar":
-            reader = self._store.columnar_reader(index)
-            if self._inner == "bitmap":
-                return BitmapBackend.from_columnar(
-                    reader, self._store.taxonomy
-                )
-            if self._inner == "numpy":
-                return NumpyBackend.from_columnar(reader, self._store.taxonomy)
+        """Parse-and-build one shard's backend.  A columnar shard
+        feeds the bitmap inner's vectorized ``from_columnar``; jsonl
+        shards and the horizontal inner go through a per-shard
+        database."""
+        if (
+            self._inner == "bitmap"
+            and self._store.shard_format(index) == "columnar"
+        ):
+            return BitmapBackend.from_columnar(
+                self._store.columnar_reader(index), self._store.taxonomy
+            )
         database = self._store.shard_database(index)
         assert database is not None  # empty shards never reach here
         return make_backend(self._inner, database)
@@ -1029,8 +717,8 @@ class PartitionedBackend:
     """Partition-and-merge counting over a sharded store.
 
     Implements the :class:`CountingBackend` protocol by instantiating
-    one *inner* backend (``bitmap``, ``horizontal`` or ``numpy``) per
-    shard and summing per-shard counts into exact global supports —
+    one *inner* backend (``bitmap`` or ``horizontal``) per shard and
+    summing per-shard counts into exact global supports —
     shards partition the transactions, so the sums equal what a
     monolithic backend over the whole database would report, and the
     mining output is byte-identical (the engine parity tests assert
@@ -1109,37 +797,18 @@ class PartitionedBackend:
             self._node_supports.update(merged)
         return self._node_supports[level]
 
-    def shard_supports_batched(
-        self,
-        level: int,
-        itemsets: Sequence[tuple[int, ...]],
-        chunk_size: int | None = None,
-    ) -> Iterator[tuple[int, dict[tuple[int, ...], int]]]:
-        """Per-shard counts of one candidate batch (empty shards are
-        skipped — they contribute zero to every support)."""
-        for index, backend in self._pool.iter_backends():
-            yield index, backend.supports_batched(
-                level, itemsets, chunk_size=chunk_size
-            )
-
     def supports(
         self, level: int, itemsets: Sequence[tuple[int, ...]]
     ) -> dict[tuple[int, ...], int]:
-        return self.supports_batched(level, itemsets)
-
-    def supports_batched(
-        self,
-        level: int,
-        itemsets: Sequence[tuple[int, ...]],
-        chunk_size: int | None = None,
-    ) -> dict[tuple[int, ...], int]:
+        """Exact global supports: every non-empty shard counts the
+        whole batch and the per-shard counts are summed.  An empty
+        batch touches no shard."""
         merged: dict[tuple[int, ...], int] = {
             itemset: 0 for itemset in itemsets
         }
-        for _index, counts in self.shard_supports_batched(
-            level, itemsets, chunk_size=chunk_size
-        ):
-            merge_shard_counts(merged, counts)
+        if merged:
+            for _index, backend in self._pool.iter_backends():
+                merge_shard_counts(merged, backend.supports(level, itemsets))
         return merged
 
 
@@ -1179,9 +848,6 @@ class DeltaCounter(PartitionedBackend):
     candidates are recounted on demand), so the partitioned path's
     bounded-memory contract survives the caching layer.
     """
-
-    #: executors consult this to route counting through the cache
-    serves_cached_supports = True
 
     #: rough resident bytes per cached itemset entry (tuple key,
     #: ints, dict slot) — only used to turn ``memory_budget_mb``
@@ -1295,7 +961,7 @@ class DeltaCounter(PartitionedBackend):
             for level, cache in self._supports_cache.items():
                 if not cache:
                     continue
-                delta = backend.supports_batched(level, list(cache))
+                delta = backend.supports(level, list(cache))
                 for itemset, count in delta.items():
                     cache[itemset] += count
         return new_indices
@@ -1347,9 +1013,7 @@ class DeltaCounter(PartitionedBackend):
                     for level, cache in self._supports_cache.items():
                         if not cache:
                             continue
-                        delta = backend.supports_batched(
-                            level, list(cache)
-                        )
+                        delta = backend.supports(level, list(cache))
                         for itemset, count in delta.items():
                             cache[itemset] -= count
                 self._counted.discard(generation)
@@ -1362,7 +1026,7 @@ class DeltaCounter(PartitionedBackend):
         return rows
 
     # ------------------------------------------------------------------
-    # cache plumbing (shared with the partitioned executor)
+    # cache plumbing
     # ------------------------------------------------------------------
 
     def cached_split(
@@ -1409,39 +1073,6 @@ class DeltaCounter(PartitionedBackend):
                     break
         self._m_cache_size.set(self.cached_itemsets, cache="delta_counter")
 
-    def serve(
-        self,
-        level: int,
-        itemsets: Sequence[tuple[int, ...]],
-        *,
-        chunk_size: int | None = None,
-        fan: "Callable[[int, list[tuple[int, ...]]], Iterable[tuple[int, dict[tuple[int, ...], int]]]] | None" = None,
-    ) -> dict[tuple[int, ...], int]:
-        """The cache-serving counting envelope: refresh, split into
-        hits/misses, count the misses per shard (through ``fan`` —
-        e.g. the partitioned executor's worker fan-out — or the
-        in-process shard loop), memoize, and return exact supports in
-        the request's itemset order.  The single implementation behind
-        both :meth:`supports_batched` and the executor path."""
-        self.refresh()
-        hits, misses = self.cached_split(level, itemsets)
-        if misses:
-            merged: dict[tuple[int, ...], int] = {
-                itemset: 0 for itemset in misses
-            }
-            shard_counts = (
-                self.shard_supports_batched(
-                    level, misses, chunk_size=chunk_size
-                )
-                if fan is None
-                else fan(level, misses)
-            )
-            for _index, counts in shard_counts:
-                merge_shard_counts(merged, counts)
-            self.store_counts(level, merged)
-            hits.update(merged)
-        return {itemset: hits[itemset] for itemset in itemsets}
-
     # ------------------------------------------------------------------
     # CountingBackend protocol (cache-serving overrides)
     # ------------------------------------------------------------------
@@ -1450,42 +1081,41 @@ class DeltaCounter(PartitionedBackend):
         self.refresh()
         return super().node_supports(level)
 
-    def supports_batched(
-        self,
-        level: int,
-        itemsets: Sequence[tuple[int, ...]],
-        chunk_size: int | None = None,
+    def supports(
+        self, level: int, itemsets: Sequence[tuple[int, ...]]
     ) -> dict[tuple[int, ...], int]:
-        return self.serve(level, itemsets, chunk_size=chunk_size)
+        """Refresh, split the batch into cache hits and misses, count
+        the misses over every shard, memoize them, and return exact
+        supports in the request's itemset order."""
+        self.refresh()
+        hits, misses = self.cached_split(level, itemsets)
+        if misses:
+            merged = super().supports(level, misses)
+            self.store_counts(level, merged)
+            hits.update(merged)
+        return {itemset: hits[itemset] for itemset in itemsets}
 
 
 _BACKENDS = {
     "bitmap": BitmapBackend,
     "horizontal": HorizontalBackend,
-    "numpy": NumpyBackend,
 }
 
 
-def make_backend(name: str, database: TransactionDatabase) -> CountingBackend:
-    """Instantiate a backend by name (``bitmap``, ``horizontal`` or
-    ``numpy``)."""
-    try:
-        factory = _BACKENDS[name.strip().lower()]
-    except KeyError:
+def resolve_backend_name(name: str) -> str:
+    """The canonical registry name of a backend name (``bitmap`` or
+    ``horizontal``, case and surrounding space ignored).  Every
+    substrate resolves names here, so one spelling picks the same
+    backend in memory and per shard."""
+    key = name.strip().lower()
+    if key not in _BACKENDS:
         known = ", ".join(sorted(_BACKENDS))
         raise ConfigError(
             f"unknown counting backend {name!r}; known: {known}"
-        ) from None
-    return factory(database)
+        )
+    return key
 
 
-def backend_name_of(backend: CountingBackend) -> str:
-    """Registry name of a backend instance (for worker re-hydration)."""
-    for name, cls in _BACKENDS.items():
-        if type(backend) is cls:
-            return name
-    raise ConfigError(
-        f"backend {type(backend).__name__} is not registered; "
-        "parallel execution needs a registered backend to re-hydrate "
-        "worker processes"
-    )
+def make_backend(name: str, database: TransactionDatabase) -> CountingBackend:
+    """Instantiate a backend by name (see :func:`resolve_backend_name`)."""
+    return _BACKENDS[resolve_backend_name(name)](database)

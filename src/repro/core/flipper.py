@@ -23,21 +23,18 @@ Since the engine refactor, :class:`FlipperMiner` is a thin
 orchestrator: it owns the *sweep* (visit order, TPG/SIBP cross-cell
 decisions, pattern extraction) while each cell visit is delegated to
 an :class:`~repro.engine.plan.ExecutionPlan` that stages candidate
-generation → batched support counting → labeling → pruning, with
-counting fanned out through a pluggable
-:class:`~repro.engine.executors.Executor` (``executor="serial"`` or
-``"process"``).  ARCHITECTURE.md documents the layering and the data
-handoffs between the stages.
+generation → batched support counting → labeling → pruning, every
+stage counting through the run's one
+:class:`~repro.core.counting.CountingBackend`.  ARCHITECTURE.md
+documents the layering and the data handoffs between the stages.
 """
 
 from __future__ import annotations
 
-import os
 import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import cast
 
 from repro.core.cells import Cell
 from repro.core.counting import (
@@ -56,11 +53,6 @@ from repro.data.database import TransactionDatabase
 from repro.data.shards import (
     ShardedTransactionStore,
     open_or_partition_store,
-)
-from repro.engine.executors import Executor, make_executor
-from repro.engine.partition import (
-    PartitionedExecutor,
-    build_partitioned_stages,
 )
 from repro.engine.plan import ExecutionPlan, MiningContext, Stage
 from repro.engine.stages import build_default_stages
@@ -148,19 +140,12 @@ class FlipperMiner:
     pruning:
         Which devices to enable; default: full Flipper.
     backend:
-        ``"bitmap"`` (default), ``"horizontal"`` or ``"numpy"``
-        counting, or a :class:`CountingBackend` instance.
-    executor:
-        ``"serial"`` (default) or ``"process"`` — where batched
-        support counts run — or an :class:`Executor` instance (then
-        ``workers``/``chunk_size`` must be left unset; the miner does
-        not close executors it did not create).
-    workers:
-        Worker processes for the ``process`` executor (default: CPU
-        count).
-    chunk_size:
-        Candidates per counting chunk (default: executor-specific
-        auto sizing).
+        ``"bitmap"`` (default) or ``"horizontal"`` counting, or a
+        :class:`CountingBackend` instance (a
+        :class:`PartitionedBackend` over the same store for a
+        partitioned run).  A name counts an in-memory database
+        directly and a shard store through a :class:`DeltaCounter`
+        with that inner backend per shard.
     max_k:
         Optional hard cap on itemset size (safety valve for
         pathological data; ``None`` = bounded by the data itself).
@@ -171,9 +156,9 @@ class FlipperMiner:
         path).  Implied when ``database`` is already a
         :class:`ShardedTransactionStore`.
     memory_budget_mb:
-        Bound (per process) on resident per-shard counting backends in
-        a partitioned run; shards beyond the budget are evicted LRU
-        and re-read from disk on demand.
+        Bound on resident per-shard counting backends in a
+        partitioned run; shards beyond the budget are evicted LRU and
+        re-read from disk on demand.
     shard_dir:
         Where ``partitions=N`` materializes the shards (default: a
         temporary directory removed after :meth:`mine`).
@@ -192,9 +177,9 @@ class FlipperMiner:
         its deterministic seed; only with ``sample_rate``.
     stages:
         Override the engine pipeline run per cell visit (default:
-        :func:`~repro.engine.stages.build_default_stages`, or the
-        partitioned variant).  The approximate path uses this hook
-        for its instrumented count stage.
+        :func:`~repro.engine.stages.build_default_stages`).  The
+        approximate path uses this hook for its instrumented count
+        stage.
     """
 
     def __init__(
@@ -204,9 +189,6 @@ class FlipperMiner:
         measure: str | Measure = "kulczynski",
         pruning: PruningConfig | None = None,
         backend: str | CountingBackend = "bitmap",
-        executor: str | Executor = "serial",
-        workers: int | None = None,
-        chunk_size: int | None = None,
         max_k: int | None = None,
         partitions: int | None = None,
         memory_budget_mb: float | None = None,
@@ -279,41 +261,7 @@ class FlipperMiner:
             pruning if pruning is not None else PruningConfig.full()
         )
         self._memory_budget_mb = memory_budget_mb
-        if store is not None:
-            self._init_partitioned(
-                store,
-                backend,
-                executor,
-                workers,
-                chunk_size,
-                memory_budget_mb,
-            )
-        else:
-            # no store: the database is an in-memory TransactionDatabase
-            database = cast(TransactionDatabase, database)
-            if isinstance(backend, str):
-                self._backend: CountingBackend = make_backend(
-                    backend, database
-                )
-            else:
-                self._backend = backend
-            if isinstance(executor, str):
-                self._executor: Executor = make_executor(
-                    executor,
-                    self._backend,
-                    database,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                )
-                self._owns_executor = True
-            else:
-                if workers is not None or chunk_size is not None:
-                    raise ConfigError(
-                        "workers/chunk_size configure a named executor; "
-                        "pass them to your Executor instance instead"
-                    )
-                self._executor = executor
-                self._owns_executor = False
+        self._backend = self._resolve_backend(backend, memory_budget_mb)
         if max_k is not None and max_k < 2:
             raise ConfigError(f"max_k must be >= 2, got {max_k}")
         self._max_k = max_k
@@ -329,23 +277,18 @@ class FlipperMiner:
             measure=self._measure,
             pruning=self._pruning,
             backend=self._backend,
-            executor=self._executor,
             stats=self._stats,
         )
-        pipeline: Sequence[Stage] = (
-            list(stages)
-            if stages is not None
-            else build_partitioned_stages()
-            if store is not None
-            else build_default_stages()
+        self._plan = ExecutionPlan(
+            self._context,
+            list(stages) if stages is not None else build_default_stages(),
         )
-        self._plan = ExecutionPlan(self._context, pipeline)
         self._ancestor_maps: dict[int, dict[int, int]] = {}
         # TPG: smallest column proven free of flipping patterns
         self._k_cap: int | None = None
 
     # ------------------------------------------------------------------
-    # partitioned-path construction
+    # substrate construction
     # ------------------------------------------------------------------
 
     def _resolve_store(
@@ -374,82 +317,47 @@ class FlipperMiner:
         )
         return store
 
-    def _init_partitioned(
+    def _resolve_backend(
         self,
-        store: ShardedTransactionStore,
         backend: str | CountingBackend,
-        executor: str | Executor,
-        workers: int | None,
-        chunk_size: int | None,
         memory_budget_mb: float | None,
-    ) -> None:
-        """Build the partitioned backend + executor pair.
+    ) -> CountingBackend:
+        """The input's type picks the counting substrate.
 
-        Named backends are wrapped in a :class:`DeltaCounter` (a
-        caching, delta-maintainable :class:`PartitionedBackend`), so
-        every partitioned run leaves warm support caches behind and
+        An in-memory database counts through the named backend
+        directly.  A shard store counts through a
+        :class:`DeltaCounter` (the SON merge plus support caches), so
+        every partitioned run leaves warm caches behind and
         :meth:`update` can re-mine a grown store incrementally.
         """
+        store = self._store
+        if store is None:
+            if isinstance(backend, str):
+                assert isinstance(self._database, TransactionDatabase)
+                return make_backend(backend, self._database)
+            return backend
         if isinstance(backend, str):
-            self._backend = DeltaCounter(
+            return DeltaCounter(
                 store, inner=backend, memory_budget_mb=memory_budget_mb
             )
-        elif isinstance(backend, PartitionedBackend):
-            if backend.store is not store:
-                raise ConfigError(
-                    "the PartitionedBackend counts a different store "
-                    "than the one being mined; build it from the same "
-                    "ShardedTransactionStore"
-                )
-            if memory_budget_mb is not None:
-                raise ConfigError(
-                    "memory_budget_mb configures a backend the miner "
-                    "builds; pass it to your PartitionedBackend instead"
-                )
-            self._backend = backend
-        else:
+        if not isinstance(backend, PartitionedBackend):
             raise ConfigError(
                 "a partitioned run counts through per-shard backends; "
                 "pass a backend name or a PartitionedBackend instance, "
                 f"not {type(backend).__name__}"
             )
-        if isinstance(executor, str):
-            key = executor.strip().lower()
-            if key == "serial":
-                if workers not in (None, 1):
-                    raise ConfigError(
-                        "the serial executor runs one worker, got "
-                        f"workers={workers}"
-                    )
-                resolved_workers = 1
-            elif key == "partitioned":
-                resolved_workers = workers or 1
-            elif key == "process":
-                resolved_workers = workers or os.cpu_count() or 1
-            else:
-                raise ConfigError(
-                    f"unknown executor {executor!r} for a partitioned "
-                    "run; known: serial, process, partitioned"
-                )
-            self._executor = PartitionedExecutor(
-                self._backend,
-                workers=resolved_workers,
-                chunk_size=chunk_size,
-            )
-            self._owns_executor = True
-        elif isinstance(executor, PartitionedExecutor):
-            if workers is not None or chunk_size is not None:
-                raise ConfigError(
-                    "workers/chunk_size configure a named executor; "
-                    "pass them to your Executor instance instead"
-                )
-            self._executor = executor
-            self._owns_executor = False
-        else:
+        if backend.store is not store:
             raise ConfigError(
-                "a partitioned run needs a PartitionedExecutor, not "
-                f"{type(executor).__name__}"
+                "the PartitionedBackend counts a different store "
+                "than the one being mined; build it from the same "
+                "ShardedTransactionStore"
             )
+        if memory_budget_mb is not None:
+            raise ConfigError(
+                "memory_budget_mb configures a backend the miner "
+                "builds; pass it to your PartitionedBackend instead"
+            )
+        return backend
 
     # ------------------------------------------------------------------
     # public API
@@ -490,27 +398,20 @@ class FlipperMiner:
             method=self._pruning.name, measure=self._measure.name
         )
         context.stats = self._stats
-        try:
-            with trace_span(catalog.SPAN_MINE), Timer() as timer:
-                with trace_span(catalog.SPAN_PREPARE):
-                    self._prepare_levels()
-                if self._pruning.flipping:
-                    self._sweep_flipping()
-                else:
-                    self._sweep_basic()
-                patterns = self._extract_patterns()
-        finally:
-            if self._owns_executor:
-                self._executor.close()
-            # self._shard_tmpdir is NOT cleaned here: repeated mine()
-            # calls must still find the shards, and TemporaryDirectory
-            # removes itself when the miner is garbage-collected.
+        # self._shard_tmpdir is not cleaned after the run: repeated
+        # mine() calls must still find the shards, and
+        # TemporaryDirectory removes itself when the miner is
+        # garbage-collected.
+        with trace_span(catalog.SPAN_MINE), Timer() as timer:
+            with trace_span(catalog.SPAN_PREPARE):
+                self._prepare_levels()
+            if self._pruning.flipping:
+                self._sweep_flipping()
+            else:
+                self._sweep_basic()
+            patterns = self._extract_patterns()
         self._stats.elapsed_seconds = timer.seconds
-        # Chunks counted inside worker processes increment the workers'
-        # backend counters, not the parent's; fold them back in.
-        self._stats.db_scans = self._backend.scans + getattr(
-            self._executor, "extra_scans", 0
-        )
+        self._stats.db_scans = self._backend.scans
         self._stats.n_patterns = len(patterns)
         self._n_mined_transactions = self._database.n_transactions
         config = {
@@ -521,9 +422,6 @@ class FlipperMiner:
             "min_counts": list(self._thresholds.min_counts),
             "height": self._height,
             "n_transactions": self._database.n_transactions,
-            "executor": self._executor.name,
-            "workers": getattr(self._executor, "workers", 1),
-            "chunk_size": getattr(self._executor, "chunk_size", None),
             "partitions": (
                 self._store.n_shards if self._store is not None else 1
             ),
@@ -565,7 +463,6 @@ class FlipperMiner:
             sample_method=self._sample_method,
             sample_seed=self._sample_seed,
             max_k=self._max_k,
-            chunk_size=getattr(self._executor, "chunk_size", None),
             verify_backend=self._backend,
         )
         result = runner.mine()
@@ -615,8 +512,6 @@ class FlipperMiner:
                 measure=self._measure,
                 pruning=self._pruning,
                 backend=counter,
-                workers=getattr(self._executor, "workers", None),
-                chunk_size=getattr(self._executor, "chunk_size", None),
                 max_k=self._max_k,
             )
             last = getattr(self, "_last_result", None)
@@ -872,9 +767,6 @@ def mine_flipping_patterns(
     measure: str | Measure = "kulczynski",
     pruning: PruningConfig | None = None,
     backend: str = "bitmap",
-    executor: str = "serial",
-    workers: int | None = None,
-    chunk_size: int | None = None,
     max_k: int | None = None,
     partitions: int | None = None,
     memory_budget_mb: float | None = None,
@@ -899,9 +791,6 @@ def mine_flipping_patterns(
         measure=measure,
         pruning=pruning,
         backend=backend,
-        executor=executor,
-        workers=workers,
-        chunk_size=chunk_size,
         max_k=max_k,
         partitions=partitions,
         memory_budget_mb=memory_budget_mb,

@@ -11,9 +11,9 @@ next to a shard store's ``manifest.json``:
   and lossless (duplicates and item order included) without coupling
   to global taxonomy node numbering.  Readers :func:`numpy.memmap`
   both arrays, so serving shard data costs no parsing at all.
-* **Backend images** (``<shard>.img``, magic ``FLIPIMG1``) — the
-  *built* counting structure of one shard (NumpyBackend level
-  matrices, or BitmapBackend bitset planes packed to bytes), so a
+* **Backend images** (``<shard>.bitmap.img``, magic ``FLIPIMG1``) —
+  the *built* counting structure of one shard (BitmapBackend bitset
+  planes packed to bytes), so a
   :class:`~repro.core.counting.ShardBackendPool` re-admit is an mmap
   plus a header check instead of a parse-and-rebuild.  The header
   carries the image format version, the backend kind, the row count,
@@ -51,6 +51,7 @@ from repro.taxonomy.tree import Taxonomy
 
 __all__ = [
     "COLUMNAR_FORMAT_VERSION",
+    "IMAGE_BACKEND",
     "IMAGE_FORMAT_VERSION",
     "ColumnarShard",
     "read_backend_image",
@@ -66,6 +67,11 @@ IMAGE_MAGIC = b"FLIPIMG1"
 #: whose header declares a different version
 COLUMNAR_FORMAT_VERSION = 1
 IMAGE_FORMAT_VERSION = 1
+
+#: the one counting backend whose built structure persists as a
+#: ``<shard>.<IMAGE_BACKEND>.img`` image; the shard pool admits only
+#: these, and ``gc_orphans`` sweeps images of any other name
+IMAGE_BACKEND = "bitmap"
 
 #: array alignment inside both containers (cache-line friendly, and
 #: a safe mmap offset granularity everywhere)

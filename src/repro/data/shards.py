@@ -75,7 +75,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.atomicio import atomic_write_text
-from repro.data.columnar import ColumnarShard, write_columnar_shard
+from repro.data.columnar import (
+    IMAGE_BACKEND,
+    ColumnarShard,
+    write_columnar_shard,
+)
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError, DataError
 from repro.taxonomy.rebalance import rebalance_with_copies
@@ -211,8 +215,7 @@ class ShardedTransactionStore:
                     f"{format!r} format"
                 )
         self._width_cache: dict[int, int] = {}
-        #: columnar readers are cached (they hold mmaps); dropped on
-        #: pickling — worker processes re-map lazily
+        #: columnar readers are cached (they hold mmaps)
         self._columnar_readers: dict[int, ColumnarShard] = {}
         #: shard files are immutable once written (appends and
         #: migrations introduce *new* names), so resolved paths and
@@ -220,18 +223,6 @@ class ShardedTransactionStore:
         #: path asks for both on every access
         self._path_cache: dict[str, Path] = {}
         self._size_cache: dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    # pickling (stores are shipped to partitioned-executor workers)
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_columnar_readers"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # ------------------------------------------------------------------
     # constructors
@@ -621,8 +612,11 @@ class ShardedTransactionStore:
         :meth:`append_batch`, :meth:`retire_shards` and
         :meth:`migrate` (a file fully written or left behind, but the
         manifest replace naming it never happened / already dropped
-        it).  Returns the orphan file names, sorted; with
-        ``dry_run=True`` nothing is unlinked.
+        it).  A backend image of a referenced shard is kept only when
+        the shard pool can admit it (an ``IMAGE_BACKEND`` image);
+        images of any other backend are orphans too.  Returns the
+        orphan file names, sorted; with ``dry_run=True`` nothing is
+        unlinked.
         """
         referenced = set(self._shard_files)
         orphans: list[str] = []
@@ -632,7 +626,7 @@ class ShardedTransactionStore:
             name = path.name
             if name in referenced:
                 continue
-            if name.endswith(".img"):
+            if name.endswith(f".{IMAGE_BACKEND}.img"):
                 base = name.rsplit(".", 2)[0]
                 if base in referenced:
                     continue

@@ -1,30 +1,18 @@
-"""Staged mining engine: plan → stages → executor → backend.
+"""Staged mining engine: plan → stages → counting backend.
 
 The engine decomposes one search-space cell visit into composable
-stages with explicit data handoffs (:mod:`repro.engine.plan`), routes
-all support counting through a batched API
-(:meth:`~repro.core.counting.CountingBackend.supports_batched`), and
-makes *where* the batches are counted a pluggable
-:class:`~repro.engine.executors.Executor` — in-process or fanned out
-across worker processes.  The sweep logic (zigzag order, TPG, SIBP
-ban application) stays in :class:`~repro.core.flipper.FlipperMiner`,
-which is a thin orchestrator over this package.  See ARCHITECTURE.md
-for the full layer diagram.
+stages with explicit data handoffs (:mod:`repro.engine.plan`), and
+every stage counts a candidate batch through the run's one
+:class:`~repro.core.counting.CountingBackend` — a monolithic backend
+for an in-memory database, a
+:class:`~repro.core.counting.DeltaCounter` for a shard store.  The
+sweep logic (zigzag order, TPG, SIBP ban application) stays in
+:class:`~repro.core.flipper.FlipperMiner`, which is a thin
+orchestrator over this package.  See ARCHITECTURE.md for the full
+layer diagram.
 """
 
-from repro.engine.executors import (
-    EXECUTORS,
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    make_executor,
-)
 from repro.engine.incremental import IncrementalMiner
-from repro.engine.partition import (
-    PartitionedCountStage,
-    PartitionedExecutor,
-    build_partitioned_stages,
-)
 from repro.engine.plan import (
     CellState,
     CellTask,
@@ -41,13 +29,7 @@ from repro.engine.stages import (
 )
 
 __all__ = [
-    "Executor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "PartitionedExecutor",
     "IncrementalMiner",
-    "make_executor",
-    "EXECUTORS",
     "CellTask",
     "CellState",
     "MiningContext",
@@ -55,9 +37,7 @@ __all__ = [
     "ExecutionPlan",
     "GenerateStage",
     "CountStage",
-    "PartitionedCountStage",
     "LabelStage",
     "SibpRemovalStage",
     "build_default_stages",
-    "build_partitioned_stages",
 ]

@@ -81,11 +81,9 @@ class IncrementalMiner:
     measure, pruning, max_k:
         Passed through to every underlying mining run.
     backend:
-        Inner per-shard backend name (``bitmap``/``horizontal``/
-        ``numpy``), or an existing :class:`DeltaCounter` to adopt
-        (it must count the same store; its caches are reused).
-    workers, chunk_size:
-        Partitioned-executor configuration for the underlying runs.
+        Inner per-shard backend name (``bitmap``/``horizontal``), or
+        an existing :class:`DeltaCounter` to adopt (it must count the
+        same store; its caches are reused).
     memory_budget_mb:
         Resident-shard-backend budget of the counter's pool (ignored
         when adopting an existing counter, which carries its own).
@@ -107,8 +105,6 @@ class IncrementalMiner:
         measure: str | Measure = "kulczynski",
         pruning: object | None = None,
         backend: str | DeltaCounter = "bitmap",
-        workers: int | None = None,
-        chunk_size: int | None = None,
         max_k: int | None = None,
         partitions: int | None = None,
         memory_budget_mb: float | None = None,
@@ -153,8 +149,6 @@ class IncrementalMiner:
         self._thresholds = thresholds
         self._measure = get_measure(measure)
         self._pruning = pruning
-        self._workers = workers
-        self._chunk_size = chunk_size
         self._max_k = max_k
         self._last_result: MiningResult | None = None
         self._last_resolved: ResolvedThresholds | None = None
@@ -313,9 +307,6 @@ class IncrementalMiner:
             measure=self._measure,
             pruning=self._pruning,  # type: ignore[arg-type]
             backend=self._counter,
-            executor="partitioned",
-            workers=self._workers,
-            chunk_size=self._chunk_size,
             max_k=self._max_k,
         )
         result = miner.mine()

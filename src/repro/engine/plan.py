@@ -12,8 +12,8 @@ Each stage reads the shared :class:`MiningContext` (immutable-ish run
 configuration plus the cross-cell run state the sweep maintains) and
 the per-cell :class:`CellState`, and writes its output field.  The
 :class:`ExecutionPlan` runs the stages in order, times each one, and
-records the finished cell — so counting can be batched and fanned out
-through an executor, stages can be swapped (an approximate counting
+records the finished cell — so counting is batched through the
+context's backend, and stages can be swapped (an approximate counting
 stage, a sampling generate stage) and instrumented independently of
 the sweep logic that stays in
 :class:`~repro.core.flipper.FlipperMiner`.
@@ -31,7 +31,6 @@ from repro.core.stats import CellStats, MiningStats, Timer
 from repro.core.thresholds import ResolvedThresholds
 from repro.data.database import TransactionDatabase
 from repro.data.shards import ShardedTransactionStore
-from repro.engine.executors import Executor
 from repro.obs import catalog
 from repro.obs.tracing import trace_span
 from repro.taxonomy.tree import Taxonomy
@@ -79,7 +78,6 @@ class MiningContext:
     measure: Any
     pruning: Any
     backend: CountingBackend
-    executor: Executor
     stats: MiningStats
     # --- cross-cell run state maintained by the sweep -----------------
     cells: dict[tuple[int, int], Cell] = field(default_factory=dict)

@@ -5,12 +5,11 @@ split along the data handoffs (see :mod:`repro.engine.plan`):
 
 * :class:`GenerateStage` — pick the generation regime (row join vs
   child expansion) and apply the known-infrequent-subset filter.
-  Child expansion is one array-level path under every executor: it
+  Child expansion is one array-level path on every substrate: it
   drops SIBP-banned children and prunes prefixes by the pair screen
   and by batch-counted prefix supports while it expands.
-* :class:`CountStage` — hand the candidate batch to the executor,
-  which chunks it and counts through
-  :meth:`~repro.core.counting.CountingBackend.supports_batched`.
+* :class:`CountStage` — count the candidate batch through
+  :meth:`~repro.core.counting.CountingBackend.supports`.
 * :class:`LabelStage` — correlation, Definition-1 label and the
   chain-alive flag for every counted candidate, as array operations
   over the batch; builds the :class:`~repro.core.cells.Cell`.
@@ -92,8 +91,8 @@ class GenerateStage:
         already-processed cell of its length (a frequent entry keeps
         it, a counted-infrequent one drops it); only the prefixes
         that cell never counted are batch-counted through the
-        executor.  So an infrequent prefix kills its subtree under
-        every executor and backend.
+        backend.  So an infrequent prefix kills its subtree on every
+        backend.
         """
         level, k = state.task.level, state.task.k
         parent_cell = context.cells.get((level - 1, k))
@@ -106,7 +105,7 @@ class GenerateStage:
             for parent in alive
             for node in parent
         }
-        executor = context.executor
+        backend = context.backend
         extra = context.stats.extra
         theta = context.thresholds.min_count(level)
         cache = context.pair_supports.setdefault(level, {})
@@ -116,7 +115,7 @@ class GenerateStage:
         ) -> set[tuple[int, ...]]:
             unknown = [pair for pair in pairs if pair not in cache]
             if unknown:
-                cache.update(executor.supports(level, unknown))
+                cache.update(backend.supports(level, unknown))
                 screened = extra.get("screen_pairs", 0) + len(unknown)
                 extra["screen_pairs"] = screened
             return {pair for pair in pairs if cache[pair] >= theta}
@@ -131,7 +130,7 @@ class GenerateStage:
                 frequent = {p for p in prefixes if p in known.entries}
                 unseen = [p for p in prefixes if p not in known]
             if unseen:
-                supports = executor.supports(level, unseen)
+                supports = backend.supports(level, unseen)
                 frequent.update(p for p in unseen if supports[p] >= theta)
                 counted = extra.get("prefix_supports", 0) + len(unseen)
                 extra["prefix_supports"] = counted
@@ -150,14 +149,16 @@ class GenerateStage:
 
 
 class CountStage:
-    """Batched support counting through the executor."""
+    """Batched support counting through the run's backend."""
 
     name = "count"
 
     def run(self, context: MiningContext, state: CellState) -> None:
-        state.supports = context.executor.supports(
-            state.task.level, state.candidates
-        )
+        # an empty batch needs no count (and no horizontal scan)
+        if state.candidates:
+            state.supports = context.backend.supports(
+                state.task.level, state.candidates
+            )
 
 
 class LabelStage:

@@ -9,12 +9,9 @@ import pytest
 from repro.core.counting import (
     BitmapBackend,
     HorizontalBackend,
-    NumpyBackend,
     make_backend,
 )
-from repro.errors import ConfigError, DataError
-
-ALL_BACKENDS = [BitmapBackend, HorizontalBackend, NumpyBackend]
+from repro.errors import ConfigError
 
 
 class TestFactory:
@@ -23,22 +20,23 @@ class TestFactory:
         assert isinstance(
             make_backend("Horizontal", example3_db), HorizontalBackend
         )
-        assert isinstance(make_backend("numpy", example3_db), NumpyBackend)
 
     def test_unknown_rejected(self, example3_db):
         with pytest.raises(ConfigError, match="unknown counting backend"):
             make_backend("gpu", example3_db)
+        with pytest.raises(ConfigError, match="unknown counting backend"):
+            make_backend("numpy", example3_db)
 
 
 class TestAgreement:
-    @pytest.mark.parametrize("other_cls", [HorizontalBackend, NumpyBackend])
+    @pytest.mark.parametrize("other_cls", [HorizontalBackend])
     def test_node_supports_agree(self, example3_db, other_cls):
         bitmap = BitmapBackend(example3_db)
         other = other_cls(example3_db)
         for level in (1, 2, 3):
             assert bitmap.node_supports(level) == other.node_supports(level)
 
-    @pytest.mark.parametrize("other_cls", [HorizontalBackend, NumpyBackend])
+    @pytest.mark.parametrize("other_cls", [HorizontalBackend])
     def test_itemset_supports_agree(self, example3_db, other_cls):
         bitmap = BitmapBackend(example3_db)
         other = other_cls(example3_db)
@@ -53,7 +51,7 @@ class TestAgreement:
                 level, candidates
             )
 
-    @pytest.mark.parametrize("other_cls", [HorizontalBackend, NumpyBackend])
+    @pytest.mark.parametrize("other_cls", [HorizontalBackend])
     def test_triple_supports_agree(self, random_db, other_cls):
         bitmap = BitmapBackend(random_db)
         other = other_cls(random_db)
@@ -63,24 +61,6 @@ class TestAgreement:
             tuple(sorted(t)) for t in itertools.combinations(nodes, 3)
         ]
         assert bitmap.supports(2, candidates) == other.supports(2, candidates)
-
-
-class TestNumpyBackend:
-    def test_wrong_level_node_rejected(self, example3_db):
-        backend = NumpyBackend(example3_db)
-        level1 = example3_db.taxonomy.nodes_at_level(1)
-        with pytest.raises(DataError):
-            backend.supports(2, [tuple(sorted(level1[:2]))])
-
-    def test_empty_batch(self, example3_db):
-        backend = NumpyBackend(example3_db)
-        assert backend.supports(1, []) == {}
-
-    def test_levels_materialized_lazily(self, example3_db):
-        backend = NumpyBackend(example3_db)
-        assert backend._levels == {}
-        backend.node_supports(2)
-        assert set(backend._levels) == {2}
 
 
 class TestScanAccounting:
@@ -94,7 +74,7 @@ class TestScanAccounting:
         backend.supports(1, [])
         assert backend.scans == 3
 
-    @pytest.mark.parametrize("backend_cls", [BitmapBackend, NumpyBackend])
+    @pytest.mark.parametrize("backend_cls", [BitmapBackend])
     def test_index_backends_single_build_scan(self, example3_db, backend_cls):
         backend = backend_cls(example3_db)
         backend.node_supports(1)
@@ -103,7 +83,7 @@ class TestScanAccounting:
 
 
 class TestMinerIntegration:
-    @pytest.mark.parametrize("name", ["bitmap", "horizontal", "numpy"])
+    @pytest.mark.parametrize("name", ["bitmap", "horizontal"])
     def test_all_backends_find_the_toy_pattern(
         self, example3_db, example3_thresholds, name
     ):
@@ -161,15 +141,15 @@ class TestDeltaCounter:
             for i in range(len(nodes))
             for j in range(i + 1, len(nodes))
         ][:12]
-        first = counter.supports_batched(2, itemsets)
+        first = counter.supports(2, itemsets)
         assert counter.cache_misses == len(itemsets)
         delta = [random_db.transaction_names(index) for index in range(25)]
         store.append_batch(delta)
-        second = counter.supports_batched(2, itemsets)
+        second = counter.supports(2, itemsets)
         # second pass is all hits: no itemset was recounted in full
         assert counter.cache_misses == len(itemsets)
         assert counter.cache_hits == len(itemsets)
-        oracle = PartitionedBackend(store).supports_batched(2, itemsets)
+        oracle = PartitionedBackend(store).supports(2, itemsets)
         assert second == oracle
         assert any(second[i] > first[i] for i in itemsets)
 
@@ -179,7 +159,7 @@ class TestDeltaCounter:
         counter = DeltaCounter(store)
         nodes = sorted(store.taxonomy.nodes_at_level(1))
         itemsets = [(nodes[1], nodes[2]), (nodes[0], nodes[1])]
-        out = counter.supports_batched(1, itemsets)
+        out = counter.supports(1, itemsets)
         assert list(out) == itemsets
 
     def test_empty_delta_shard_contributes_zero(self, store):
@@ -238,8 +218,8 @@ class TestShardPoolResidency:
         assert budgeted.node_supports(1) == oracle.node_supports(1)
         nodes = sorted(store.taxonomy.nodes_at_level(1))
         itemsets = [(nodes[0], nodes[1]), (nodes[1], nodes[2])]
-        assert budgeted.supports_batched(1, itemsets) == (
-            oracle.supports_batched(1, itemsets)
+        assert budgeted.supports(1, itemsets) == (
+            oracle.supports(1, itemsets)
         )
 
     def test_unpinned_lru_eviction_still_happens(self, store):
@@ -285,14 +265,12 @@ class TestBackendImageAdmits:
         height = store.taxonomy.height
         for index in range(store.n_shards):
             backend = pool.backend(index)
-            # materialize every level (numpy builds them lazily) so
-            # the persisted image carries the full structure
             for level in range(1, height + 1):
                 backend.node_supports(level)
         assert pool.save_images() == store.n_shards
         return pool
 
-    @pytest.mark.parametrize("inner", ["bitmap", "numpy"])
+    @pytest.mark.parametrize("inner", ["bitmap"])
     def test_image_admit_counts_match_build(self, store, random_db, inner):
         from repro.core.counting import ShardBackendPool, make_backend
 
@@ -477,12 +455,12 @@ class TestDeltaCounterCacheCap:
             for i in range(len(nodes))
             for j in range(i + 1, len(nodes))
         ][:8]
-        out = counter.supports_batched(2, itemsets)
+        out = counter.supports(2, itemsets)
         assert counter.cached_itemsets == 2
-        oracle = PartitionedBackend(store).supports_batched(2, itemsets)
+        oracle = PartitionedBackend(store).supports(2, itemsets)
         assert out == oracle
         # uncached entries are recounted, still exactly
-        assert counter.supports_batched(2, itemsets) == oracle
+        assert counter.supports(2, itemsets) == oracle
 
     def test_unbudgeted_counter_memoizes_everything(self, random_db, tmp_path):
         from repro.core.counting import DeltaCounter
@@ -494,5 +472,5 @@ class TestDeltaCounterCacheCap:
         counter = DeltaCounter(store)
         nodes = sorted(store.taxonomy.nodes_at_level(1))
         itemsets = [(nodes[0], nodes[1]), (nodes[1], nodes[2])]
-        counter.supports_batched(1, itemsets)
+        counter.supports(1, itemsets)
         assert counter.cached_itemsets == len(itemsets)

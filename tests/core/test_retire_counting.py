@@ -28,13 +28,13 @@ class TestRetire:
         counter = DeltaCounter(store)
         itemsets = _some_itemsets(store, 2)
         counter.node_supports(2)
-        counter.supports_batched(2, itemsets)
+        counter.supports(2, itemsets)
         rows = counter.retire([0, 2])
         assert rows > 0
         oracle = PartitionedBackend(store)
         assert counter.node_supports(2) == oracle.node_supports(2)
-        assert counter.supports_batched(2, itemsets) == (
-            oracle.supports_batched(2, itemsets)
+        assert counter.supports(2, itemsets) == (
+            oracle.supports(2, itemsets)
         )
 
     def test_retire_updates_counted_generations(self, store):

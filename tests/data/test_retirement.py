@@ -154,3 +154,20 @@ class TestGcOrphans:
         image.write_bytes(b"live image")
         assert store.gc_orphans() == []
         assert image.exists()
+
+    def test_images_no_backend_can_admit_are_orphans(
+        self, random_db, tmp_path
+    ):
+        """A live shard's ``.bitmap.img`` stays; an image of a backend
+        the shard pool cannot admit (e.g. ``.numpy.img``) is swept."""
+        store = _store(random_db, tmp_path)
+        shard = store.shard_path(0).name
+        bitmap = tmp_path / f"{shard}.bitmap.img"
+        numpy_image = tmp_path / f"{shard}.numpy.img"
+        bitmap.write_bytes(b"live image")
+        numpy_image.write_bytes(b"unreadable image")
+        assert store.gc_orphans(dry_run=True) == [numpy_image.name]
+        assert bitmap.exists() and numpy_image.exists()
+        assert store.gc_orphans() == [numpy_image.name]
+        assert bitmap.exists()
+        assert not numpy_image.exists()

@@ -1,7 +1,8 @@
-"""Backend parity for the batched counting API.
+"""Backend parity for batch counting.
 
-``supports_batched`` must return exactly what ``supports`` returns —
-for every backend, every chunk size, and every candidate mix — and
+One ``supports`` call counts a whole candidate batch (the engine's
+stages hand a backend a cell's batch at once).  The result must equal
+per-itemset counting for every backend and every candidate mix, and
 ``node_supports`` must be cached so repeated calls stop rescanning.
 """
 
@@ -11,16 +12,9 @@ import itertools
 
 import pytest
 
-from repro.core.counting import (
-    BitmapBackend,
-    HorizontalBackend,
-    NumpyBackend,
-    iter_chunks,
-)
-from repro.errors import ConfigError
+from repro.core.counting import BitmapBackend, HorizontalBackend
 
-ALL_BACKENDS = [BitmapBackend, HorizontalBackend, NumpyBackend]
-CHUNK_SIZES = [1, 2, 3, 7, 1000, None]
+ALL_BACKENDS = [BitmapBackend, HorizontalBackend]
 
 
 def _pair_candidates(database, level):
@@ -28,79 +22,23 @@ def _pair_candidates(database, level):
     return [tuple(sorted(pair)) for pair in itertools.combinations(nodes, 2)]
 
 
-class TestIterChunks:
-    def test_none_is_one_chunk(self):
-        items = [(1,), (2,), (3,)]
-        assert list(iter_chunks(items, None)) == [items]
-
-    def test_chunking_preserves_order(self):
-        items = [(i,) for i in range(7)]
-        chunks = list(iter_chunks(items, 3))
-        assert [len(chunk) for chunk in chunks] == [3, 3, 1]
-        assert [item for chunk in chunks for item in chunk] == items
-
-    def test_empty_batch_yields_nothing(self):
-        assert list(iter_chunks([], 5)) == []
-        assert list(iter_chunks([], None)) == []
-
-    def test_rejects_bad_chunk_size_at_the_call(self):
-        # must raise immediately, not on first next()
-        with pytest.raises(ConfigError, match="chunk_size"):
-            iter_chunks([(1,)], 0)
-
-
 class TestBatchedParity:
-    @pytest.mark.parametrize("backend_cls", ALL_BACKENDS)
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_matches_unbatched_on_example3(
-        self, example3_db, backend_cls, chunk_size
-    ):
-        backend = backend_cls(example3_db)
-        for level in (1, 2, 3):
-            candidates = _pair_candidates(example3_db, level)
-            expected = backend.supports(level, candidates)
-            assert (
-                backend.supports_batched(
-                    level, candidates, chunk_size=chunk_size
-                )
-                == expected
-            )
-
-    @pytest.mark.parametrize("backend_cls", ALL_BACKENDS)
-    @pytest.mark.parametrize("chunk_size", [1, 5, None])
-    def test_matches_unbatched_on_random_db(
-        self, random_db, backend_cls, chunk_size
-    ):
-        backend = backend_cls(random_db)
-        for level in (1, 2, 3):
-            candidates = _pair_candidates(random_db, level)
-            expected = backend.supports(level, candidates)
-            assert (
-                backend.supports_batched(
-                    level, candidates, chunk_size=chunk_size
-                )
-                == expected
-            )
-
-    def test_all_backends_agree_across_all_chunk_sizes(self, random_db):
-        """The cross-product: one truth, three backends, any chunking."""
+    def test_all_backends_agree(self, random_db):
+        """One truth, every backend, every level's pair batch."""
         backends = [cls(random_db) for cls in ALL_BACKENDS]
         for level in (1, 2, 3):
             candidates = _pair_candidates(random_db, level)
             reference = backends[0].supports(level, candidates)
             for backend in backends:
-                for chunk_size in CHUNK_SIZES:
-                    assert (
-                        backend.supports_batched(
-                            level, candidates, chunk_size=chunk_size
-                        )
-                        == reference
-                    ), (type(backend).__name__, level, chunk_size)
+                assert backend.supports(level, candidates) == reference, (
+                    type(backend).__name__,
+                    level,
+                )
 
     @pytest.mark.parametrize("backend_cls", ALL_BACKENDS)
     def test_mixed_k_batch(self, example3_db, backend_cls):
-        """A batch mixing itemset sizes (exercises the numpy
-        uniform-k run splitting)."""
+        """A batch mixing itemset sizes counts every itemset exactly
+        as a batch of that itemset alone."""
         backend = backend_cls(example3_db)
         nodes = example3_db.taxonomy.nodes_at_level(3)
         batch = (
@@ -108,39 +46,16 @@ class TestBatchedParity:
             + [tuple(sorted(t)) for t in itertools.combinations(nodes, 3)][:3]
             + [tuple(sorted(p)) for p in itertools.combinations(nodes, 2)][4:6]
         )
-        expected = backend.supports(3, batch)
-        for chunk_size in (1, 2, 4, None):
-            assert (
-                backend.supports_batched(3, batch, chunk_size=chunk_size)
-                == expected
-            )
+        expected = {
+            itemset: backend.supports(3, [itemset])[itemset]
+            for itemset in batch
+        }
+        assert backend.supports(3, batch) == expected
 
     @pytest.mark.parametrize("backend_cls", ALL_BACKENDS)
     def test_empty_batch(self, example3_db, backend_cls):
         backend = backend_cls(example3_db)
-        assert backend.supports_batched(1, [], chunk_size=3) == {}
-
-    @pytest.mark.parametrize("backend_cls", ALL_BACKENDS)
-    def test_rejects_bad_chunk_size(self, example3_db, backend_cls):
-        backend = backend_cls(example3_db)
-        with pytest.raises(ConfigError, match="chunk_size"):
-            backend.supports_batched(1, [(1, 2)], chunk_size=-1)
-
-
-class TestNumpyGatherCap:
-    def test_empty_itemset_matches_supports(self, example3_db):
-        backend = NumpyBackend(example3_db)
-        assert backend.supports_batched(1, [()]) == backend.supports(1, [()])
-
-    def test_tiny_budget_still_correct(self, random_db, monkeypatch):
-        """chunk_size=None must not mean an unbounded gather tensor:
-        with the budget forced down to a few elements the run splitting
-        kicks in on every batch and the counts must not change."""
-        backend = NumpyBackend(random_db)
-        candidates = _pair_candidates(random_db, 2)
-        expected = backend.supports(2, candidates)
-        monkeypatch.setattr(NumpyBackend, "_GATHER_BUDGET", 8)
-        assert backend.supports_batched(2, candidates) == expected
+        assert backend.supports(1, []) == {}
 
 
 class TestNodeSupportCache:

@@ -1,8 +1,7 @@
 """Partition parity: N-shard mining must equal 1-shard mining.
 
 The acceptance bar for the out-of-core path: for every counting
-backend and both executor modes (in-process shard loop and process
-fan-out), mining through N disk shards produces *byte-identical*
+backend, mining through N disk shards produces *byte-identical*
 pattern sets to the monolithic single-partition path — including the
 empty-shard and single-transaction-shard edge cases.
 """
@@ -22,11 +21,9 @@ from repro.core.counting import (
 from repro.core.flipper import FlipperMiner
 from repro.data.shards import ShardedTransactionStore
 from repro.datasets.groceries import GROCERIES_THRESHOLDS, generate_groceries
-from repro.engine import EXECUTORS, make_executor
-from repro.engine.partition import PartitionedExecutor
 from repro.errors import ConfigError
 
-BACKENDS = ["bitmap", "horizontal", "numpy"]
+BACKENDS = ["bitmap", "horizontal"]
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +68,9 @@ class TestCountingParity:
                 planted_db.taxonomy.nodes_at_level(level), 2
             )
         ]
-        assert partitioned.supports_batched(
+        assert partitioned.supports(level, candidates) == monolithic.supports(
             level, candidates
-        ) == monolithic.supports_batched(level, candidates)
+        )
         assert partitioned.node_supports(level) == monolithic.node_supports(
             level
         )
@@ -125,11 +122,9 @@ class TestFormatParity:
         back = _mine(store, backend=backend_name)
         assert _fingerprint(base) == _fingerprint(back)
 
-    @pytest.mark.parametrize("executor", ["serial", "partitioned"])
-    def test_warm_image_serving_parity(self, planted_db, tmp_path, executor):
+    def test_warm_image_serving_parity(self, planted_db, tmp_path):
         """Mining a store whose backends come entirely from persisted
-        images equals mining the monolithic database — in-process and
-        through the worker fan-out."""
+        images equals mining the monolithic database."""
         base = _mine(planted_db)
         store = ShardedTransactionStore.partition_database(
             planted_db, tmp_path, 4
@@ -142,13 +137,12 @@ class TestFormatParity:
         warm_store = ShardedTransactionStore.open(
             tmp_path, planted_db.taxonomy
         )
-        kwargs = (
-            {"executor": "partitioned", "workers": 2}
-            if executor == "partitioned"
-            else {}
-        )
-        warm = _mine(warm_store, **kwargs)
+        warm_miner = FlipperMiner(warm_store, GROCERIES_THRESHOLDS)
+        warm = warm_miner.mine()
         assert _fingerprint(base) == _fingerprint(warm)
+        pool = warm_miner.context.backend.pool
+        assert pool.image_admits == store.n_shards
+        assert pool.rebuilds == 0
 
 
 class TestMiningParity:
@@ -162,18 +156,20 @@ class TestMiningParity:
         assert _fingerprint(base) == _fingerprint(part)
         assert part.config["partitions"] == 4
 
-    @pytest.mark.parametrize("backend_name", ["bitmap", "numpy"])
-    def test_worker_fanout_equals_monolithic(
-        self, planted_db, planted_store, backend_name
+    def test_backend_name_resolves_alike_on_every_substrate(
+        self, planted_db, tmp_path
     ):
-        base = _mine(planted_db, backend=backend_name)
+        """One spelling of a backend name picks the same backend in
+        memory and per shard."""
+        base = _mine(planted_db, backend=" Bitmap ")
         part = _mine(
-            planted_store,
-            backend=backend_name,
-            executor="partitioned",
-            workers=2,
+            planted_db, backend=" Bitmap ", partitions=2, shard_dir=tmp_path
         )
+        assert len(base.patterns) > 0
         assert _fingerprint(base) == _fingerprint(part)
+        assert ShardedTransactionStore.open(
+            tmp_path, planted_db.taxonomy
+        ).n_shards == 2
 
     def test_partitions_argument_builds_temporary_store(self, planted_db):
         base = _mine(planted_db)
@@ -302,24 +298,3 @@ class TestConfigErrors:
     def test_shard_dir_requires_partitions(self, planted_db, tmp_path):
         with pytest.raises(ConfigError, match="shard_dir"):
             FlipperMiner(planted_db, GROCERIES_THRESHOLDS, shard_dir=tmp_path)
-
-    def test_partitioned_executor_needs_partitioned_backend(self, planted_db):
-        backend = make_backend("bitmap", planted_db)
-        with pytest.raises(ConfigError, match="partitioned"):
-            make_executor("partitioned", backend, planted_db)
-
-    def test_partitioned_executor_registered(self):
-        assert EXECUTORS["partitioned"] is PartitionedExecutor
-
-    def test_bad_worker_and_chunk_counts(self, planted_store):
-        backend = PartitionedBackend(planted_store)
-        with pytest.raises(ConfigError, match="workers"):
-            PartitionedExecutor(backend, workers=0)
-        with pytest.raises(ConfigError, match="chunk_size"):
-            PartitionedExecutor(backend, chunk_size=0)
-
-    def test_unknown_executor_name_rejected(self, planted_store):
-        with pytest.raises(ConfigError, match="unknown executor"):
-            FlipperMiner(
-                planted_store, GROCERIES_THRESHOLDS, executor="gpu-cluster"
-            )

@@ -2,9 +2,9 @@
 
 The windowed contract under test: after any ``update``, the mined
 patterns are **byte-identical** to a cold mine of only the in-window
-rows — across all three inner backends and both executor worker
-modes.  Retirement is exact subtraction, never an approximation, so
-the assertion is equality of serialized patterns, not set overlap.
+rows — across both inner backends.  Retirement is exact subtraction,
+never an approximation, so the assertion is equality of serialized
+patterns, not set overlap.
 """
 
 from __future__ import annotations
@@ -67,18 +67,15 @@ def seed_store(segments, taxonomy, directory, n_segments=3):
 
 
 class TestWindowedParity:
-    @pytest.mark.parametrize("backend", ["bitmap", "horizontal", "numpy"])
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("backend", ["bitmap", "horizontal"])
     def test_slides_byte_identical_to_cold_mine(
-        self, grocery_taxonomy, segments, thresholds, tmp_path,
-        backend, workers,
+        self, grocery_taxonomy, segments, thresholds, tmp_path, backend
     ):
         store = seed_store(segments, grocery_taxonomy, tmp_path)
         miner = IncrementalMiner(
             store,
             thresholds,
             backend=backend,
-            workers=workers,
             window_shards=3,
         )
         miner.mine()

@@ -1,8 +1,8 @@
 """Cross-module consistency: independent implementations must agree.
 
 The library contains several independently-written counting and
-mining paths (vertical bitmaps, horizontal scans, NumPy matrices,
-FP-growth over projections, Cumulate over extended transactions).
+mining paths (vertical bitmaps, horizontal scans, FP-growth over
+projections, Cumulate over extended transactions).
 Where their semantics overlap they must produce identical numbers —
 these tests pin the overlaps down on the bundled simulators.
 """
@@ -97,7 +97,7 @@ class TestFlipperChainSupportsAgainstFPGrowth:
 
 
 class TestBackendsOnRealData:
-    @pytest.mark.parametrize("backend", ["bitmap", "horizontal", "numpy"])
+    @pytest.mark.parametrize("backend", ["bitmap", "horizontal"])
     def test_identical_patterns(self, groceries, backend):
         result = mine_flipping_patterns(
             groceries, GROCERIES_THRESHOLDS, backend=backend

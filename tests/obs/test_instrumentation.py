@@ -100,12 +100,12 @@ class TestDeltaCounterMetrics:
         counter = DeltaCounter(store)
         nodes = sorted(store.taxonomy.nodes_at_level(1))
         itemsets = [(nodes[0], nodes[1]), (nodes[1], nodes[2])]
-        counter.supports_batched(1, itemsets)
+        counter.supports(1, itemsets)
         hits1, misses1, size1 = reading()
         assert misses1 - misses0 == len(itemsets)
         assert hits1 == hits0
         assert size1 == counter.cached_itemsets
-        counter.supports_batched(1, itemsets)
+        counter.supports(1, itemsets)
         hits2, misses2, _size2 = reading()
         assert hits2 - hits1 == len(itemsets)
         assert misses2 == misses1

@@ -44,7 +44,7 @@ def test_flipping_only_width5_candidates_bounded(width5):
 
 def test_prefix_lookup_agrees_with_counting(width5, monkeypatch):
     """Prefixes read from an earlier cell get the verdict a recount
-    would give, and only the unread ones reach the executor."""
+    would give, and only the unread ones reach the backend."""
     database, thresholds = width5
     miner = FlipperMiner(
         database, thresholds, pruning=PruningConfig.flipping_only()
@@ -68,7 +68,7 @@ def test_prefix_lookup_agrees_with_counting(width5, monkeypatch):
             assert counted - before == sum(
                 prefix not in known for prefix in prefixes
             )
-            supports = context.backend.supports_batched(level, prefixes)
+            supports = context.backend.supports(level, prefixes)
             theta = context.thresholds.min_count(level)
             assert got == {p for p in prefixes if supports[p] >= theta}
             return got

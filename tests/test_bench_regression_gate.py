@@ -29,9 +29,8 @@ def gate():
 @pytest.fixture
 def baseline():
     return {
-        "counting": {"batched_over_per_itemset": 1.0},
-        "executors": {
-            "serial": {
+        "runs": {
+            "in_memory": {
                 "stage_seconds": {"generate": 0.2, "count": 0.3}
             }
         },
@@ -45,22 +44,15 @@ class TestCompare:
 
     def test_within_tolerance_passes(self, gate, baseline):
         current = copy.deepcopy(baseline)
-        current["counting"]["batched_over_per_itemset"] = 1.4
-        current["executors"]["serial"]["stage_seconds"] = {
+        current["runs"]["in_memory"]["stage_seconds"] = {
             "generate": 0.3,
             "count": 0.4,
         }
         assert gate.compare(baseline, current, 1.5) == []
 
-    def test_counting_ratio_regression_fails(self, gate, baseline):
-        current = copy.deepcopy(baseline)
-        current["counting"]["batched_over_per_itemset"] = 1.6
-        problems = gate.compare(baseline, current, 1.5)
-        assert any("batched_over_per_itemset" in p for p in problems)
-
     def test_stage_total_regression_fails(self, gate, baseline):
         current = copy.deepcopy(baseline)
-        current["executors"]["serial"]["stage_seconds"] = {
+        current["runs"]["in_memory"]["stage_seconds"] = {
             "generate": 0.5,
             "count": 0.5,
         }
@@ -73,31 +65,25 @@ class TestCompare:
         problems = gate.compare(baseline, current, 1.5)
         assert any("shape checks" in p for p in problems)
 
-    def test_missing_metric_reported(self, gate, baseline):
-        current = copy.deepcopy(baseline)
-        del current["counting"]
-        problems = gate.compare(baseline, current, 1.5)
-        assert any("missing" in p for p in problems)
-
     def test_missing_baseline_stage_totals_reported(self, gate, baseline):
         broken = copy.deepcopy(baseline)
-        broken["executors"] = {}
+        broken["runs"] = {}
         problems = gate.compare(broken, copy.deepcopy(baseline), 1.5)
-        assert any("baseline serial stage totals" in p for p in problems)
+        assert any("baseline in-memory stage totals" in p for p in problems)
 
     def test_missing_current_stage_totals_reported(self, gate, baseline):
         current = copy.deepcopy(baseline)
-        current["executors"] = {}
+        current["runs"] = {}
         problems = gate.compare(baseline, current, 1.5)
-        assert any("current serial stage totals" in p for p in problems)
+        assert any("current in-memory stage totals" in p for p in problems)
 
     def test_sub_noise_floor_jitter_passes(self, gate, baseline):
         """Cross-machine jitter on millisecond-scale totals must not
         flake the gate: over tolerance but under the absolute floor."""
         tiny_base = copy.deepcopy(baseline)
-        tiny_base["executors"]["serial"]["stage_seconds"] = {"count": 0.001}
+        tiny_base["runs"]["in_memory"]["stage_seconds"] = {"count": 0.001}
         current = copy.deepcopy(tiny_base)
-        current["executors"]["serial"]["stage_seconds"] = {"count": 0.005}
+        current["runs"]["in_memory"]["stage_seconds"] = {"count": 0.005}
         assert gate.compare(tiny_base, current, 1.5) == []
 
 
@@ -118,7 +104,7 @@ class TestMain:
 
     def test_exit_one_on_regression(self, gate, baseline, tmp_path, capsys):
         current_data = copy.deepcopy(baseline)
-        current_data["counting"]["batched_over_per_itemset"] = 99.0
+        current_data["runs"]["in_memory"]["stage_seconds"] = {"count": 99.0}
         base = self._write(tmp_path, "base.json", baseline)
         current = self._write(tmp_path, "current.json", current_data)
         code = gate.main(["--baseline", base, "--current", current])
