@@ -4,9 +4,11 @@ The miner asks one question: *how many transactions contain this
 (h,k)-itemset?*  Two interchangeable backends answer it over an
 in-memory database:
 
-* :class:`BitmapBackend` (default) — per-level bitsets from
-  :class:`~repro.data.vertical.VerticalIndex`; one popcount per
-  itemset.  Fastest in pure Python.
+* :class:`BitmapBackend` (default) — one packed ``uint64`` word plane
+  per taxonomy level; a batch is counted by one blocked gather, AND
+  and ``np.bitwise_count`` popcount over the plane
+  (:func:`_and_popcount`).  The pure-Python bigint
+  :class:`~repro.data.vertical.VerticalIndex` is its test reference.
 * :class:`HorizontalBackend` — scans the level-projected transaction
   list once per candidate batch, mirroring the paper's disk-resident
   sequential-scan cost model (one scan per cell).  Used by the backend
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
@@ -45,7 +48,6 @@ from repro.data.columnar import (
 )
 from repro.data.database import TransactionDatabase
 from repro.data.shards import ShardedTransactionStore
-from repro.data.vertical import VerticalIndex
 from repro.errors import ConfigError, DataError
 from repro.obs import catalog
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -101,97 +103,124 @@ def _local_item_ids(reader: ColumnarShard, taxonomy: Taxonomy) -> np.ndarray:
     return items
 
 
-class _LazyLevelBits(dict):
-    """Level -> per-node bitsets, decoded from packed image planes on
-    first access.
+#: plane word: little-endian, so a plane's bytes are the image's
+#: little-endian bit packing on any host
+_WORD = np.dtype("<u8")
 
-    An image admit stays a true mmap-plus-header-check: the bigint
-    decode of a level's plane is deferred until that level is actually
-    counted.  Under budgeted evict/re-admit churn a re-admitted shard
-    is typically counted at a single level, so the other levels'
-    planes are never decoded at all.  Decoded levels are cached in the
-    dict itself, so each level pays the decode at most once.
+#: bytes of gathered words one kernel block may hold: a block counts
+#: as many itemsets as fit, and always at least one
+_BLOCK_BYTES = 1 << 18
+
+
+def _scatter_planes(
+    taxonomy: Taxonomy,
+    n_rows: int,
+    rows: np.ndarray,
+    items: np.ndarray,
+    item_ids: Iterable[int],
+) -> tuple[dict[int, dict[int, int]], dict[int, np.ndarray]]:
+    """Per level, the node id -> plane row map and the ``uint64`` word
+    plane.
+
+    ``rows``/``items`` list every (row, item) value of the data, with
+    ``items`` indexing ``item_ids``.  Bit ``r`` of a node's plane row
+    is set when row ``r`` holds an item beneath the node; one
+    vectorized scatter per level, duplicates collapse in the OR.
     """
+    n_words = (n_rows + 63) // 64
+    words = rows >> 6
+    bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    row_of: dict[int, dict[int, int]] = {}
+    planes: dict[int, np.ndarray] = {}
+    for level in range(1, taxonomy.height + 1):
+        mapping = taxonomy.item_ancestor_map(level)
+        nodes = taxonomy.nodes_at_level(level)
+        columns = {node_id: i for i, node_id in enumerate(nodes)}
+        item_column = np.array(
+            [columns[mapping[int(item)]] for item in item_ids],
+            dtype=np.intp,
+        )
+        plane = np.zeros((len(nodes), n_words), dtype=_WORD)
+        np.bitwise_or.at(plane, (item_column[items], words), bits)
+        row_of[level] = columns
+        planes[level] = plane
+    return row_of, planes
 
-    def __init__(
-        self, planes: dict[int, tuple[list[Any], np.ndarray]]
-    ) -> None:
-        super().__init__()
-        #: level -> (node id table, packed uint8 plane)
-        self._planes = planes
 
-    def __missing__(self, level: int) -> dict[int, int]:
-        nodes, plane = self._planes[level]
-        width = plane.shape[1]
-        raw = plane.tobytes()
-        from_bytes = int.from_bytes
-        bits = {
-            int(node_id): from_bytes(
-                raw[i * width : (i + 1) * width], "little"
-            )
-            for i, node_id in enumerate(nodes)
-        }
-        self[level] = bits
-        return bits
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._planes)
-
-    def __len__(self) -> int:
-        return len(self._planes)
-
-    def __contains__(self, level: object) -> bool:
-        return level in self._planes
+def _and_popcount(plane: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Support of every row of ``matrix`` (plane row indexes, one
+    itemset per row): gather the itemset's word rows, AND them and
+    popcount, ``_BLOCK_BYTES`` of gathered words at a time."""
+    n, k = matrix.shape
+    step = max(1, _BLOCK_BYTES // (plane.shape[1] * _WORD.itemsize))
+    counts = np.empty(n, dtype=np.int64)
+    for start in range(0, n, step):
+        block = matrix[start : start + step]
+        acc = plane.take(block[:, 0], axis=0)
+        for j in range(1, k):
+            acc &= plane.take(block[:, j], axis=0)
+        pops = np.bitwise_count(acc)
+        counts[start : start + step] = pops.sum(axis=1, dtype=np.uint32)
+    return counts
 
 
 class BitmapBackend:
-    """Vertical bitset counting (see :class:`VerticalIndex`)."""
+    """Packed-word bitmap counting.
+
+    Each taxonomy level is one ``uint64`` plane of shape
+    ``(n_nodes, ceil(n_rows / 64))``: bit ``r`` of a node's row is set
+    when transaction ``r`` contains the node.  A batch is counted by
+    :func:`_and_popcount`, one blocked gather-AND-popcount over the
+    plane.  :class:`~repro.data.vertical.VerticalIndex` is the
+    pure-Python reference these counts are tested against.
+    """
 
     def __init__(self, database: TransactionDatabase) -> None:
-        self._index = VerticalIndex(database)
-        self._scans = 1  # building the index reads the database once
-        self._node_supports: dict[int, dict[int, int]] = {}
+        taxonomy = database.taxonomy
+        item_ids = taxonomy.item_ids
+        index_of = {item: i for i, item in enumerate(item_ids)}
+        lengths = np.fromiter(
+            map(len, database), dtype=np.int64, count=len(database)
+        )
+        try:
+            items = np.fromiter(
+                map(index_of.__getitem__, chain.from_iterable(database)),
+                dtype=np.intp,
+                count=int(lengths.sum()),
+            )
+        except KeyError as exc:
+            item = exc.args[0]
+            row = next(r for r, t in enumerate(database) if item in t)
+            raise DataError(
+                f"transaction {row}: item id {item} is not an item of the "
+                "bound taxonomy"
+            ) from None
+        rows = np.repeat(np.arange(len(database), dtype=np.int64), lengths)
+        # building the planes reads the database once
+        self._attach(
+            *_scatter_planes(taxonomy, len(database), rows, items, item_ids),
+            raw={},
+            scans=1,
+        )
 
     @classmethod
     def from_columnar(
         cls, reader: ColumnarShard, taxonomy: Taxonomy
     ) -> "BitmapBackend":
-        """Build the bitset index straight from a shard's mapped CSR
-        arrays — one vectorized bit-scatter per level, no per-row
-        Python objects and no :class:`TransactionDatabase`."""
-        n_rows = reader.n_rows
-        width = (n_rows + 7) // 8
-        local_items = _local_item_ids(reader, taxonomy)
-        row_index = reader.row_index()
-        byte_index = row_index >> 3
-        bit_values = (1 << (row_index & 7).astype(np.uint8)).astype(np.uint8)
-        level_bits: dict[int, dict[int, int]] = {}
-        for level in range(1, taxonomy.height + 1):
-            mapping = taxonomy.item_ancestor_map(level)
-            nodes = taxonomy.nodes_at_level(level)
-            columns = {node_id: i for i, node_id in enumerate(nodes)}
-            local_to_col = np.array(
-                [columns[mapping[int(item)]] for item in local_items],
-                dtype=np.intp,
-            )
-            plane = np.zeros((len(nodes), width), dtype=np.uint8)
-            if reader.n_values:
-                np.bitwise_or.at(
-                    plane,
-                    (local_to_col[reader.items], byte_index),
-                    bit_values,
-                )
-            level_bits[level] = {
-                node_id: int.from_bytes(plane[col].tobytes(), "little")
-                for node_id, col in columns.items()
-            }
-        backend = cls.__new__(cls)
-        backend._index = VerticalIndex.from_level_bits(
-            level_bits, taxonomy.height
+        """Build the planes straight from a shard's mapped CSR arrays:
+        the same vectorized scatter, no per-row Python objects and no
+        :class:`TransactionDatabase`."""
+        return cls.__new__(cls)._attach(
+            *_scatter_planes(
+                taxonomy,
+                reader.n_rows,
+                reader.row_index(),
+                reader.items,
+                _local_item_ids(reader, taxonomy),
+            ),
+            raw={},
+            scans=1,
         )
-        backend._scans = 1
-        backend._node_supports = {}
-        return backend
 
     @classmethod
     def from_image(
@@ -200,48 +229,72 @@ class BitmapBackend:
         arrays: list[np.ndarray],
         height: int,
     ) -> "BitmapBackend":
-        """Reattach an index from a persisted backend image without
+        """Reattach the planes of a persisted backend image without
         any database scan (``scans`` stays 0).
 
-        Plane shapes and level coverage are validated eagerly; the
-        bigint decode of each plane is deferred to the first count at
-        that level (see :class:`_LazyLevelBits`), so the admit itself
-        touches headers and array metadata only.
+        Plane shapes and level coverage are validated eagerly.  A
+        ``uint8`` plane whose byte width is a multiple of 8 is then
+        viewed as words in place; any other is copied once into a
+        zero-padded word plane, the first time its level is counted.
         """
-        planes: dict[int, tuple[list[Any], np.ndarray]] = {}
+        raw: dict[int, tuple[list[int], np.ndarray]] = {}
         for entry, plane in zip(header["levels"], arrays):
             nodes = entry["nodes"]
             if plane.ndim != 2 or plane.shape[0] != len(nodes):
                 raise DataError("bitmap image plane shape mismatch")
-            planes[int(entry["level"])] = (nodes, plane)
-        if set(planes) != set(range(1, height + 1)):
+            raw[int(entry["level"])] = (nodes, plane)
+        if set(raw) != set(range(1, height + 1)):
             raise DataError("bitmap image does not cover every level")
-        backend = cls.__new__(cls)
-        backend._index = VerticalIndex.from_level_bits(
-            _LazyLevelBits(planes), height
-        )
-        backend._scans = 0
-        backend._node_supports = {}
-        return backend
+        return cls.__new__(cls)._attach({}, {}, raw=raw, scans=0)
+
+    def _attach(
+        self,
+        row_of: dict[int, dict[int, int]],
+        planes: dict[int, np.ndarray],
+        *,
+        raw: dict[int, tuple[list[int], np.ndarray]],
+        scans: int,
+    ) -> "BitmapBackend":
+        #: level -> node id -> plane row, in plane row order
+        self._row_of = row_of
+        self._planes = planes
+        #: image admits only: level -> (node ids, persisted uint8
+        #: plane), for levels not yet viewed or copied as words
+        self._raw = raw
+        self._scans = scans
+        self._node_supports: dict[int, dict[int, int]] = {}
+        return self
+
+    def _plane(self, level: int) -> np.ndarray:
+        plane = self._planes.get(level)
+        if plane is not None:
+            return plane
+        if level not in self._raw:
+            raise DataError(f"no taxonomy level {level} in this index")
+        nodes, raw = self._raw.pop(level)
+        if raw.shape[1] % 8 == 0:
+            plane = raw.view(_WORD)
+        else:
+            n_words = (raw.shape[1] + 7) // 8
+            plane = np.zeros((len(raw), n_words), dtype=_WORD)
+            plane.view(np.uint8)[:, : raw.shape[1]] = raw
+        self._row_of[level] = {node_id: i for i, node_id in enumerate(nodes)}
+        self._planes[level] = plane
+        return plane
 
     def image_payload(
         self, n_rows: int
     ) -> tuple[dict[str, Any], list[np.ndarray]]:
         """The persistable form of this backend: per level, the node
-        id table plus the bitsets packed little-endian into a
-        ``uint8 (n_nodes, ceil(n_rows / 8))`` plane."""
+        id table plus the plane's first ``ceil(n_rows / 8)``
+        little-endian bytes of every row, a ``uint8`` plane."""
         width = (n_rows + 7) // 8
         levels: list[dict[str, Any]] = []
         arrays: list[np.ndarray] = []
-        for level in sorted(self._index.level_bits):
-            bits = self._index.level_bits[level]
-            nodes = list(bits)
-            plane = np.zeros((len(nodes), width), dtype=np.uint8)
-            for i, node_id in enumerate(nodes):
-                raw = bits[node_id].to_bytes(width, "little")
-                plane[i] = np.frombuffer(raw, dtype=np.uint8)
-            levels.append({"level": level, "nodes": nodes})
-            arrays.append(plane)
+        for level in sorted(self._planes.keys() | self._raw.keys()):
+            plane = self._plane(level)
+            levels.append({"level": level, "nodes": list(self._row_of[level])})
+            arrays.append(plane.view(np.uint8)[:, :width])
         return {"backend": "bitmap", "levels": levels}, arrays
 
     @property
@@ -250,14 +303,45 @@ class BitmapBackend:
 
     def node_supports(self, level: int) -> dict[int, int]:
         if level not in self._node_supports:
-            self._node_supports[level] = self._index.node_supports(level)
+            counts = np.bitwise_count(self._plane(level)).sum(axis=1)
+            self._node_supports[level] = dict(
+                zip(self._row_of[level], counts.tolist())
+            )
         return self._node_supports[level]
 
     def supports(
         self, level: int, itemsets: Sequence[tuple[int, ...]]
     ) -> dict[tuple[int, ...], int]:
-        support = self._index.support
-        return {itemset: support(level, itemset) for itemset in itemsets}
+        if not itemsets:
+            return {}
+        plane = self._plane(level)
+        sizes = set(map(len, itemsets))
+        if 0 in sizes:
+            raise DataError("support of an empty itemset is undefined")
+        row_of = self._row_of[level]
+        try:
+            rows = np.fromiter(
+                map(row_of.__getitem__, chain.from_iterable(itemsets)),
+                dtype=np.intp,
+            )
+        except KeyError as exc:
+            raise DataError(
+                f"node {exc.args[0]} is not at taxonomy level {level}"
+            ) from None
+        n = len(itemsets)
+        if len(sizes) == 1:
+            counts = _and_popcount(plane, rows.reshape(n, -1))
+        else:
+            # mixed sizes: one kernel call per size, rows regrouped by
+            # offset arithmetic rather than per itemset
+            lengths = np.fromiter(map(len, itemsets), dtype=np.intp, count=n)
+            starts = np.cumsum(lengths) - lengths
+            counts = np.empty(n, dtype=np.int64)
+            for size in sizes:
+                where = np.flatnonzero(lengths == size)
+                matrix = rows[starts[where, None] + np.arange(size)]
+                counts[where] = _and_popcount(plane, matrix)
+        return dict(zip(itemsets, counts.tolist()))
 
 
 class HorizontalBackend:
@@ -346,7 +430,7 @@ class ShardBackendPool:
 
     Re-admitting an evicted shard normally means parse-and-rebuild.
     With ``persist_images`` (the default, for the ``bitmap`` inner)
-    the pool writes an evicted backend's built bitsets next to the
+    the pool writes an evicted backend's built word planes next to the
     shard as a backend image (see
     :mod:`repro.data.columnar`), and a later admit of the same shard
     becomes an mmap plus a header check.  Image validity is enforced
@@ -379,10 +463,6 @@ class ShardBackendPool:
     #: jsonl parse-and-build path (index structures, python object
     #: overhead); columnar shards are charged actual mapped sizes
     RESIDENCY_FACTOR = 16
-
-    #: rough python-object overhead per bitset (the ``int`` header
-    #: plus a dict slot) in the analytic bitmap size model
-    _BITSET_OVERHEAD = 64
 
     def __init__(
         self,
@@ -462,13 +542,13 @@ class ShardBackendPool:
         return total
 
     def _analytic_built_bytes(self, index: int) -> int:
-        """Size model of one shard's built bitmap index: bitset bytes
-        plus per-object overhead."""
+        """Size of one shard's built bitmap planes: per level, one
+        ``uint64`` word per 64 rows for every node."""
         n_rows = self._store.shard_sizes[index]
         taxonomy = self._store.taxonomy
-        per_node = (n_rows + 7) // 8 + self._BITSET_OVERHEAD
+        row_bytes = (n_rows + 63) // 64 * _WORD.itemsize
         return sum(
-            len(taxonomy.nodes_at_level(level)) * per_node
+            len(taxonomy.nodes_at_level(level)) * row_bytes
             for level in range(1, taxonomy.height + 1)
         )
 
@@ -477,8 +557,8 @@ class ShardBackendPool:
 
         Columnar shards counted by the bitmap inner are charged
         truthfully: the mapped shard file plus either the mapped image
-        file (when one exists) or the analytic size of the bitsets a
-        build would materialize.  Jsonl shards and the horizontal inner
+        file (when one exists) or the size of the word planes a build
+        would materialize.  Jsonl shards and the horizontal inner
         keep the expansion-factor heuristic — their resident cost is
         dominated by parsed Python objects, which no file size
         reflects.

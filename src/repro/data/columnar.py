@@ -12,8 +12,8 @@ next to a shard store's ``manifest.json``:
   to global taxonomy node numbering.  Readers :func:`numpy.memmap`
   both arrays, so serving shard data costs no parsing at all.
 * **Backend images** (``<shard>.bitmap.img``, magic ``FLIPIMG1``) —
-  the *built* counting structure of one shard (BitmapBackend bitset
-  planes packed to bytes), so a
+  the *built* counting structure of one shard (BitmapBackend word
+  planes, as packed little-endian bytes), so a
   :class:`~repro.core.counting.ShardBackendPool` re-admit is an mmap
   plus a header check instead of a parse-and-rebuild.  The header
   carries the image format version, the backend kind, the row count,

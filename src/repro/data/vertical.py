@@ -1,11 +1,16 @@
-"""Vertical (bitmap) index over a transaction database.
+"""Vertical (bitmap) index over a transaction database, in pure Python.
 
 For each taxonomy level ``h`` and each node at that level, the index
 stores the set of transactions whose level-``h`` projection contains
 the node, encoded as a Python ``int`` bitset (bit ``t`` set when
 transaction ``t`` qualifies).  Support of an (h,k)-itemset is then the
-popcount of the AND of k bitsets — the fast counting substrate behind
-the default mining backend.
+popcount of the AND of k bitsets.
+
+This is the reference counter: the brute-force oracle, significance
+testing, discriminative mining, the planted generator and dataset
+profiling count through it, and the packed-word kernel of
+:class:`~repro.core.counting.BitmapBackend` is tested against it.  It
+shares no code with that kernel.
 
 Level bitsets are derived bottom-up: the bitset of an internal node is
 the OR of the bitsets of the items below it, which mirrors the paper's
@@ -25,21 +30,32 @@ class VerticalIndex:
     """Per-level bitmap index of a :class:`TransactionDatabase`."""
 
     def __init__(self, database: TransactionDatabase) -> None:
-        self._database: TransactionDatabase | None = database
+        self._database = database
         taxonomy = database.taxonomy
         self._height = taxonomy.height
-        item_bits: dict[int, int] = {item: 0 for item in database.item_ids}
+        positions: dict[int, list[int]] = {
+            item: [] for item in database.item_ids
+        }
         for position, transaction in enumerate(database):
-            mask = 1 << position
             for item in transaction:
-                if item not in item_bits:
+                rows = positions.get(item)
+                if rows is None:
                     raise DataError(
                         f"transaction {position}: item id {item} is not "
                         "an item of the bound taxonomy"
                     )
-                item_bits[item] |= mask
+                rows.append(position)
+        # each item's bitset is assembled once, in a byte buffer: OR-ing
+        # ``1 << position`` into an int would copy the int every time
+        width = (len(database) + 7) // 8
+        item_bits: dict[int, int] = {}
+        for item, rows in positions.items():
+            raw = bytearray(width)
+            for row in rows:
+                raw[row >> 3] |= 1 << (row & 7)
+            item_bits[item] = int.from_bytes(raw, "little")
         # level height..1: bitset of node = OR over items beneath it
-        self._level_bits: dict[int, dict[int, int]] = {}
+        self._bitsets: dict[int, dict[int, int]] = {}
         for level in range(1, self._height + 1):
             bits: dict[int, int] = {}
             for node_id in taxonomy.nodes_at_level(level):
@@ -47,50 +63,22 @@ class VerticalIndex:
                 for item in taxonomy.item_leaves(node_id):
                     value |= item_bits[item]
                 bits[node_id] = value
-            self._level_bits[level] = bits
-
-    @classmethod
-    def from_level_bits(
-        cls, level_bits: dict[int, dict[int, int]], height: int
-    ) -> "VerticalIndex":
-        """Reattach an index from already-built per-level bitsets.
-
-        The restore path of persisted backend images (see
-        :mod:`repro.data.columnar`): no database scan happens, and the
-        resulting index has no bound database — only the counting
-        surface (``bitset`` / ``support`` / ``node_supports``), which
-        is all the shard pool ever uses.
-        """
-        index = cls.__new__(cls)
-        index._database = None
-        index._height = height
-        index._level_bits = level_bits
-        return index
+            self._bitsets[level] = bits
 
     # ------------------------------------------------------------------
 
     @property
     def database(self) -> TransactionDatabase:
-        if self._database is None:
-            raise DataError(
-                "this VerticalIndex was restored from a backend image "
-                "and carries no transaction database"
-            )
         return self._database
 
     @property
     def height(self) -> int:
         return self._height
 
-    @property
-    def level_bits(self) -> dict[int, dict[int, int]]:
-        """The raw per-level bitsets (image persistence reads these)."""
-        return self._level_bits
-
     def bitset(self, level: int, node_id: int) -> int:
         """Transaction bitset of a single node at ``level``."""
         try:
-            return self._level_bits[level][node_id]
+            return self._bitsets[level][node_id]
         except KeyError:
             raise DataError(
                 f"node {node_id} is not at taxonomy level {level}"
@@ -102,7 +90,7 @@ class VerticalIndex:
 
     def support(self, level: int, itemset: tuple[int, ...]) -> int:
         """Support of an (h,k)-itemset of node ids at ``level``."""
-        bits = self._level_bits[level]
+        bits = self._bitsets[level]
         try:
             value = bits[itemset[0]]
             for node_id in itemset[1:]:
@@ -121,7 +109,7 @@ class VerticalIndex:
 
     def itemset_bitset(self, level: int, itemset: tuple[int, ...]) -> int:
         """Raw AND-bitset of an itemset (for callers that reuse it)."""
-        bits = self._level_bits[level]
+        bits = self._bitsets[level]
         value = bits[itemset[0]]
         for node_id in itemset[1:]:
             value &= bits[node_id]
@@ -131,5 +119,5 @@ class VerticalIndex:
         """Support of every node at ``level`` (single scan of the index)."""
         return {
             node_id: value.bit_count()
-            for node_id, value in self._level_bits[level].items()
+            for node_id, value in self._bitsets[level].items()
         }

@@ -414,6 +414,21 @@ class TestBudgetRespected:
         # estimate equals mapped shard + image bytes once on disk
         assert estimate == actual
 
+    def test_build_admit_charged_shard_plus_plane_bytes(self, store):
+        from repro.core.counting import ShardBackendPool
+
+        pool = ShardBackendPool(store, persist_images=False)
+        height = store.taxonomy.height
+        for index in range(store.n_shards):
+            backend = pool.backend(index)
+            planes = sum(
+                backend._plane(level).nbytes
+                for level in range(1, height + 1)
+            )
+            assert pool._resident_bytes[index] == (
+                store.shard_bytes(index) + planes
+            )
+
     def test_jsonl_estimate_keeps_expansion_heuristic(
         self, random_db, tmp_path
     ):
