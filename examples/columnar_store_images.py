@@ -15,7 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from repro.core.counting import PartitionedBackend, ShardBackendPool
+from repro.core.counting import DeltaCounter
 from repro.core.flipper import FlipperMiner
 from repro.data.shards import ShardedTransactionStore
 from repro.datasets import GROCERIES_THRESHOLDS, generate_groceries
@@ -49,7 +49,7 @@ def main() -> None:
         miner = FlipperMiner(store, GROCERIES_THRESHOLDS)
         cold = miner.mine()
         backend = miner.context.backend
-        assert isinstance(backend, PartitionedBackend)
+        assert isinstance(backend, DeltaCounter)
         pool = backend.pool
         print(
             f"cold mine: {len(cold.patterns)} pattern(s), "

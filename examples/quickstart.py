@@ -110,10 +110,10 @@ def main() -> None:
 
     # 8. Growing data: a partitioned miner accepts streaming deltas.
     #    `update(batch)` appends the new transactions to the shard
-    #    store as a fresh shard, folds their counts into the cached
-    #    global supports (delta shards are the only data re-counted)
-    #    and returns patterns byte-identical to re-mining everything
-    #    from scratch.  On the command line: `flipper-mine mine
+    #    store as a fresh shard, builds a counting backend for that
+    #    shard only (the others stay resident), re-mines and returns
+    #    patterns byte-identical to re-mining everything from
+    #    scratch.  On the command line: `flipper-mine mine
     #    --append delta.basket` or the persistent `flipper-mine
     #    update --store DIR --append delta.basket`.
     from repro import FlipperMiner
@@ -133,8 +133,8 @@ def main() -> None:
     ]
     info = updated.config["incremental"]
     print(
-        f"delta update ({info['delta_rows']} rows, {info['mode']} mode, "
-        f"{info['cache_hits']} cached supports) matches a full re-mine"
+        f"delta update ({info['delta_rows']} rows, {info['mode']} mode) "
+        "matches a full re-mine"
     )
 
     # 9. Serving: a PatternStore puts the mined patterns behind

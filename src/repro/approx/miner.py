@@ -15,9 +15,8 @@ patterns for mining speed, while never fabricating one:
   its chain's tests — see the bounds module for exactly what is and
   is not guaranteed).
 * **Phase 2 — verify.**  Count every candidate chain *exactly* over
-  the full store through the partitioned counting path
-  (:class:`~repro.core.counting.PartitionedBackend` /
-  :class:`~repro.core.counting.DeltaCounter`), batched per taxonomy
+  the full store through the shard store's counter
+  (:class:`~repro.core.counting.DeltaCounter`), batched per taxonomy
   level, re-label at the exact thresholds and keep only chains that
   genuinely flip.  Survivors are rebuilt with exact supports and
   correlations, so the returned
@@ -40,11 +39,7 @@ from typing import Any
 from repro.approx.bounds import SampleBounds
 from repro.approx.sampling import draw_sample
 from repro.approx.stages import build_approx_stages
-from repro.core.counting import (
-    DeltaCounter,
-    PartitionedBackend,
-    merge_shard_counts,
-)
+from repro.core.counting import DeltaCounter, merge_shard_counts
 from repro.core.labels import flips, label_for
 from repro.core.measures import Measure, get_measure
 from repro.core.patterns import ChainLink, FlippingPattern, MiningResult
@@ -132,10 +127,9 @@ class ApproxMiner:
     max_sample_rows / sample_memory_budget_mb:
         Optional absolute row / memory budgets capping the sample.
     verify_backend:
-        An existing :class:`PartitionedBackend` (or
-        :class:`DeltaCounter`) over the same store to run phase 2
-        through — lets :class:`~repro.core.flipper.FlipperMiner` share
-        its warm counter.  Built from ``backend`` when omitted.
+        An existing :class:`DeltaCounter` over the same store to run
+        phase 2 through — lets :class:`~repro.core.flipper.FlipperMiner`
+        share its counter.  Built from ``backend`` when omitted.
     """
 
     def __init__(
@@ -156,7 +150,7 @@ class ApproxMiner:
         partitions: int | None = None,
         memory_budget_mb: float | None = None,
         shard_dir: str | None = None,
-        verify_backend: PartitionedBackend | None = None,
+        verify_backend: DeltaCounter | None = None,
     ) -> None:
         if not 0.0 < sample_rate <= 1.0:
             raise ConfigError(
@@ -207,7 +201,7 @@ class ApproxMiner:
         return self._store
 
     @property
-    def verify_backend(self) -> PartitionedBackend:
+    def verify_backend(self) -> DeltaCounter:
         return self._verify_backend
 
     # ------------------------------------------------------------------

@@ -56,7 +56,7 @@ from repro.bench.profiles import (
     thresholds_for_profile,
 )
 from repro.bench.report import ShapeCheck, format_table, render_checks
-from repro.core.counting import PartitionedBackend
+from repro.core.counting import DeltaCounter
 from repro.core.flipper import FlipperMiner
 from repro.core.patterns import MiningResult
 from repro.data.shards import ShardedTransactionStore
@@ -160,7 +160,7 @@ def run_approx_bench(
         exact_miner = FlipperMiner(
             store,
             thresholds,
-            backend=PartitionedBackend(
+            backend=DeltaCounter(
                 store, memory_budget_mb=budget_mb, persist_images=False
             ),
         )
@@ -179,7 +179,7 @@ def run_approx_bench(
         approx_miner = FlipperMiner(
             reopened,
             thresholds,
-            backend=PartitionedBackend(
+            backend=DeltaCounter(
                 reopened,
                 memory_budget_mb=budget_mb,
                 persist_images=False,

@@ -1,11 +1,12 @@
 """Window bench: sliding-window update vs. cold re-mine of the window.
 
 Windowed mode's bargain is that sliding the window — append the new
-shard, retire the oldest, refresh — costs a delta's worth of counting
-plus an exact subtraction, not a window's worth of re-counting.  This
-bench drives a non-stationary stream (alternating generator seeds, so
-the pattern set actually flips as the window slides) through an
-:class:`~repro.engine.incremental.IncrementalMiner` with
+shard, retire the oldest, refresh — builds one backend for the new
+shard plus an exact node-support subtraction, and re-mines over the
+shard backends already resident, instead of re-reading the window.
+This bench drives a non-stationary stream (alternating generator
+seeds, so the pattern set actually flips as the window slides)
+through an :class:`~repro.engine.incremental.IncrementalMiner` with
 ``window_shards=`` and asserts the properties that make the mode
 trustworthy:
 

@@ -656,7 +656,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             print(
                 f"applied delta {info['file']}: {info['rows']} row(s) in "
                 f"{info['seconds']:.3f}s ({info.get('mode', 'incremental')}"
-                f" mode, {info.get('cache_hits', 0)} cached supports)"
+                " mode)"
             )
         if updates:
             print()

@@ -15,9 +15,10 @@ in-memory database:
   ablation bench and as an independent cross-check of the bitmap
   arithmetic.
 
-A sharded store counts through :class:`PartitionedBackend` (one inner
-backend per shard, exact per-shard counts summed — the SON merge) or
-its caching, delta-maintained subclass :class:`DeltaCounter`.
+A sharded store counts through :class:`DeltaCounter`: one inner
+backend per shard, exact per-shard counts summed (the SON merge), and
+per-level node supports maintained exactly as shards are appended and
+retired.
 
 Every backend counts one candidate batch per
 :meth:`~CountingBackend.supports` call; the engine's stages hand it a
@@ -58,7 +59,6 @@ __all__ = [
     "CountingBackend",
     "BitmapBackend",
     "HorizontalBackend",
-    "PartitionedBackend",
     "DeltaCounter",
     "ShardBackendPool",
     "make_backend",
@@ -793,18 +793,39 @@ class ShardBackendPool:
         self._m_resident_bytes.set(self.resident_bytes)
 
 
-class PartitionedBackend:
-    """Partition-and-merge counting over a sharded store.
+class DeltaCounter:
+    """Exact SON counting over a sharded, changing store.
 
-    Implements the :class:`CountingBackend` protocol by instantiating
-    one *inner* backend (``bitmap`` or ``horizontal``) per shard and
-    summing per-shard counts into exact global supports —
-    shards partition the transactions, so the sums equal what a
-    monolithic backend over the whole database would report, and the
-    mining output is byte-identical (the engine parity tests assert
-    it).  Shard residency is delegated to :class:`ShardBackendPool`,
-    so the working set follows ``memory_budget_mb``, not the dataset.
+    Implements the :class:`CountingBackend` protocol by holding one
+    *inner* backend (``bitmap`` or ``horizontal``) per shard and
+    summing the per-shard counts of every batch into exact global
+    supports: shards partition the transactions, so the sums equal
+    what a monolithic backend over the whole database would report,
+    and the mining output is byte-identical (the engine parity tests
+    assert it).  Shard residency is delegated to
+    :class:`ShardBackendPool`, so the working set follows
+    ``memory_budget_mb``, not the dataset.
+
+    Per-level node supports are computed once and then *maintained*
+    as the store changes.  When the store grows through
+    ``append_batch``, :meth:`refresh` counts the delta shards only and
+    adds their node supports to the tallies; when it shrinks through
+    :meth:`retire`, the retiring shards' node supports are counted
+    before the shards leave the store and subtracted once the store
+    has committed the retirement, the SON merge run in reverse.
+    Grow and shrink compose because the counted set is tracked as an
+    explicit set of shard *generations*, not a high-water mark.  Every
+    public counting entry point refreshes first, so a counter is never
+    served stale.  Itemset supports are not cached: every batch is
+    counted over the store's current shards.
     """
+
+    #: No itemset supports are cached, so these stay 0.  They remain
+    #: because readers of the former cache counters still look them
+    #: up (the traced ``stream-e2e`` run in ``perfbench/server.py``).
+    cache_hits = 0
+    cache_misses = 0
+    cached_itemsets = 0
 
     def __init__(
         self,
@@ -821,8 +842,20 @@ class PartitionedBackend:
             persist_images=persist_images,
         )
         self._taxonomy = store.taxonomy
-        self._node_supports: dict[int, dict[int, int]] = {}
         self._memory_budget_mb = memory_budget_mb
+        #: level -> node id -> exact support over the counted shards
+        self._node_supports: dict[int, dict[int, int]] = {}
+        #: generation stamps of the shards folded into the node
+        #: supports (an explicit set so appends and retirements compose)
+        self._counted: set[int] = set(store.shard_generations)
+        #: instrumentation (cumulative across refreshes/runs)
+        self.refreshes = 0
+        self.delta_shards_counted = 0
+        self.retired_shards = 0
+        self.retired_rows = 0
+        registry = default_registry()
+        self._m_retired_shards = registry.counter(catalog.RETIRED_SHARDS)
+        self._m_retired_rows = registry.counter(catalog.RETIRED_ROWS)
 
     @property
     def store(self) -> ShardedTransactionStore:
@@ -837,10 +870,6 @@ class PartitionedBackend:
         return self._pool.inner_name
 
     @property
-    def n_shards(self) -> int:
-        return self._pool.store.n_shards
-
-    @property
     def memory_budget_mb(self) -> float | None:
         return self._memory_budget_mb
 
@@ -848,7 +877,140 @@ class PartitionedBackend:
     def scans(self) -> int:
         return self._pool.scans
 
+    # ------------------------------------------------------------------
+    # delta maintenance
+    # ------------------------------------------------------------------
+
+    @property
+    def counted_shards(self) -> int:
+        """Number of shards folded into the node supports so far."""
+        return len(self._counted)
+
+    @property
+    def counted_generations(self) -> list[int]:
+        """Generation stamps of the shards folded into the node
+        supports."""
+        return sorted(self._counted)
+
+    def refresh(self) -> list[int]:
+        """Fold shards appended since the last refresh into the node
+        supports.
+
+        Builds the new shards' backends, adds their node supports (for
+        every level counted so far) to the global tallies, and returns
+        the new shard indexes.  A no-op (returning ``[]``) when the
+        store has not grown.
+
+        A counted shard that vanished from the store — anything other
+        than :meth:`retire`, which subtracts its counts — is an
+        out-of-band mutation the tallies cannot survive; it raises
+        :class:`~repro.errors.DataError` instead of silently serving
+        stale node supports.
+        """
+        generations = self._pool.store.shard_generations
+        missing = self._counted - set(generations)
+        if missing:
+            raise DataError(
+                f"store shrank behind the delta counter: "
+                f"{len(self._counted)} shard(s) counted but the store "
+                f"holds {len(generations)}; retire shards through "
+                f"DeltaCounter.retire() so counted node supports can "
+                f"be subtracted exactly"
+            )
+        new_indices = [
+            index
+            for index, generation in enumerate(generations)
+            if generation not in self._counted
+        ]
+        if not new_indices:
+            return []
+        self._counted.update(generations[index] for index in new_indices)
+        self.refreshes += 1
+        for index in new_indices:
+            backend = self._pool.backend(index)
+            if backend is None:  # empty shard: zero contribution
+                continue
+            self.delta_shards_counted += 1
+            for level, counts in self._node_supports.items():
+                for node_id, count in backend.node_supports(level).items():
+                    counts[node_id] += count
+        return new_indices
+
+    def retire(self, indexes: Iterable[int]) -> int:
+        """Retire shards with exact count subtraction; returns the
+        rows removed.
+
+        Every index and the pin set are checked before anything
+        changes.  The retiring shards' node supports are then counted
+        (through the pool, so an evicted backend is readmitted or
+        rebuilt), the store commits the retirement, and only then are
+        those supports *subtracted* from the global tallies — the SON
+        merge run in reverse — and the shards dropped from the pool.
+        A failure therefore leaves the counter and the store as they
+        were.  The surviving tallies stay exact, as if the retired
+        rows had never been appended.
+
+        Shards appended but never folded in by :meth:`refresh` are
+        simply dropped (there is nothing counted to subtract).
+        Retiring an index outside the store, or a shard currently
+        pinned by a count in progress, is a
+        :class:`~repro.errors.DataError`.
+        """
+        retired = sorted(set(int(index) for index in indexes))
+        if not retired:
+            return 0
+        store = self._pool.store
+        generations = store.shard_generations
+        for index in retired:
+            if not 0 <= index < len(generations):
+                raise DataError(
+                    f"cannot retire shard {index}: store has "
+                    f"{len(generations)} shard(s)"
+                )
+        pinned = set(retired) & self._pool.pinned_shards
+        if pinned:
+            raise DataError(
+                f"cannot retire pinned shard(s) {sorted(pinned)}: a "
+                "count over them is in progress"
+            )
+        counted = [
+            index for index in retired if generations[index] in self._counted
+        ]
+        with trace_span(catalog.SPAN_RETIRE, shards=len(retired)):
+            removed = {
+                level: dict.fromkeys(counts, 0)
+                for level, counts in self._node_supports.items()
+            }
+            if removed:
+                for index in counted:
+                    backend = self._pool.backend(index)
+                    if backend is None:  # empty shard: nothing to subtract
+                        continue
+                    for level, totals in removed.items():
+                        shard_nodes = backend.node_supports(level)
+                        for node_id, count in shard_nodes.items():
+                            totals[node_id] += count
+            rows = store.retire_shards(retired)
+            for level, totals in removed.items():
+                counts = self._node_supports[level]
+                for node_id, count in totals.items():
+                    counts[node_id] -= count
+            self._counted.difference_update(
+                generations[index] for index in counted
+            )
+            self._pool.drop_shards(retired)
+        self.retired_shards += len(retired)
+        self.retired_rows += rows
+        self._m_retired_shards.inc(len(retired))
+        self._m_retired_rows.inc(rows)
+        return rows
+
+    # ------------------------------------------------------------------
+    # CountingBackend protocol
+    # ------------------------------------------------------------------
+
     def node_supports(self, level: int) -> dict[int, int]:
+        self.refresh()
         if level not in self._node_supports:
             # One residency pass over the shards computes *every*
             # mining level's node supports: the miner's preparation
@@ -880,300 +1042,15 @@ class PartitionedBackend:
     def supports(
         self, level: int, itemsets: Sequence[tuple[int, ...]]
     ) -> dict[tuple[int, ...], int]:
-        """Exact global supports: every non-empty shard counts the
-        whole batch and the per-shard counts are summed.  An empty
-        batch touches no shard."""
-        merged: dict[tuple[int, ...], int] = {
-            itemset: 0 for itemset in itemsets
-        }
+        """Refresh, then the SON sum: every non-empty shard counts the
+        whole batch and the per-shard counts are added, in the
+        request's itemset order.  An empty batch touches no shard."""
+        self.refresh()
+        merged: dict[tuple[int, ...], int] = dict.fromkeys(itemsets, 0)
         if merged:
             for _index, backend in self._pool.iter_backends():
                 merge_shard_counts(merged, backend.supports(level, itemsets))
         return merged
-
-
-class DeltaCounter(PartitionedBackend):
-    """Incremental (SON-style, exact) counting over a *changing* store.
-
-    A :class:`PartitionedBackend` whose per-level node supports and
-    per-itemset supports are **cached and maintained under deltas**:
-    when the underlying :class:`~repro.data.shards.ShardedTransactionStore`
-    grows through ``append_batch``, :meth:`refresh` counts the *delta
-    shards only* and folds their contributions into the cached global
-    tallies.  Shards partition the transactions, so cached support +
-    delta support is the exact global support — the same SON merge the
-    partitioned path already relies on, applied over time instead of
-    over space.  The store shrinks through :meth:`retire`, the exact
-    inverse: the retiring shards are counted once and their
-    contributions *subtracted* from the cached tallies before the
-    shards are dropped from the store — the SON merge run in reverse.
-    Grow and shrink compose because the counted set is tracked as an
-    explicit set of shard *generations*, not a high-water mark.
-
-    Every public counting entry point refreshes first, so a counter is
-    never served stale: cache hits are dict lookups, cache misses are
-    counted over all shards (through the memory-budgeted pool) and
-    memoized.  Re-mining after a delta therefore pays
-
-    * one backend build + one count pass over the delta shards, and
-    * full counting only for candidates never seen before,
-
-    instead of re-reading and re-counting the whole store — the cost
-    profile :class:`~repro.engine.incremental.IncrementalMiner` and
-    the ``repro bench incremental`` harness quantify.
-
-    With ``memory_budget_mb`` set, the supports cache honors the
-    budget too: once its estimated footprint reaches the budget, new
-    entries are simply not memoized (counts stay exact — uncached
-    candidates are recounted on demand), so the partitioned path's
-    bounded-memory contract survives the caching layer.
-    """
-
-    #: rough resident bytes per cached itemset entry (tuple key,
-    #: ints, dict slot) — only used to turn ``memory_budget_mb``
-    #: into a cache-size cap, so exactness does not matter
-    CACHE_BYTES_PER_ITEMSET = 200
-
-    def __init__(
-        self,
-        store: ShardedTransactionStore,
-        inner: str = "bitmap",
-        memory_budget_mb: float | None = None,
-        *,
-        persist_images: bool = True,
-    ) -> None:
-        super().__init__(
-            store,
-            inner=inner,
-            memory_budget_mb=memory_budget_mb,
-            persist_images=persist_images,
-        )
-        #: generation stamps of the shards folded into every cache
-        #: below (an explicit set so appends and retirements compose)
-        self._counted: set[int] = set(store.shard_generations)
-        #: level -> {itemset -> exact support over counted shards}
-        self._supports_cache: dict[int, dict[tuple[int, ...], int]] = {}
-        self._max_cached_itemsets = (
-            None
-            if memory_budget_mb is None
-            else max(
-                1024,
-                int(memory_budget_mb * 1024 * 1024)
-                // self.CACHE_BYTES_PER_ITEMSET,
-            )
-        )
-        #: instrumentation (cumulative across refreshes/runs)
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.refreshes = 0
-        self.delta_shards_counted = 0
-        self.retired_shards = 0
-        self.retired_rows = 0
-        registry = default_registry()
-        self._m_cache_hits = registry.counter(catalog.CACHE_HITS)
-        self._m_cache_misses = registry.counter(catalog.CACHE_MISSES)
-        self._m_cache_size = registry.gauge(catalog.CACHE_SIZE)
-        self._m_retired_shards = registry.counter(catalog.RETIRED_SHARDS)
-        self._m_retired_rows = registry.counter(catalog.RETIRED_ROWS)
-
-    # ------------------------------------------------------------------
-    # delta maintenance
-    # ------------------------------------------------------------------
-
-    @property
-    def counted_shards(self) -> int:
-        """Number of shards folded into the caches so far."""
-        return len(self._counted)
-
-    @property
-    def counted_generations(self) -> list[int]:
-        """Generation stamps of the shards folded into the caches."""
-        return sorted(self._counted)
-
-    @property
-    def cached_itemsets(self) -> int:
-        """Itemsets held in the supports cache (all levels)."""
-        return sum(len(cache) for cache in self._supports_cache.values())
-
-    def refresh(self) -> list[int]:
-        """Fold shards appended since the last refresh into the caches.
-
-        Counts node supports (for every cached level) and every cached
-        itemset over the *new shards only*, adds the delta counts to
-        the cached global tallies, and returns the new shard indexes.
-        A no-op (returning ``[]``) when the store has not grown.
-
-        A counted shard that vanished from the store — anything other
-        than :meth:`retire`, which subtracts its counts first — is an
-        out-of-band mutation the caches cannot survive; it raises
-        :class:`~repro.errors.DataError` instead of silently serving
-        stale tallies.
-        """
-        generations = self._pool.store.shard_generations
-        missing = self._counted - set(generations)
-        if missing:
-            raise DataError(
-                f"store shrank behind the delta counter: "
-                f"{len(self._counted)} shard(s) counted but the store "
-                f"holds {len(generations)}; retire shards through "
-                f"DeltaCounter.retire() so cached counts can be "
-                f"subtracted exactly"
-            )
-        new_indices = [
-            index
-            for index, generation in enumerate(generations)
-            if generation not in self._counted
-        ]
-        if not new_indices:
-            return []
-        # Advance first: a cache miss during this refresh (impossible
-        # today, but cheap insurance) must count over the new total.
-        self._counted.update(generations[index] for index in new_indices)
-        self.refreshes += 1
-        for index in new_indices:
-            backend = self._pool.backend(index)
-            if backend is None:  # empty shard: zero contribution
-                continue
-            self.delta_shards_counted += 1
-            for level, counts in self._node_supports.items():
-                for node_id, count in backend.node_supports(level).items():
-                    counts[node_id] += count
-            for level, cache in self._supports_cache.items():
-                if not cache:
-                    continue
-                delta = backend.supports(level, list(cache))
-                for itemset, count in delta.items():
-                    cache[itemset] += count
-        return new_indices
-
-    def retire(self, indexes: Iterable[int]) -> int:
-        """Retire shards with exact count subtraction; returns the
-        rows removed.
-
-        The retiring shards are counted once (through the pool, so an
-        evicted backend is readmitted or rebuilt) and their node and
-        itemset contributions are *subtracted* from the cached global
-        tallies — the SON merge run in reverse — before the shards are
-        dropped from the store and the pool.  Survivor caches stay
-        exact: cached support equals the sum over the surviving
-        shards, as if the retired rows had never been appended.
-
-        Shards appended but never folded in by :meth:`refresh` are
-        simply dropped (there is nothing cached to subtract).
-        Retiring a shard currently pinned by a count in progress is a
-        :class:`~repro.errors.DataError`.
-        """
-        retired = sorted(set(int(index) for index in indexes))
-        if not retired:
-            return 0
-        store = self._pool.store
-        pinned = set(retired) & self._pool.pinned_shards
-        if pinned:
-            raise DataError(
-                f"cannot retire pinned shard(s) {sorted(pinned)}: a "
-                "count over them is in progress"
-            )
-        with trace_span(catalog.SPAN_RETIRE, shards=len(retired)):
-            generations = store.shard_generations
-            for index in retired:
-                if not 0 <= index < len(generations):
-                    raise DataError(
-                        f"cannot retire shard {index}: store has "
-                        f"{len(generations)} shard(s)"
-                    )
-                generation = generations[index]
-                if generation not in self._counted:
-                    continue  # appended but never refreshed in
-                backend = self._pool.backend(index)
-                if backend is not None:
-                    for level, counts in self._node_supports.items():
-                        shard_nodes = backend.node_supports(level)
-                        for node_id, count in shard_nodes.items():
-                            counts[node_id] -= count
-                    for level, cache in self._supports_cache.items():
-                        if not cache:
-                            continue
-                        delta = backend.supports(level, list(cache))
-                        for itemset, count in delta.items():
-                            cache[itemset] -= count
-                self._counted.discard(generation)
-            rows = store.retire_shards(retired)
-            self._pool.drop_shards(retired)
-        self.retired_shards += len(retired)
-        self.retired_rows += rows
-        self._m_retired_shards.inc(len(retired))
-        self._m_retired_rows.inc(rows)
-        return rows
-
-    # ------------------------------------------------------------------
-    # cache plumbing
-    # ------------------------------------------------------------------
-
-    def cached_split(
-        self, level: int, itemsets: Sequence[tuple[int, ...]]
-    ) -> tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]:
-        """Split a batch into cached supports and uncached itemsets."""
-        cache = self._supports_cache.setdefault(level, {})
-        hits: dict[tuple[int, ...], int] = {}
-        misses: list[tuple[int, ...]] = []
-        for itemset in itemsets:
-            count = cache.get(itemset)
-            if count is None:
-                misses.append(itemset)
-            else:
-                hits[itemset] = count
-        self.cache_hits += len(hits)
-        self.cache_misses += len(misses)
-        if hits:
-            self._m_cache_hits.inc(len(hits), cache="delta_counter")
-        if misses:
-            self._m_cache_misses.inc(len(misses), cache="delta_counter")
-        return hits, misses
-
-    def store_counts(
-        self, level: int, counts: dict[tuple[int, ...], int]
-    ) -> None:
-        """Memoize freshly merged global counts (must cover all
-        currently counted shards — call :meth:`refresh` first).
-        Entries beyond the budget-derived cache cap are dropped, not
-        stored: they will be recounted on demand, exactly."""
-        cache = self._supports_cache.setdefault(level, {})
-        if self._max_cached_itemsets is None:
-            cache.update(counts)
-            self._m_cache_size.set(
-                self.cached_itemsets, cache="delta_counter"
-            )
-            return
-        room = self._max_cached_itemsets - self.cached_itemsets
-        if room > 0:
-            for itemset, count in counts.items():
-                cache[itemset] = count
-                room -= 1
-                if room <= 0:
-                    break
-        self._m_cache_size.set(self.cached_itemsets, cache="delta_counter")
-
-    # ------------------------------------------------------------------
-    # CountingBackend protocol (cache-serving overrides)
-    # ------------------------------------------------------------------
-
-    def node_supports(self, level: int) -> dict[int, int]:
-        self.refresh()
-        return super().node_supports(level)
-
-    def supports(
-        self, level: int, itemsets: Sequence[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], int]:
-        """Refresh, split the batch into cache hits and misses, count
-        the misses over every shard, memoize them, and return exact
-        supports in the request's itemset order."""
-        self.refresh()
-        hits, misses = self.cached_split(level, itemsets)
-        if misses:
-            merged = super().supports(level, misses)
-            self.store_counts(level, merged)
-            hits.update(merged)
-        return {itemset: hits[itemset] for itemset in itemsets}
 
 
 _BACKENDS = {

@@ -37,12 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.cells import Cell
-from repro.core.counting import (
-    CountingBackend,
-    DeltaCounter,
-    PartitionedBackend,
-    make_backend,
-)
+from repro.core.counting import CountingBackend, DeltaCounter, make_backend
 from repro.core.itemsets import generalize
 from repro.core.labels import Label, flips
 from repro.core.measures import Measure, get_measure
@@ -141,11 +136,10 @@ class FlipperMiner:
         Which devices to enable; default: full Flipper.
     backend:
         ``"bitmap"`` (default) or ``"horizontal"`` counting, or a
-        :class:`CountingBackend` instance (a
-        :class:`PartitionedBackend` over the same store for a
-        partitioned run).  A name counts an in-memory database
-        directly and a shard store through a :class:`DeltaCounter`
-        with that inner backend per shard.
+        :class:`CountingBackend` instance (a :class:`DeltaCounter`
+        over the same store for a partitioned run).  A name counts an
+        in-memory database directly and a shard store through a
+        :class:`DeltaCounter` with that inner backend per shard.
     max_k:
         Optional hard cap on itemset size (safety valve for
         pathological data; ``None`` = bounded by the data itself).
@@ -326,9 +320,8 @@ class FlipperMiner:
 
         An in-memory database counts through the named backend
         directly.  A shard store counts through a
-        :class:`DeltaCounter` (the SON merge plus support caches), so
-        every partitioned run leaves warm caches behind and
-        :meth:`update` can re-mine a grown store incrementally.
+        :class:`DeltaCounter` (the SON merge over its shards), which
+        :meth:`update` keeps counting as the store grows.
         """
         store = self._store
         if store is None:
@@ -340,22 +333,22 @@ class FlipperMiner:
             return DeltaCounter(
                 store, inner=backend, memory_budget_mb=memory_budget_mb
             )
-        if not isinstance(backend, PartitionedBackend):
+        if not isinstance(backend, DeltaCounter):
             raise ConfigError(
                 "a partitioned run counts through per-shard backends; "
-                "pass a backend name or a PartitionedBackend instance, "
+                "pass a backend name or a DeltaCounter instance, "
                 f"not {type(backend).__name__}"
             )
         if backend.store is not store:
             raise ConfigError(
-                "the PartitionedBackend counts a different store "
+                "the DeltaCounter counts a different store "
                 "than the one being mined; build it from the same "
                 "ShardedTransactionStore"
             )
         if memory_budget_mb is not None:
             raise ConfigError(
                 "memory_budget_mb configures a backend the miner "
-                "builds; pass it to your PartitionedBackend instead"
+                "builds; pass it to your DeltaCounter instead"
             )
         return backend
 
@@ -426,10 +419,10 @@ class FlipperMiner:
                 self._store.n_shards if self._store is not None else 1
             ),
             # report the budget actually in force (a user-supplied
-            # PartitionedBackend carries its own)
+            # DeltaCounter carries its own)
             "memory_budget_mb": (
                 self._backend.memory_budget_mb
-                if isinstance(self._backend, PartitionedBackend)
+                if isinstance(self._backend, DeltaCounter)
                 else self._memory_budget_mb
             ),
         }
@@ -443,14 +436,15 @@ class FlipperMiner:
         """The sample-then-verify path behind ``sample_rate=``.
 
         Phase 2 verification runs through this miner's own
-        partitioned backend, so repeated approximate runs (and later
-        exact runs or :meth:`update` calls) share one warm counter.
+        :class:`DeltaCounter`, so repeated approximate runs (and later
+        exact runs or :meth:`update` calls) share one counter and its
+        resident shard backends.
         """
         # Local import: repro.approx imports this module.
         from repro.approx.miner import ApproxMiner
 
         assert self._store is not None  # guaranteed by __init__
-        assert isinstance(self._backend, PartitionedBackend)
+        assert isinstance(self._backend, DeltaCounter)
         runner = ApproxMiner(
             self._store,
             self._raw_thresholds,
@@ -482,8 +476,8 @@ class FlipperMiner:
 
         Only available on partitioned runs (``partitions=N`` or a
         :class:`ShardedTransactionStore`): the delta lands in new
-        shard files, the run's :class:`DeltaCounter` folds the delta
-        counts into its cached global supports, and the returned
+        shard files, the run's own :class:`DeltaCounter` folds the
+        delta shards' node supports into its tallies, and the returned
         patterns are byte-identical to a from-scratch mine of the
         grown store.
         """
@@ -497,21 +491,13 @@ class FlipperMiner:
             # Local import: engine.incremental imports this module.
             from repro.engine.incremental import IncrementalMiner
 
-            counter = (
-                self._backend
-                if isinstance(self._backend, DeltaCounter)
-                else DeltaCounter(
-                    self._store,
-                    inner=self._backend.inner_name,  # type: ignore[union-attr]
-                    memory_budget_mb=self._backend.memory_budget_mb,  # type: ignore[union-attr]
-                )
-            )
+            assert isinstance(self._backend, DeltaCounter)
             runner = IncrementalMiner(
                 self._store,
                 self._raw_thresholds,
                 measure=self._measure,
                 pruning=self._pruning,
-                backend=counter,
+                backend=self._backend,
                 max_k=self._max_k,
             )
             last = getattr(self, "_last_result", None)

@@ -7,9 +7,10 @@ keeps mining results fresh while paying only for what changed.  An
 * a :class:`~repro.data.shards.ShardedTransactionStore` that grows
   through ``append_batch`` — deltas land in brand-new shard files and
   the existing shards (and anything derived from them) stay valid;
-* a :class:`~repro.core.counting.DeltaCounter`, whose cached global
-  node/itemset supports are maintained exactly under deltas by
-  counting the *delta shards only* (the SON merge applied over time);
+* a :class:`~repro.core.counting.DeltaCounter`, which keeps one
+  resident counting backend per shard and whose global node supports
+  are maintained exactly under deltas by counting the *delta shards
+  only* (the SON merge applied over time);
 * the last :class:`~repro.core.patterns.MiningResult` together with
   the resolved thresholds it was mined under.
 
@@ -18,20 +19,21 @@ generate → count → label → prune pipeline through a fresh
 :class:`~repro.core.flipper.FlipperMiner` over the shared counter.
 The sweep is exact and byte-identical to a from-scratch mine of the
 concatenated database by construction — every stage sees the same
-exact global supports — while the count stage, the only stage whose
-cost scales with the dataset, degenerates to dict lookups for every
-(h,k)-cell whose candidates were already counted: only supports that
-actually changed (the delta shards' contributions, folded in by
-``refresh``) and candidates never seen before touch transaction data.
+exact global supports.  An update builds a backend for the delta
+shards only: the surviving shards' backends stay resident in the
+counter's pool, and every candidate batch is counted over them as
+the plain SON sum.  A mined update reports the scans it performed,
+from the append to the end of its mine, as ``stats.db_scans``.
 
 Two run modes are reported in ``result.config["incremental"]``:
 
-* ``"incremental"`` — resolved thresholds unchanged; cached counts
-  and, for an empty delta, the previous result itself are reused;
+* ``"incremental"`` — resolved thresholds unchanged; for an empty
+  delta the previous result itself is reused (mode ``"noop"``);
 * ``"full"`` — the thresholds *shifted* (fractional minimum supports
   re-resolved against a changed transaction count), so nothing mined
   earlier can be trusted and the update falls back to a full re-mine
-  (support caches are threshold-independent and survive even this).
+  (the counter's node supports are threshold-independent and survive
+  even this).
 
 With ``window_shards=`` / ``window_rows=`` the miner runs *windowed*:
 each :meth:`~IncrementalMiner.update` appends the delta, retires the
@@ -83,7 +85,7 @@ class IncrementalMiner:
     backend:
         Inner per-shard backend name (``bitmap``/``horizontal``), or
         an existing :class:`DeltaCounter` to adopt (it must count the
-        same store; its caches are reused).
+        same store; its resident shard backends are reused).
     memory_budget_mb:
         Resident-shard-backend budget of the counter's pool (ignored
         when adopting an existing counter, which carries its own).
@@ -187,7 +189,7 @@ class IncrementalMiner:
     # ------------------------------------------------------------------
 
     def mine(self) -> MiningResult:
-        """Full mine of the current store (fills the counter caches)."""
+        """Full mine of the current store."""
         return self._run(
             mode="initial",
             delta_shards=0,
@@ -200,9 +202,8 @@ class IncrementalMiner:
 
         The patterns are byte-identical to a from-scratch mine of the
         grown store (of the in-window shards, in windowed mode); only
-        the delta shards (and never-seen candidates) are counted
-        against transaction data.  An empty delta that retires nothing
-        returns the previous result unchanged.
+        the delta shards get a new backend.  An empty delta that
+        retires nothing returns the previous result unchanged.
         """
         with trace_span(catalog.SPAN_UPDATE):
             return self._update(transactions)
@@ -240,6 +241,7 @@ class IncrementalMiner:
     def _update(
         self, transactions: Iterable[Iterable[str]]
     ) -> MiningResult:
+        scans_before = self._counter.scans
         new_shards = self._store.append_batch(transactions)
         delta_rows = sum(
             self._store.shard_sizes[index] for index in new_shards
@@ -266,8 +268,6 @@ class IncrementalMiner:
                 mode="noop",
                 delta_shards=0,
                 delta_rows=0,
-                cache_hits=0,
-                cache_misses=0,
             )
             return result
         mode = "windowed" if retired_shards else "incremental"
@@ -278,7 +278,7 @@ class IncrementalMiner:
             # Fractional thresholds re-resolved against the changed N:
             # nothing mined earlier can be reused — full re-mine.
             mode = "full"
-        return self._run(
+        result = self._run(
             mode=mode,
             delta_shards=len(new_shards),
             delta_rows=delta_rows,
@@ -286,6 +286,9 @@ class IncrementalMiner:
             retired_shards=retired_shards,
             retired_rows=retired_rows,
         )
+        # the scans this update performed, not the counter's lifetime
+        result.stats.db_scans = self._counter.scans - scans_before
+        return result
 
     def _run(
         self,
@@ -299,8 +302,6 @@ class IncrementalMiner:
         # Local import: core.flipper imports the engine package.
         from repro.core.flipper import FlipperMiner
 
-        hits_before = self._counter.cache_hits
-        misses_before = self._counter.cache_misses
         miner = FlipperMiner(
             self._store,
             self._thresholds,
@@ -315,8 +316,6 @@ class IncrementalMiner:
             mode=mode,
             delta_shards=delta_shards,
             delta_rows=delta_rows,
-            cache_hits=self._counter.cache_hits - hits_before,
-            cache_misses=self._counter.cache_misses - misses_before,
             retired_shards=retired_shards,
             retired_rows=retired_rows,
         )
@@ -334,8 +333,6 @@ class IncrementalMiner:
         mode: str,
         delta_shards: int,
         delta_rows: int,
-        cache_hits: int,
-        cache_misses: int,
         retired_shards: int = 0,
         retired_rows: int = 0,
     ) -> None:
@@ -345,9 +342,6 @@ class IncrementalMiner:
             "counted_shards": self._counter.counted_shards,
             "delta_shards": delta_shards,
             "delta_rows": delta_rows,
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
-            "cached_itemsets": self._counter.cached_itemsets,
             "pool_rebuilds": self._counter.pool.rebuilds,
             "pool_image_admits": self._counter.pool.image_admits,
             "retired_shards": retired_shards,

@@ -108,7 +108,7 @@ RETIRED_SHARDS = "repro_retired_shards_total"
 RETIRED_ROWS = "repro_retired_rows_total"
 
 # ---------------------------------------------------------------------------
-# caches (query-result, delta-counter support, byte-level response)
+# caches (query-result, byte-level response)
 # ---------------------------------------------------------------------------
 
 CACHE_HITS = "repro_cache_hits_total"

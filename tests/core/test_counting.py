@@ -119,20 +119,20 @@ class TestDeltaCounter:
         assert counter.refreshes == 0
 
     def test_node_supports_track_appends(self, store, random_db):
-        from repro.core.counting import DeltaCounter, PartitionedBackend
+        from repro.core.counting import BitmapBackend, DeltaCounter
 
         counter = DeltaCounter(store)
         before = dict(counter.node_supports(2))
         delta = [random_db.transaction_names(index) for index in range(40)]
         store.append_batch(delta)
         after = counter.node_supports(2)
-        oracle = PartitionedBackend(store).node_supports(2)
+        oracle = BitmapBackend(store.to_database()).node_supports(2)
         assert after == oracle
         assert after != before
         assert counter.counted_shards == store.n_shards
 
-    def test_cached_supports_merge_delta_counts(self, store, random_db):
-        from repro.core.counting import DeltaCounter, PartitionedBackend
+    def test_supports_include_delta_counts(self, store, random_db):
+        from repro.core.counting import BitmapBackend, DeltaCounter
 
         counter = DeltaCounter(store)
         nodes = sorted(store.taxonomy.nodes_at_level(2))
@@ -142,16 +142,14 @@ class TestDeltaCounter:
             for j in range(i + 1, len(nodes))
         ][:12]
         first = counter.supports(2, itemsets)
-        assert counter.cache_misses == len(itemsets)
         delta = [random_db.transaction_names(index) for index in range(25)]
         store.append_batch(delta)
         second = counter.supports(2, itemsets)
-        # second pass is all hits: no itemset was recounted in full
-        assert counter.cache_misses == len(itemsets)
-        assert counter.cache_hits == len(itemsets)
-        oracle = PartitionedBackend(store).supports(2, itemsets)
+        oracle = BitmapBackend(store.to_database()).supports(2, itemsets)
         assert second == oracle
         assert any(second[i] > first[i] for i in itemsets)
+        # no itemset support is cached
+        assert counter.cached_itemsets == 0
 
     def test_supports_preserve_request_order(self, store):
         from repro.core.counting import DeltaCounter
@@ -208,12 +206,9 @@ class TestShardPoolResidency:
             assert index in pool.resident_shards
 
     def test_tiny_budget_counts_are_exact(self, store, random_db):
-        from repro.core.counting import (
-            BitmapBackend,
-            PartitionedBackend,
-        )
+        from repro.core.counting import BitmapBackend, DeltaCounter
 
-        budgeted = PartitionedBackend(store, memory_budget_mb=0.0001)
+        budgeted = DeltaCounter(store, memory_budget_mb=0.0001)
         oracle = BitmapBackend(random_db)
         assert budgeted.node_supports(1) == oracle.node_supports(1)
         nodes = sorted(store.taxonomy.nodes_at_level(1))
@@ -442,50 +437,3 @@ class TestBudgetRespected:
         assert pool._estimate_bytes(0) == (
             store.shard_bytes(0) * ShardBackendPool.RESIDENCY_FACTOR
         )
-
-
-class TestDeltaCounterCacheCap:
-    def test_budget_caps_memoization_but_not_exactness(
-        self, random_db, tmp_path, monkeypatch
-    ):
-        from repro.core.counting import (
-            DeltaCounter,
-            PartitionedBackend,
-        )
-        from repro.data.shards import ShardedTransactionStore
-
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 3
-        )
-        monkeypatch.setattr(
-            DeltaCounter, "CACHE_BYTES_PER_ITEMSET", 1024 * 1024
-        )
-        counter = DeltaCounter(store, memory_budget_mb=2.0)
-        # budget / bytes-per-entry = 2 entries, floored at... the
-        # floor is 1024; shrink it through the estimate instead
-        counter._max_cached_itemsets = 2
-        nodes = sorted(store.taxonomy.nodes_at_level(2))
-        itemsets = [
-            (nodes[i], nodes[j])
-            for i in range(len(nodes))
-            for j in range(i + 1, len(nodes))
-        ][:8]
-        out = counter.supports(2, itemsets)
-        assert counter.cached_itemsets == 2
-        oracle = PartitionedBackend(store).supports(2, itemsets)
-        assert out == oracle
-        # uncached entries are recounted, still exactly
-        assert counter.supports(2, itemsets) == oracle
-
-    def test_unbudgeted_counter_memoizes_everything(self, random_db, tmp_path):
-        from repro.core.counting import DeltaCounter
-        from repro.data.shards import ShardedTransactionStore
-
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 2
-        )
-        counter = DeltaCounter(store)
-        nodes = sorted(store.taxonomy.nodes_at_level(1))
-        itemsets = [(nodes[0], nodes[1]), (nodes[1], nodes[2])]
-        counter.supports(1, itemsets)
-        assert counter.cached_itemsets == len(itemsets)

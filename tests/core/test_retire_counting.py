@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.counting import DeltaCounter, PartitionedBackend
+from repro.core.counting import BitmapBackend, DeltaCounter
 from repro.data.shards import ShardedTransactionStore
 from repro.errors import DataError
 
@@ -12,6 +12,12 @@ from repro.errors import DataError
 @pytest.fixture
 def store(random_db, tmp_path):
     return ShardedTransactionStore.partition_database(random_db, tmp_path, 4)
+
+
+def _oracle(store):
+    """A monolithic backend over the store's current rows: it shares
+    no SON or pool code with the counter under test."""
+    return BitmapBackend(store.to_database())
 
 
 def _some_itemsets(store, level, limit=12):
@@ -31,7 +37,7 @@ class TestRetire:
         counter.supports(2, itemsets)
         rows = counter.retire([0, 2])
         assert rows > 0
-        oracle = PartitionedBackend(store)
+        oracle = _oracle(store)
         assert counter.node_supports(2) == oracle.node_supports(2)
         assert counter.supports(2, itemsets) == (
             oracle.supports(2, itemsets)
@@ -51,7 +57,7 @@ class TestRetire:
         delta = [random_db.transaction_names(index) for index in range(30)]
         store.append_batch(delta)
         counter.refresh()
-        oracle = PartitionedBackend(store)
+        oracle = _oracle(store)
         assert counter.node_supports(1) == oracle.node_supports(1)
 
     def test_uncounted_generation_is_skipped(self, store, random_db):
@@ -62,7 +68,7 @@ class TestRetire:
         new = store.append_batch(delta)
         rows = counter.retire(new)
         assert rows == len(delta)
-        oracle = PartitionedBackend(store)
+        oracle = _oracle(store)
         assert counter.node_supports(1) == oracle.node_supports(1)
 
     def test_retire_counts_instrumented(self, store):
@@ -84,6 +90,33 @@ class TestRetire:
         counter = DeltaCounter(store)
         with pytest.raises(DataError):
             counter.retire([9])
+
+    def test_failed_retire_changes_nothing(self, store, random_db):
+        """A retire that raises — one bad index among good ones, or a
+        pinned shard — leaves the counted generations, the node
+        supports and the store exactly as they were."""
+        counter = DeltaCounter(store)
+        store.append_batch(
+            [random_db.transaction_names(index) for index in range(15)]
+        )
+        counter.retire([0])
+        nodes = {level: dict(counter.node_supports(level)) for level in (1, 2)}
+        generations = counter.counted_generations
+        assert generations == [1, 2, 3, 4]
+        sizes = store.shard_sizes
+        with pytest.raises(DataError, match="99"):
+            counter.retire([0, 99])
+        iterator = counter.pool.iter_backends()
+        next(iterator)
+        with pytest.raises(DataError, match="pinned"):
+            counter.retire([0, 1])
+        iterator.close()
+        assert counter.counted_generations == generations
+        assert store.shard_generations == generations
+        assert store.shard_sizes == sizes
+        for level, counts in nodes.items():
+            assert counter._node_supports[level] == counts
+            assert counts == _oracle(store).node_supports(level)
 
 
 class TestRefreshGuard:

@@ -174,8 +174,9 @@ class TestFlipperMinerUpdate:
         )
         assert fingerprint(result) == fingerprint(fresh)
         # the facade reuses the run's own DeltaCounter: the update
-        # must not have re-counted the already-cached base candidates
-        assert result.config["incremental"]["cache_hits"] > 0
+        # builds the delta shard only, not every shard again
+        incremental = result.config["incremental"]
+        assert result.stats.db_scans == incremental["delta_shards"] == 1
 
     def test_update_requires_the_partitioned_path(
         self, grocery_taxonomy, rows, thresholds

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.core.counting import (
-    PartitionedBackend,
+    DeltaCounter,
     ShardBackendPool,
     make_backend,
 )
@@ -49,7 +49,7 @@ def _mine(database, **kwargs):
 
 
 class TestCountingParity:
-    """PartitionedBackend counts == monolithic backend counts."""
+    """DeltaCounter counts == monolithic backend counts."""
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("n_shards", [1, 3])
@@ -59,7 +59,7 @@ class TestCountingParity:
         store = ShardedTransactionStore.partition_database(
             planted_db, tmp_path, n_shards
         )
-        partitioned = PartitionedBackend(store, inner=backend_name)
+        partitioned = DeltaCounter(store, inner=backend_name)
         monolithic = make_backend(backend_name, planted_db)
         level = 2
         candidates = [
@@ -80,7 +80,7 @@ class TestCountingParity:
         store = ShardedTransactionStore.partition_database(
             example3_db, tmp_path, n + 3
         )
-        partitioned = PartitionedBackend(store)
+        partitioned = DeltaCounter(store)
         monolithic = make_backend("bitmap", example3_db)
         assert partitioned.node_supports(1) == monolithic.node_supports(1)
 
@@ -219,7 +219,7 @@ class TestMiningParity:
         )
         result = miner.mine()
         backend = miner.context.backend
-        assert isinstance(backend, PartitionedBackend)
+        assert isinstance(backend, DeltaCounter)
         # at most one full-size shard resident at a time under this
         # budget, and the pool paid for evictions — with rebuilds or
         # with zero-parse image re-admits
@@ -265,11 +265,11 @@ class TestConfigErrors:
             FlipperMiner(
                 planted_store,
                 GROCERIES_THRESHOLDS,
-                backend=PartitionedBackend(other),
+                backend=DeltaCounter(other),
             )
 
     def test_budget_with_instance_backend_rejected(self, planted_store):
-        backend = PartitionedBackend(planted_store, memory_budget_mb=4)
+        backend = DeltaCounter(planted_store, memory_budget_mb=4)
         with pytest.raises(ConfigError, match="memory_budget_mb"):
             FlipperMiner(
                 planted_store,
@@ -279,7 +279,7 @@ class TestConfigErrors:
             )
 
     def test_config_reports_instance_backend_budget(self, planted_store):
-        backend = PartitionedBackend(planted_store, memory_budget_mb=4)
+        backend = DeltaCounter(planted_store, memory_budget_mb=4)
         result = FlipperMiner(
             planted_store, GROCERIES_THRESHOLDS, backend=backend
         ).mine()

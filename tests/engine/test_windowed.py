@@ -21,6 +21,7 @@ from repro.core.flipper import mine_flipping_patterns
 from repro.core.thresholds import Thresholds
 from repro.data.database import TransactionDatabase
 from repro.data.shards import ShardedTransactionStore
+from repro.datasets.groceries import GROCERIES_THRESHOLDS, generate_groceries
 from repro.engine.incremental import IncrementalMiner
 from repro.errors import ConfigError
 from tests.conftest import (
@@ -227,6 +228,24 @@ class TestWindowedEdges:
         miner.update(segments[3])
         assert calls == 1
         assert miner._last_resolved == original()
+
+    def test_update_reports_its_own_scans(self, tmp_path):
+        # regression: an update used to report the counter's lifetime
+        # scans (4, 5, 6, 7 here); each one builds exactly one shard
+        database = generate_groceries(scale=0.2)
+        store = ShardedTransactionStore.partition_database(
+            database, tmp_path, 3
+        )
+        miner = IncrementalMiner(store, GROCERIES_THRESHOLDS, window_shards=3)
+        assert miner.mine().stats.db_scans == 3
+        for step in range(4):
+            delta = [
+                database.transaction_names(row)
+                for row in range(step * 15, (step + 1) * 15)
+            ]
+            result = miner.update(delta)
+            assert result.config["incremental"]["delta_shards"] == 1
+            assert result.stats.db_scans == 1
 
     @pytest.mark.parametrize(
         "kwargs", [{"window_shards": 0}, {"window_rows": 0}]

@@ -78,37 +78,17 @@ class TestPoolMetrics:
 
 
 class TestDeltaCounterMetrics:
-    def test_cache_hits_and_misses_mirrored(self, store):
+    def test_retirements_mirrored(self, store):
         from repro.core.counting import DeltaCounter
 
         registry = default_registry()
-
-        def reading() -> tuple[float, float, float]:
-            return (
-                registry.value(
-                    catalog.CACHE_HITS, cache="delta_counter"
-                ),
-                registry.value(
-                    catalog.CACHE_MISSES, cache="delta_counter"
-                ),
-                registry.value(
-                    catalog.CACHE_SIZE, cache="delta_counter"
-                ),
-            )
-
-        hits0, misses0, _size0 = reading()
+        shards0 = registry.value(catalog.RETIRED_SHARDS)
+        rows0 = registry.value(catalog.RETIRED_ROWS)
         counter = DeltaCounter(store)
-        nodes = sorted(store.taxonomy.nodes_at_level(1))
-        itemsets = [(nodes[0], nodes[1]), (nodes[1], nodes[2])]
-        counter.supports(1, itemsets)
-        hits1, misses1, size1 = reading()
-        assert misses1 - misses0 == len(itemsets)
-        assert hits1 == hits0
-        assert size1 == counter.cached_itemsets
-        counter.supports(1, itemsets)
-        hits2, misses2, _size2 = reading()
-        assert hits2 - hits1 == len(itemsets)
-        assert misses2 == misses1
+        rows = counter.retire([0])
+        assert registry.value(catalog.RETIRED_SHARDS) - shards0 == 1
+        assert registry.value(catalog.RETIRED_ROWS) - rows0 == rows
+        assert counter.retired_rows == rows > 0
 
 
 class TestColumnarMetrics:
