@@ -118,9 +118,11 @@ def main() -> None:
     #    update --store DIR --append delta.basket`.
     from repro import FlipperMiner
 
-    streaming = FlipperMiner(database, thresholds, partitions=2)
-    streaming.mine()
-    updated = streaming.update([["a11", "b11", "a21"], ["a11", "b11"]])
+    # (the miner owns the temporary shard directory it split the
+    # database into; leaving the `with` block removes it)
+    with FlipperMiner(database, thresholds, partitions=2) as streaming:
+        streaming.mine()
+        updated = streaming.update([["a11", "b11", "a21"], ["a11", "b11"]])
     everything = mine_flipping_patterns(
         TransactionDatabase(
             transactions + [["a11", "b11", "a21"], ["a11", "b11"]],
@@ -257,22 +259,22 @@ def main() -> None:
     #     resuming from `next_since` never misses a transition.
     from repro.engine.incremental import IncrementalMiner
 
-    windowed = IncrementalMiner(
+    with IncrementalMiner(
         TransactionDatabase(transactions, taxonomy),
         thresholds,
         partitions=2,
         window_shards=2,
-    )
-    live = PatternStore.build(windowed.mine())
-    since = live.version
-    # a delta with no a11/b11 co-occurrence slides the window off
-    # the flipping pattern's supporting rows
-    slid = windowed.update([["a12", "b21"], ["a22", "b12"]] * 5)
+    ) as windowed:
+        live = PatternStore.build(windowed.mine())
+        since = live.version
+        # a delta with no a11/b11 co-occurrence slides the window off
+        # the flipping pattern's supporting rows
+        slid = windowed.update([["a12", "b21"], ["a22", "b12"]] * 5)
+        assert windowed.store.n_shards == 2  # the window bound held
     live.apply_result(slid)
     events, truncated = live.events_since(since)
     info = slid.config["incremental"]
     assert info["mode"] == "windowed"
-    assert windowed.store.n_shards == 2  # the window bound held
     assert not truncated
     print()
     print(

@@ -16,9 +16,9 @@ patterns for mining speed, while never fabricating one:
   is not guaranteed).
 * **Phase 2 — verify.**  Count every candidate chain *exactly* over
   the full store through the shard store's counter
-  (:class:`~repro.core.counting.DeltaCounter`), batched per taxonomy
-  level, re-label at the exact thresholds and keep only chains that
-  genuinely flip.  Survivors are rebuilt with exact supports and
+  (:class:`~repro.core.counting.DeltaCounter`), one row matrix per
+  (level, size) group, re-label at the exact thresholds and keep only
+  chains that genuinely flip.  Survivors are rebuilt with exact supports and
   correlations, so the returned
   :class:`~repro.core.patterns.MiningResult` contains only
   exact-verified patterns and is byte-compatible with everything
@@ -36,10 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from repro.approx.bounds import SampleBounds
 from repro.approx.sampling import draw_sample
 from repro.approx.stages import build_approx_stages
-from repro.core.counting import DeltaCounter, merge_shard_counts
+from repro.core.counting import DeltaCounter
 from repro.core.labels import flips, label_for
 from repro.core.measures import Measure, get_measure
 from repro.core.patterns import ChainLink, FlippingPattern, MiningResult
@@ -47,6 +49,7 @@ from repro.core.stats import Timer
 from repro.core.thresholds import ResolvedThresholds, Thresholds
 from repro.data.database import TransactionDatabase
 from repro.data.shards import (
+    ShardDirOwner,
     ShardedTransactionStore,
     open_or_partition_store,
 )
@@ -110,7 +113,7 @@ class ApproxCandidate:
         }
 
 
-class ApproxMiner:
+class ApproxMiner(ShardDirOwner):
     """One sample-then-verify mining run over a sharded store.
 
     Parameters mirror :class:`~repro.core.flipper.FlipperMiner` where
@@ -335,11 +338,12 @@ class ApproxMiner:
     ) -> tuple[list[FlippingPattern], int]:
         """Exact-count every candidate chain and keep true flips.
 
-        All levels' candidate itemsets *and* node supports are counted
-        in one residency pass over the shard pool: under a memory
-        budget every extra pass would rebuild each evicted shard
-        backend again, and the single pass is what keeps phase 2 at
-        ~one store-read regardless of taxonomy height.
+        Every (level, size) group's candidate rows *and* every level's
+        node supports are counted in one residency pass over the shard
+        pool: under a memory budget every extra pass would rebuild
+        each evicted shard backend again, and the single pass is what
+        keeps phase 2 at ~one store-read regardless of taxonomy height
+        and chain sizes.
         """
         if not patterns:
             return [], 0
@@ -358,48 +362,59 @@ class ApproxMiner:
     def _exact_counts(
         self, patterns: list[FlippingPattern]
     ) -> tuple[
-        dict[int, dict[tuple[int, ...], int]],
+        dict[tuple[int, tuple[int, ...]], int],
         dict[int, dict[int, int]],
     ]:
-        """Exact candidate-itemset and node supports, one pool pass."""
-        by_level: dict[int, list[tuple[int, ...]]] = {}
+        """Exact candidate-itemset and node supports, one pool pass:
+        each shard adds its count array to every (level, size)
+        group's total."""
+        grouped: dict[tuple[int, int], set[tuple[int, ...]]] = {}
         for pattern in patterns:
             for link in pattern.links:
-                by_level.setdefault(link.level, []).append(link.itemset)
-        by_level = {
-            level: sorted(set(itemsets))
-            for level, itemsets in sorted(by_level.items())
+                key = (link.level, len(link.itemset))
+                grouped.setdefault(key, set()).add(link.itemset)
+        groups = {
+            key: sorted(itemsets) for key, itemsets in sorted(grouped.items())
+        }
+        rows = {
+            key: np.array(itemsets, dtype=np.int64)
+            for key, itemsets in groups.items()
+        }
+        totals = {
+            key: np.zeros(len(itemsets), dtype=np.int64)
+            for key, itemsets in groups.items()
         }
         taxonomy = self._store.taxonomy
-        exact: dict[int, dict[tuple[int, ...], int]] = {
-            level: {itemset: 0 for itemset in itemsets}
-            for level, itemsets in by_level.items()
-        }
         node_supports: dict[int, dict[int, int]] = {
             level: {
                 node_id: 0 for node_id in taxonomy.nodes_at_level(level)
             }
-            for level in by_level
+            for level in sorted({level for level, _k in groups})
         }
         for _index, backend in self._verify_backend.pool.iter_backends():
-            for level, itemsets in by_level.items():
+            for level, counts in node_supports.items():
                 for node_id, count in backend.node_supports(level).items():
-                    node_supports[level][node_id] += count
-                counts = backend.supports(level, itemsets)
-                merge_shard_counts(exact[level], counts)
+                    counts[node_id] += count
+            for (level, k), matrix in rows.items():
+                totals[level, k] += backend.supports(level, matrix)
+        exact = {
+            (level, itemset): count
+            for (level, k), itemsets in groups.items()
+            for itemset, count in zip(itemsets, totals[level, k].tolist())
+        }
         return exact, node_supports
 
     def _exact_links(
         self,
         pattern: FlippingPattern,
         resolved: ResolvedThresholds,
-        exact: dict[int, dict[tuple[int, ...], int]],
+        exact: dict[tuple[int, tuple[int, ...]], int],
         node_supports: dict[int, dict[int, int]],
     ) -> list[ChainLink] | None:
         links: list[ChainLink] = []
         previous = None
         for link in pattern.links:
-            support = exact[link.level][link.itemset]
+            support = exact[link.level, link.itemset]
             item_supports = [
                 node_supports[link.level][node] for node in link.itemset
             ]
@@ -438,10 +453,11 @@ def mine_approximate(
     **kwargs: Any,
 ) -> MiningResult:
     """One-call façade over :class:`ApproxMiner`."""
-    return ApproxMiner(
+    with ApproxMiner(
         database,
         thresholds,
         sample_rate=sample_rate,
         confidence=confidence,
         **kwargs,
-    ).mine()
+    ) as miner:
+        return miner.mine()

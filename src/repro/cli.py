@@ -612,7 +612,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         else nullcontext()
     )
     updates: list[dict[str, object]] = []
-    with span_scope as tracer:
+    with miner, span_scope as tracer:
         result = miner.mine()
         for path in appends:
             delta = load_transactions(path)

@@ -11,12 +11,17 @@ Two generation regimes exist, matching the paper's framework:
   itemset whose vertical chain can still flip (each chain itemset has
   a chain-alive parent by Definition 2).
 
-The miner runs child expansion through :func:`expand_children`, which
-walks the product position by position as NumPy arrays and prunes
-prefixes by SIBP bans, the pair screen and prefix support as it goes.
-:func:`child_expansion_candidates` is the scalar reference it is
-property-tested against.  Both regimes then pass through the
-known-infrequent-subset test.
+Candidates travel as ``(n, k)`` int64 row matrices of node ids, one
+canonical (ascending) itemset per row.  The miner runs child
+expansion through :func:`expand_children`, which walks the product
+position by position over all parents at once and prunes prefixes by
+SIBP bans, the pair screen and prefix support as it goes.  Both
+regimes then pass through :func:`prune_infrequent_subsets`, which
+drops one column at a time and tests the (k-1)-subsets against the
+left cell's sorted keys.  :func:`child_expansion_candidates`,
+:func:`filter_banned` and :func:`filter_known_infrequent_subsets` are
+the scalar, tuple-based references the array paths are
+property-tested against.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 
 from repro.core.cells import Cell
 from repro.core.itemsets import apriori_join
+from repro.core.rowkeys import RowKeys
 
 __all__ = [
     "pair_candidates",
@@ -38,22 +44,21 @@ __all__ = [
     "expand_children",
     "filter_banned",
     "filter_known_infrequent_subsets",
+    "prune_infrequent_subsets",
 ]
 
 
-def pair_candidates(frequent_items: Sequence[int]) -> list[tuple[int, ...]]:
+def pair_candidates(frequent_items: Collection[int]) -> np.ndarray:
     """All 2-itemsets over the frequent single items of a level."""
-    items = sorted(frequent_items)
-    return [
-        (items[i], items[j])
-        for i in range(len(items))
-        for j in range(i + 1, len(items))
-    ]
+    items = np.array(sorted(frequent_items), dtype=np.int64)
+    first, second = np.triu_indices(len(items), k=1)
+    return np.column_stack((items[first], items[second]))
 
 
-def row_join_candidates(cell_left: Cell) -> list[tuple[int, ...]]:
+def row_join_candidates(cell_left: Cell) -> np.ndarray:
     """Apriori-join the frequent (k-1)-itemsets of the cell to the left."""
-    return apriori_join(cell_left.frequent_itemsets)
+    joined = apriori_join(cell_left.frequent_itemsets)
+    return np.array(joined, dtype=np.int64).reshape(-1, cell_left.k + 1)
 
 
 def child_expansion_candidates(
@@ -113,30 +118,20 @@ def child_expansion_candidates(
     return candidates
 
 
-#: ``frequent_of(itemsets) -> the ones whose support reaches θ_h`` — a
-#: batch frequency test, answered by counting or from earlier cells
-FrequentOf = Callable[[list[tuple[int, ...]]], set[tuple[int, ...]]]
+#: ``frequent_of(rows) -> per row, does its support reach θ_h`` — a
+#: batch frequency test over an ``(n, k)`` row matrix, answered by
+#: counting or from earlier cells
+FrequentOf = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
 class ChildExpansion:
     """What :func:`expand_children` produced for one cell."""
 
-    #: canonical candidates, parent by parent in product order
-    candidates: list[tuple[int, ...]]
+    #: canonical candidate rows, parent by parent in product order
+    candidates: np.ndarray
     #: frequent children left out because SIBP banned them at this size
     banned_children: int = 0
-
-
-def _contains_sorted(
-    sorted_keys: np.ndarray, keys: np.ndarray
-) -> np.ndarray:
-    """Membership of ``keys`` in an ascending key array."""
-    if not len(sorted_keys):
-        return np.zeros(len(keys), dtype=bool)
-    index = np.searchsorted(sorted_keys, keys)
-    index[index == len(sorted_keys)] = 0
-    return sorted_keys[index] == keys
 
 
 def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,7 +156,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expand_children(
-    alive_parents: Sequence[tuple[int, ...]],
+    alive_parents: np.ndarray,
     children_of: Mapping[int, Sequence[int]],
     frequent_items: Collection[int],
     *,
@@ -171,32 +166,31 @@ def expand_children(
 ) -> ChildExpansion:
     """Child expansion of chain-alive (h-1,k)-itemsets, as arrays.
 
-    Every parent item is replaced by each of its children that is
-    frequent at level h and not SIBP-banned for size-k itemsets
-    (``banned[child] < k``).  The product is built one parent
-    position at a time, over all parents at once, and thinned as it
-    grows, so it never exists in full:
+    ``alive_parents`` is an ``(m, k)`` row matrix.  Every parent item
+    is replaced by each of its children that is frequent at level h
+    and not SIBP-banned for size-k itemsets (``banned[child] < k``).
+    The product is built one parent position at a time, over all
+    parents at once, and thinned as it grows, so it never exists in
+    full:
 
     * **pair screen** (k >= 3): every child pair the expansion can
-      form is passed to ``frequent_pairs`` once; a prefix containing
-      a pair it leaves out dies.
-    * **prefix support**: the surviving prefixes of length 3 to k-1
-      are passed to ``frequent_prefixes`` in one batch per length,
-      and those it leaves out die.
+      form is passed to ``frequent_pairs`` once, as one ``(n, 2)``
+      matrix; a prefix containing a pair its mask rejects dies.
+    * **prefix support**: the distinct surviving prefixes of length 3
+      to k-1 are passed to ``frequent_prefixes`` in one matrix per
+      length, and those its mask rejects die.
 
     Both tests are anti-monotone support arguments, so no candidate
     that could be frequent is lost.  The result equals
     :func:`child_expansion_candidates` with the same screen, minus
     banned candidates and candidates with an infrequent prefix.
     """
-    parents = list(alive_parents)
-    if not parents:
-        return ChildExpansion([])
-    k = len(parents[0])
-    nodes, node_of = np.unique(
-        np.array(parents, dtype=np.int64), return_inverse=True
-    )
-    node_of = node_of.reshape(len(parents), k)
+    k = alive_parents.shape[1]
+    none = np.zeros((0, k), dtype=np.int64)
+    if not len(alive_parents):
+        return ChildExpansion(none)
+    nodes, node_of = np.unique(alive_parents, return_inverse=True)
+    node_of = node_of.reshape(alive_parents.shape)
     # children of every distinct parent node, flattened (CSR)
     flat: list[int] = []
     counts = np.zeros(len(nodes), dtype=np.int64)
@@ -214,13 +208,13 @@ def expand_children(
     starts = np.cumsum(counts) - counts
     node_of = node_of[(counts[node_of] > 0).all(axis=1)]
     if not len(node_of):
-        return ChildExpansion([], banned_children)
-    base = int(children.max()) + 1
+        return ChildExpansion(none, banned_children)
+    pair_keys = RowKeys(int(children.max()) + 1)
 
     dead = np.zeros(0, dtype=np.int64)
     if k >= 3:
         dead = _dead_pairs(
-            node_of, counts, starts, children, base, frequent_pairs
+            node_of, counts, starts, children, pair_keys, frequent_pairs
         )
 
     owner = np.arange(len(node_of))
@@ -233,26 +227,19 @@ def expand_children(
         if len(dead) and position:
             alive = np.ones(len(added), dtype=bool)
             for column in rows.T:
-                low = np.minimum(column, added)
-                high = np.maximum(column, added)
-                alive &= ~_contains_sorted(dead, low * base + high)
+                pairs = np.column_stack(
+                    (np.minimum(column, added), np.maximum(column, added))
+                )
+                alive &= ~RowKeys.contains(dead, pair_keys.pack(pairs))
             owner, rows, added = owner[alive], rows[alive], added[alive]
         rows = np.column_stack((rows, added))
         if not len(rows):
-            return ChildExpansion([], banned_children)
+            return ChildExpansion(none, banned_children)
         if 3 <= position + 1 < k:
             distinct, inverse = _distinct_rows(np.sort(rows, axis=1))
-            prefixes = list(map(tuple, distinct.tolist()))
-            kept = frequent_prefixes(prefixes)
-            frequent = np.fromiter(
-                (prefix in kept for prefix in prefixes),
-                dtype=bool,
-                count=len(prefixes),
-            )[inverse]
+            frequent = frequent_prefixes(distinct)[inverse]
             owner, rows = owner[frequent], rows[frequent]
-    return ChildExpansion(
-        list(map(tuple, np.sort(rows, axis=1).tolist())), banned_children
-    )
+    return ChildExpansion(np.sort(rows, axis=1), banned_children)
 
 
 def _dead_pairs(
@@ -260,11 +247,11 @@ def _dead_pairs(
     counts: np.ndarray,
     starts: np.ndarray,
     children: np.ndarray,
-    base: int,
+    pair_keys: RowKeys,
     frequent_pairs: FrequentOf,
 ) -> np.ndarray:
-    """Sorted ``low * base + high`` keys of the infrequent child
-    pairs, over every pair of parent nodes that share a parent."""
+    """Sorted keys of the infrequent child pairs, over every pair of
+    parent nodes that share a parent."""
     k = node_of.shape[1]
     node_pairs = np.unique(
         np.concatenate(
@@ -279,16 +266,10 @@ def _dead_pairs(
     source, offset = _spread(counts[right])
     second = children[starts[right][source] + offset]
     first = first[source]
-    low = np.minimum(first, second)
-    high = np.maximum(first, second)
-    pairs = list(map(tuple, np.column_stack((low, high)).tolist()))
-    kept = frequent_pairs(pairs)
-    below = np.fromiter(
-        (pair not in kept for pair in pairs),
-        dtype=bool,
-        count=len(pairs),
+    pairs = np.column_stack(
+        (np.minimum(first, second), np.maximum(first, second))
     )
-    return np.sort(low[below] * base + high[below])
+    return pair_keys.sort(pairs[~frequent_pairs(pairs)])
 
 
 def filter_banned(
@@ -318,7 +299,9 @@ def filter_known_infrequent_subsets(
     *,
     strict: bool,
 ) -> tuple[list[tuple[int, ...]], int]:
-    """Apriori subset pruning against the cell to the left.
+    """Apriori subset pruning against the cell to the left, one tuple
+    at a time: the reference :func:`prune_infrequent_subsets` is
+    property-tested against.
 
     ``strict=True`` (BASIC: the left cell holds *every* counted
     candidate of the row) prunes when a subset is missing or
@@ -329,21 +312,46 @@ def filter_known_infrequent_subsets(
     """
     if cell_left is None:
         return list(candidates), 0
-    frequent = cell_left.entries
-    infrequent = cell_left.infrequent
-    if not strict and not infrequent:
-        return list(candidates), 0
     kept: list[tuple[int, ...]] = []
     dropped = 0
     for itemset in candidates:
         # combinations of a sorted tuple are sorted: the (k-1)-subsets
         subsets = itertools.combinations(itemset, len(itemset) - 1)
         if strict:
-            prune = not all(map(frequent.__contains__, subsets))
+            prune = any(cell_left.get(subset) is None for subset in subsets)
         else:
-            prune = not infrequent.isdisjoint(subsets)
+            prune = any(
+                subset in cell_left and cell_left.get(subset) is None
+                for subset in subsets
+            )
         if prune:
             dropped += 1
         else:
             kept.append(itemset)
     return kept, dropped
+
+
+def prune_infrequent_subsets(
+    rows: np.ndarray,
+    cell_left: Cell | None,
+    *,
+    strict: bool,
+) -> tuple[np.ndarray, int]:
+    """Apriori subset pruning of an ``(n, k)`` candidate matrix
+    against the cell to the left, with the semantics of
+    :func:`filter_known_infrequent_subsets`.
+
+    Dropping one column of a canonical row leaves a canonical
+    (k-1)-subset, so the test is k membership lookups in the left
+    cell's sorted keys.  Returns the kept rows and the number dropped.
+    """
+    if cell_left is None or not len(rows):
+        return rows, 0
+    if not strict and not len(cell_left.infrequent):
+        return rows, 0
+    columns = np.arange(rows.shape[1])
+    keep = np.ones(len(rows), dtype=bool)
+    for column in columns:
+        frequent, infrequent = cell_left.find(rows[:, columns != column])
+        keep &= frequent if strict else ~infrequent
+    return rows[keep], len(rows) - int(keep.sum())

@@ -1,12 +1,17 @@
 """Support-counting backends.
 
 The miner asks one question: *how many transactions contain this
-(h,k)-itemset?*  Two interchangeable backends answer it over an
-in-memory database:
+(h,k)-itemset?*  Every backend answers it through one protocol,
+:meth:`~CountingBackend.supports` ``(level, rows) -> counts``: ``rows``
+is an ``(n, k)`` int64 matrix of level-``h`` node ids, one itemset of
+one size per row, and the answer is an ``(n,)`` int64 array of
+supports in row order, repeated rows included.  Two interchangeable
+backends answer it over an in-memory database:
 
 * :class:`BitmapBackend` (default) — one packed ``uint64`` word plane
-  per taxonomy level; a batch is counted by one blocked gather, AND
-  and ``np.bitwise_count`` popcount over the plane
+  per taxonomy level; a per-level lookup array maps node ids to plane
+  rows, and a batch is counted by one blocked gather, AND and
+  ``np.bitwise_count`` popcount over the plane
   (:func:`_and_popcount`).  The pure-Python bigint
   :class:`~repro.data.vertical.VerticalIndex` is its test reference.
 * :class:`HorizontalBackend` — scans the level-projected transaction
@@ -16,16 +21,15 @@ in-memory database:
   arithmetic.
 
 A sharded store counts through :class:`DeltaCounter`: one inner
-backend per shard, exact per-shard counts summed (the SON merge), and
-per-level node supports maintained exactly as shards are appended and
-retired.
+backend per shard, and the exact global supports are the sum of the
+shards' count arrays (the SON merge).  Per-level node supports are
+maintained exactly as shards are appended and retired.
 
-Every backend counts one candidate batch per
-:meth:`~CountingBackend.supports` call; the engine's stages hand it a
-cell's whole batch, so a horizontal batch is one scan.
-``node_supports`` results are cached per level — the engine's stages
-and the SIBP device ask for them repeatedly and must not trigger
-rescans.
+Every backend counts one candidate batch per ``supports`` call; the
+engine's stages hand it a cell's whole batch, so a horizontal batch
+is one scan.  ``node_supports`` results are cached per level — the
+engine's stages and the SIBP device ask for them repeatedly and must
+not trigger rescans.
 
 All count *scans* so the harness can report IO-model work alongside
 wall-clock time.
@@ -34,7 +38,7 @@ wall-clock time.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import Any, Protocol, runtime_checkable
 
@@ -52,6 +56,7 @@ from repro.data.shards import ShardedTransactionStore
 from repro.errors import ConfigError, DataError
 from repro.obs import catalog
 from repro.obs.metrics import MetricsRegistry, default_registry
+from repro.core.rowkeys import index_of
 from repro.obs.tracing import trace_span
 from repro.taxonomy.tree import Taxonomy
 
@@ -63,7 +68,6 @@ __all__ = [
     "ShardBackendPool",
     "make_backend",
     "resolve_backend_name",
-    "merge_shard_counts",
 ]
 
 
@@ -80,12 +84,24 @@ class CountingBackend(Protocol):
         """Support of every taxonomy node at ``level`` (cached)."""
         ...
 
-    def supports(
-        self, level: int, itemsets: Sequence[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], int]:
-        """Support of each candidate itemset at ``level``, counted as
-        one batch."""
+    def supports(self, level: int, rows: np.ndarray) -> np.ndarray:
+        """Support of every row of an ``(n, k)`` int64 matrix of
+        level-``level`` node ids, counted as one batch: ``(n,)`` int64
+        counts in row order."""
         ...
+
+
+def _check_rows(rows: np.ndarray) -> np.ndarray:
+    """A batch must be a 2-D integer matrix, one itemset per row."""
+    if (
+        not isinstance(rows, np.ndarray)
+        or rows.ndim != 2
+        or rows.dtype.kind not in "iu"
+    ):
+        raise DataError(
+            "a support batch is an (n, k) integer matrix of node ids"
+        )
+    return rows
 
 
 def _local_item_ids(reader: ColumnarShard, taxonomy: Taxonomy) -> np.ndarray:
@@ -118,9 +134,9 @@ def _scatter_planes(
     rows: np.ndarray,
     items: np.ndarray,
     item_ids: Iterable[int],
-) -> tuple[dict[int, dict[int, int]], dict[int, np.ndarray]]:
-    """Per level, the node id -> plane row map and the ``uint64`` word
-    plane.
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    """Per level, the node ids in plane-row order and the ``uint64``
+    word plane.
 
     ``rows``/``items`` list every (row, item) value of the data, with
     ``items`` indexing ``item_ids``.  Bit ``r`` of a node's plane row
@@ -130,21 +146,19 @@ def _scatter_planes(
     n_words = (n_rows + 63) // 64
     words = rows >> 6
     bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
-    row_of: dict[int, dict[int, int]] = {}
+    level_nodes: dict[int, np.ndarray] = {}
     planes: dict[int, np.ndarray] = {}
     for level in range(1, taxonomy.height + 1):
         mapping = taxonomy.item_ancestor_map(level)
-        nodes = taxonomy.nodes_at_level(level)
-        columns = {node_id: i for i, node_id in enumerate(nodes)}
-        item_column = np.array(
-            [columns[mapping[int(item)]] for item in item_ids],
-            dtype=np.intp,
-        )
+        nodes = np.array(taxonomy.nodes_at_level(level), dtype=np.int64)
+        item_column = index_of(nodes)[
+            np.array([mapping[int(item)] for item in item_ids], dtype=np.int64)
+        ]
         plane = np.zeros((len(nodes), n_words), dtype=_WORD)
         np.bitwise_or.at(plane, (item_column[items], words), bits)
-        row_of[level] = columns
+        level_nodes[level] = nodes
         planes[level] = plane
-    return row_of, planes
+    return level_nodes, planes
 
 
 def _and_popcount(plane: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -169,22 +183,24 @@ class BitmapBackend:
 
     Each taxonomy level is one ``uint64`` plane of shape
     ``(n_nodes, ceil(n_rows / 64))``: bit ``r`` of a node's row is set
-    when transaction ``r`` contains the node.  A batch is counted by
-    :func:`_and_popcount`, one blocked gather-AND-popcount over the
-    plane.  :class:`~repro.data.vertical.VerticalIndex` is the
-    pure-Python reference these counts are tested against.
+    when transaction ``r`` contains the node.  A batch's node ids go
+    through the level's lookup array to plane rows in one gather, and
+    :func:`_and_popcount` counts them with one blocked
+    gather-AND-popcount over the plane.
+    :class:`~repro.data.vertical.VerticalIndex` is the pure-Python
+    reference these counts are tested against.
     """
 
     def __init__(self, database: TransactionDatabase) -> None:
         taxonomy = database.taxonomy
         item_ids = taxonomy.item_ids
-        index_of = {item: i for i, item in enumerate(item_ids)}
+        item_index = {item: i for i, item in enumerate(item_ids)}
         lengths = np.fromiter(
             map(len, database), dtype=np.int64, count=len(database)
         )
         try:
             items = np.fromiter(
-                map(index_of.__getitem__, chain.from_iterable(database)),
+                map(item_index.__getitem__, chain.from_iterable(database)),
                 dtype=np.intp,
                 count=int(lengths.sum()),
             )
@@ -249,14 +265,17 @@ class BitmapBackend:
 
     def _attach(
         self,
-        row_of: dict[int, dict[int, int]],
+        nodes: dict[int, np.ndarray],
         planes: dict[int, np.ndarray],
         *,
         raw: dict[int, tuple[list[int], np.ndarray]],
         scans: int,
     ) -> "BitmapBackend":
-        #: level -> node id -> plane row, in plane row order
-        self._row_of = row_of
+        #: level -> node ids in plane-row order
+        self._nodes = nodes
+        #: level -> lookup array: node id -> plane row, -1 off the
+        #: level; built the first time the level is counted
+        self._row_of: dict[int, np.ndarray] = {}
         self._planes = planes
         #: image admits only: level -> (node ids, persisted uint8
         #: plane), for levels not yet viewed or copied as words
@@ -278,7 +297,7 @@ class BitmapBackend:
             n_words = (raw.shape[1] + 7) // 8
             plane = np.zeros((len(raw), n_words), dtype=_WORD)
             plane.view(np.uint8)[:, : raw.shape[1]] = raw
-        self._row_of[level] = {node_id: i for i, node_id in enumerate(nodes)}
+        self._nodes[level] = np.array(nodes, dtype=np.int64)
         self._planes[level] = plane
         return plane
 
@@ -293,7 +312,8 @@ class BitmapBackend:
         arrays: list[np.ndarray] = []
         for level in sorted(self._planes.keys() | self._raw.keys()):
             plane = self._plane(level)
-            levels.append({"level": level, "nodes": list(self._row_of[level])})
+            nodes = self._nodes[level].tolist()
+            levels.append({"level": level, "nodes": nodes})
             arrays.append(plane.view(np.uint8)[:, :width])
         return {"backend": "bitmap", "levels": levels}, arrays
 
@@ -305,43 +325,30 @@ class BitmapBackend:
         if level not in self._node_supports:
             counts = np.bitwise_count(self._plane(level)).sum(axis=1)
             self._node_supports[level] = dict(
-                zip(self._row_of[level], counts.tolist())
+                zip(self._nodes[level].tolist(), counts.tolist())
             )
         return self._node_supports[level]
 
-    def supports(
-        self, level: int, itemsets: Sequence[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], int]:
-        if not itemsets:
-            return {}
+    def supports(self, level: int, rows: np.ndarray) -> np.ndarray:
+        n, k = _check_rows(rows).shape
+        if not n:
+            return np.zeros(0, dtype=np.int64)
         plane = self._plane(level)
-        sizes = set(map(len, itemsets))
-        if 0 in sizes:
+        if not k:
             raise DataError("support of an empty itemset is undefined")
-        row_of = self._row_of[level]
-        try:
-            rows = np.fromiter(
-                map(row_of.__getitem__, chain.from_iterable(itemsets)),
-                dtype=np.intp,
-            )
-        except KeyError as exc:
-            raise DataError(
-                f"node {exc.args[0]} is not at taxonomy level {level}"
-            ) from None
-        n = len(itemsets)
-        if len(sizes) == 1:
-            counts = _and_popcount(plane, rows.reshape(n, -1))
-        else:
-            # mixed sizes: one kernel call per size, rows regrouped by
-            # offset arithmetic rather than per itemset
-            lengths = np.fromiter(map(len, itemsets), dtype=np.intp, count=n)
-            starts = np.cumsum(lengths) - lengths
-            counts = np.empty(n, dtype=np.int64)
-            for size in sizes:
-                where = np.flatnonzero(lengths == size)
-                matrix = rows[starts[where, None] + np.arange(size)]
-                counts[where] = _and_popcount(plane, matrix)
-        return dict(zip(itemsets, counts.tolist()))
+        row_of = self._row_of.get(level)
+        if row_of is None:
+            row_of = self._row_of[level] = index_of(self._nodes[level])
+        low, high = int(rows.min()), int(rows.max())
+        if low < 0 or high >= len(row_of):
+            bad = low if low < 0 else high
+            raise DataError(f"node {bad} is not at taxonomy level {level}")
+        plane_rows = row_of[rows]
+        off_level = plane_rows < 0
+        if off_level.any():
+            bad = int(rows[off_level][0])
+            raise DataError(f"node {bad} is not at taxonomy level {level}")
+        return _and_popcount(plane, plane_rows)
 
 
 class HorizontalBackend:
@@ -381,40 +388,25 @@ class HorizontalBackend:
         self._node_supports[level] = counts
         return counts
 
-    def supports(
-        self, level: int, itemsets: Sequence[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], int]:
+    def supports(self, level: int, rows: np.ndarray) -> np.ndarray:
+        _check_rows(rows)
         self._scans += 1
-        counts: dict[tuple[int, ...], int] = {
-            itemset: 0 for itemset in itemsets
-        }
-        if not counts:
-            return counts
-        candidate_list = list(counts)
-        for transaction in self._projection(level):
-            for itemset in candidate_list:
-                contained = True
-                for node_id in itemset:
-                    if node_id not in transaction:
-                        contained = False
-                        break
-                if contained:
-                    counts[itemset] += 1
-        return counts
-
-
-def merge_shard_counts(
-    merged: dict[tuple[int, ...], int],
-    shard_counts: dict[tuple[int, ...], int],
-) -> None:
-    """Fold one shard's counts into the global tally, in place.
-
-    Shards are disjoint subsets of the transactions, so exact global
-    support is the plain integer sum — the merge half of the SON
-    partition-and-merge scheme.
-    """
-    for itemset, count in shard_counts.items():
-        merged[itemset] = merged.get(itemset, 0) + count
+        itemsets = list(map(tuple, rows.tolist()))
+        counts: dict[tuple[int, ...], int] = dict.fromkeys(itemsets, 0)
+        if counts:
+            candidate_list = list(counts)
+            for transaction in self._projection(level):
+                for itemset in candidate_list:
+                    contained = True
+                    for node_id in itemset:
+                        if node_id not in transaction:
+                            contained = False
+                            break
+                    if contained:
+                        counts[itemset] += 1
+        return np.fromiter(
+            map(counts.__getitem__, itemsets), dtype=np.int64, count=len(rows)
+        )
 
 
 class ShardBackendPool:
@@ -1039,18 +1031,17 @@ class DeltaCounter:
             self._node_supports.update(merged)
         return self._node_supports[level]
 
-    def supports(
-        self, level: int, itemsets: Sequence[tuple[int, ...]]
-    ) -> dict[tuple[int, ...], int]:
+    def supports(self, level: int, rows: np.ndarray) -> np.ndarray:
         """Refresh, then the SON sum: every non-empty shard counts the
-        whole batch and the per-shard counts are added, in the
-        request's itemset order.  An empty batch touches no shard."""
+        whole batch and the shards' count arrays are added.  Shards
+        partition the transactions, so the sum is the exact global
+        support.  An empty batch touches no shard."""
         self.refresh()
-        merged: dict[tuple[int, ...], int] = dict.fromkeys(itemsets, 0)
-        if merged:
+        counts = np.zeros(len(_check_rows(rows)), dtype=np.int64)
+        if len(rows):
             for _index, backend in self._pool.iter_backends():
-                merge_shard_counts(merged, backend.supports(level, itemsets))
-        return merged
+                counts += backend.supports(level, rows)
+        return counts
 
 
 _BACKENDS = {

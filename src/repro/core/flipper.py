@@ -31,7 +31,6 @@ documents the layering and the data handoffs between the stages.
 
 from __future__ import annotations
 
-import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,10 +41,12 @@ from repro.core.itemsets import generalize
 from repro.core.labels import Label, flips
 from repro.core.measures import Measure, get_measure
 from repro.core.patterns import ChainLink, FlippingPattern, MiningResult
+from repro.core.rowkeys import RowKeys
 from repro.core.stats import MiningStats, Timer
 from repro.core.thresholds import ResolvedThresholds, Thresholds
 from repro.data.database import TransactionDatabase
 from repro.data.shards import (
+    ShardDirOwner,
     ShardedTransactionStore,
     open_or_partition_store,
 )
@@ -117,7 +118,7 @@ class PruningConfig:
         ]
 
 
-class FlipperMiner:
+class FlipperMiner(ShardDirOwner):
     """One mining run over a database + taxonomy + thresholds.
 
     Parameters
@@ -155,7 +156,8 @@ class FlipperMiner:
         re-read from disk on demand.
     shard_dir:
         Where ``partitions=N`` materializes the shards (default: a
-        temporary directory removed after :meth:`mine`).
+        temporary directory, removed by :meth:`close`; use the miner
+        as a context manager to close it).
     sample_rate:
         Switch :meth:`mine` onto the sample-then-verify approximate
         path (see :class:`~repro.approx.miner.ApproxMiner`): phase 1
@@ -201,7 +203,6 @@ class FlipperMiner:
                 "ShardedTransactionStore, not "
                 f"{type(database).__name__}"
             )
-        self._shard_tmpdir: tempfile.TemporaryDirectory[str] | None = None
         self._raw_thresholds = thresholds
         self._incremental_runner: object | None = None
         if sample_rate is None:
@@ -392,9 +393,7 @@ class FlipperMiner:
         )
         context.stats = self._stats
         # self._shard_tmpdir is not cleaned after the run: repeated
-        # mine() calls must still find the shards, and
-        # TemporaryDirectory removes itself when the miner is
-        # garbage-collected.
+        # mine() calls must still find the shards; close() removes it.
         with trace_span(catalog.SPAN_MINE), Timer() as timer:
             with trace_span(catalog.SPAN_PREPARE):
                 self._prepare_levels()
@@ -558,6 +557,9 @@ class FlipperMiner:
                 node for node, support in supports.items() if support >= theta
             }
             self._ancestor_maps[level] = taxonomy.item_ancestor_map(level)
+            context.row_keys[level] = RowKeys.of_nodes(
+                taxonomy.nodes_at_level(level)
+            )
             context.banned[level] = {}
         for node in taxonomy.iter_nodes():
             if node.level >= 2:
@@ -771,7 +773,7 @@ def mine_flipping_patterns(
     >>> result = mine_flipping_patterns(db, Thresholds(0.6, 0.35))
     ... # doctest: +SKIP
     """
-    miner = FlipperMiner(
+    with FlipperMiner(
         database,
         thresholds,
         measure=measure,
@@ -785,5 +787,5 @@ def mine_flipping_patterns(
         confidence=confidence,
         sample_method=sample_method,
         sample_seed=sample_seed,
-    )
-    return miner.mine()
+    ) as miner:
+        return miner.mine()

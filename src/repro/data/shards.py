@@ -71,6 +71,7 @@ import shutil
 import tempfile
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import Self
 
 import numpy as np
 
@@ -87,6 +88,7 @@ from repro.taxonomy.tree import Taxonomy
 
 __all__ = [
     "SHARD_FORMATS",
+    "ShardDirOwner",
     "ShardedTransactionStore",
     "estimate_transaction_bytes",
     "open_or_partition_store",
@@ -925,6 +927,27 @@ class ShardedTransactionStore:
         )
 
 
+class ShardDirOwner:
+    """``close()`` and ``with`` support for a miner that may hold the
+    temporary directory :func:`open_or_partition_store` created."""
+
+    _shard_tmpdir: tempfile.TemporaryDirectory[str] | None = None
+
+    def close(self) -> None:
+        """Remove the temporary shard directory this miner created.
+        A caller's store or ``shard_dir`` is left alone, and a second
+        call does nothing."""
+        if self._shard_tmpdir is not None:
+            self._shard_tmpdir.cleanup()
+            self._shard_tmpdir = None
+
+    def __enter__(self) -> Self:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
 def open_or_partition_store(
     database: TransactionDatabase | ShardedTransactionStore,
     partitions: int | None,
@@ -943,7 +966,7 @@ def open_or_partition_store(
     ``shard_dir`` must be unset); an in-memory database is split into
     ``partitions or 1`` shards under ``shard_dir`` or a fresh
     temporary directory, which is returned so the caller can own its
-    lifetime (it self-deletes when garbage-collected).
+    lifetime: a :class:`ShardDirOwner` removes it in ``close()``.
     """
     if isinstance(database, ShardedTransactionStore):
         if partitions is not None and partitions != database.n_shards:

@@ -56,6 +56,7 @@ from repro.core.patterns import MiningResult
 from repro.core.thresholds import ResolvedThresholds, Thresholds
 from repro.data.database import TransactionDatabase
 from repro.data.shards import (
+    ShardDirOwner,
     ShardedTransactionStore,
     open_or_partition_store,
 )
@@ -66,7 +67,7 @@ from repro.obs.tracing import trace_span
 __all__ = ["IncrementalMiner"]
 
 
-class IncrementalMiner:
+class IncrementalMiner(ShardDirOwner):
     """Keep flipping-pattern results fresh under streaming deltas.
 
     Parameters

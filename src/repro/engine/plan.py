@@ -8,9 +8,13 @@ through a :class:`CellState`:
     generate  →  count  →  label  →  prune
     (candidates)  (supports)  (cell)   (removal lists)
 
-Each stage reads the shared :class:`MiningContext` (immutable-ish run
-configuration plus the cross-cell run state the sweep maintains) and
-the per-cell :class:`CellState`, and writes its output field.  The
+The candidates are an ``(n, k)`` int64 row matrix of node ids and the
+supports an ``(n,)`` int64 count array in row order; Python tuples
+appear only for the frequent entries the label stage keeps (see
+:mod:`repro.core.rowkeys` for how rows are keyed).  Each stage reads
+the shared :class:`MiningContext` (immutable-ish run configuration
+plus the cross-cell run state the sweep maintains) and the per-cell
+:class:`CellState`, and writes its output field.  The
 :class:`ExecutionPlan` runs the stages in order, times each one, and
 records the finished cell — so counting is batched through the
 context's backend, and stages can be swapped (an approximate counting
@@ -25,8 +29,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
+import numpy as np
+
 from repro.core.cells import Cell
 from repro.core.counting import CountingBackend
+from repro.core.rowkeys import RowKeys
 from repro.core.stats import CellStats, MiningStats, Timer
 from repro.core.thresholds import ResolvedThresholds
 from repro.data.database import TransactionDatabase
@@ -52,10 +59,14 @@ class CellState:
 
     task: CellTask
     stats: CellStats
-    #: generate → count: candidate itemsets surviving the filters
-    candidates: list[tuple[int, ...]] = field(default_factory=list)
-    #: count → label: support of every counted candidate
-    supports: dict[tuple[int, ...], int] = field(default_factory=dict)
+    #: generate → count: candidate rows surviving the filters, ``(n, k)``
+    candidates: np.ndarray = field(
+        default_factory=lambda: np.zeros((0, 0), dtype=np.int64)
+    )
+    #: count → label: support of every candidate row, ``(n,)``
+    supports: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
     #: label → prune: the finished cell
     cell: Cell | None = None
 
@@ -85,10 +96,13 @@ class MiningContext:
     frequent_items: dict[int, set[int]] = field(default_factory=dict)
     #: parent taxonomy node of every node at level >= 2
     parent_of: dict[int, int] = field(default_factory=dict)
+    #: level -> the key space of the level's rows (cells, pair cache)
+    row_keys: dict[int, RowKeys] = field(default_factory=dict)
     #: SIBP: level -> {item -> largest itemset size it may join}
     banned: dict[int, dict[int, int]] = field(default_factory=dict)
-    #: lazy per-level pair-support cache for the candidate screen
-    pair_supports: dict[int, dict[tuple[int, ...], int]] = field(
+    #: lazy per-level pair-support cache for the candidate screen:
+    #: sorted pair keys and their supports
+    pair_supports: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict
     )
     #: SIBP removal-candidate lists per processed cell

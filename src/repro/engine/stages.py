@@ -7,12 +7,15 @@ split along the data handoffs (see :mod:`repro.engine.plan`):
   child expansion) and apply the known-infrequent-subset filter.
   Child expansion is one array-level path on every substrate: it
   drops SIBP-banned children and prunes prefixes by the pair screen
-  and by batch-counted prefix supports while it expands.
-* :class:`CountStage` — count the candidate batch through
+  and by batch-counted prefix supports while it expands.  The pair
+  cache, the prefix test and the subset filter are ``searchsorted``
+  lookups in sorted row keys.
+* :class:`CountStage` — count the candidate row matrix through
   :meth:`~repro.core.counting.CountingBackend.supports`.
 * :class:`LabelStage` — correlation, Definition-1 label and the
   chain-alive flag for every counted candidate, as array operations
-  over the batch; builds the :class:`~repro.core.cells.Cell`.
+  over the matrix and its count array; builds the
+  :class:`~repro.core.cells.Cell`.  Only frequent rows become tuples.
 * :class:`SibpRemovalStage` — the per-cell half of SIBP: the R_h
   removal-candidate list (Theorem 2).  The cross-cell ban application
   stays in the sweep.
@@ -22,18 +25,17 @@ split along the data handoffs (see :mod:`repro.engine.plan`):
 
 from __future__ import annotations
 
-from itertools import chain, compress
-
 import numpy as np
 
 from repro.core.candidates import (
     expand_children,
-    filter_known_infrequent_subsets,
     pair_candidates,
+    prune_infrequent_subsets,
     row_join_candidates,
 )
 from repro.core.cells import Cell, CellEntry
-from repro.core.labels import LABELS_BY_CODE, Label, flips, label_codes
+from repro.core.labels import LABELS_BY_CODE, Label, label_codes
+from repro.core.rowkeys import RowKeys
 from repro.engine.plan import CellState, MiningContext, Stage
 
 __all__ = [
@@ -42,6 +44,12 @@ __all__ = [
     "LabelStage",
     "SibpRemovalStage",
     "build_default_stages",
+]
+
+#: label codes of the two labels a flipping chain is made of
+_SIGNED_CODES = [
+    LABELS_BY_CODE.index(Label.POSITIVE),
+    LABELS_BY_CODE.index(Label.NEGATIVE),
 ]
 
 
@@ -58,7 +66,7 @@ class GenerateStage:
             candidates = self._expand(context, state)
         state.stats.candidates = len(candidates)
         cell_left = context.cells.get((level, k - 1))
-        candidates, dropped = filter_known_infrequent_subsets(
+        candidates, dropped = prune_infrequent_subsets(
             candidates, cell_left, strict=not context.pruning.flipping
         )
         state.stats.filtered_subset = dropped
@@ -68,17 +76,15 @@ class GenerateStage:
 
     def _row_join(
         self, context: MiningContext, level: int, k: int
-    ) -> list[tuple[int, ...]]:
+    ) -> np.ndarray:
         if k == 2:
-            return pair_candidates(sorted(context.frequent_items[level]))
+            return pair_candidates(context.frequent_items[level])
         cell_left = context.cells.get((level, k - 1))
         if cell_left is None:
-            return []
+            return np.zeros((0, k), dtype=np.int64)
         return row_join_candidates(cell_left)
 
-    def _expand(
-        self, context: MiningContext, state: CellState
-    ) -> list[tuple[int, ...]]:
+    def _expand(self, context: MiningContext, state: CellState) -> np.ndarray:
         """Child expansion of the chain-alive parents above.
 
         Expanding a parent as a raw Cartesian product would
@@ -97,42 +103,55 @@ class GenerateStage:
         level, k = state.task.level, state.task.k
         parent_cell = context.cells.get((level - 1, k))
         if parent_cell is None:
-            return []
-        alive = [entry.itemset for entry in parent_cell.alive_entries]
+            return np.zeros((0, k), dtype=np.int64)
+        alive = np.array(
+            [entry.itemset for entry in parent_cell.alive_entries],
+            dtype=np.int64,
+        ).reshape(-1, k)
         taxonomy = context.taxonomy
         children_of = {
             node: taxonomy.children_ids(node)
-            for parent in alive
-            for node in parent
+            for node in np.unique(alive).tolist()
         }
         backend = context.backend
         extra = context.stats.extra
         theta = context.thresholds.min_count(level)
-        cache = context.pair_supports.setdefault(level, {})
+        keys = context.row_keys[level]
 
-        def frequent_pairs(
-            pairs: list[tuple[int, ...]],
-        ) -> set[tuple[int, ...]]:
-            unknown = [pair for pair in pairs if pair not in cache]
-            if unknown:
-                cache.update(backend.supports(level, unknown))
-                screened = extra.get("screen_pairs", 0) + len(unknown)
+        def frequent_pairs(pairs: np.ndarray) -> np.ndarray:
+            empty = np.zeros(0, dtype=keys.dtype(2))
+            cached, counts = context.pair_supports.get(
+                level, (empty, np.zeros(0, dtype=np.int64))
+            )
+            wanted = keys.pack(pairs)
+            index, known = RowKeys.find(cached, wanted)
+            supports = np.zeros(len(pairs), dtype=np.int64)
+            supports[known] = counts[index[known]]
+            unknown = ~known
+            if unknown.any():
+                supports[unknown] = backend.supports(level, pairs[unknown])
+                merged = np.concatenate((cached, wanted[unknown]))
+                order = np.argsort(merged, kind="stable")
+                context.pair_supports[level] = (
+                    merged[order],
+                    np.concatenate((counts, supports[unknown]))[order],
+                )
+                screened = extra.get("screen_pairs", 0) + int(unknown.sum())
                 extra["screen_pairs"] = screened
-            return {pair for pair in pairs if cache[pair] >= theta}
+            return supports >= theta
 
-        def frequent_prefixes(
-            prefixes: list[tuple[int, ...]],
-        ) -> set[tuple[int, ...]]:
-            known = context.cells.get((level, len(prefixes[0])))
-            frequent: set[tuple[int, ...]] = set()
-            unseen = prefixes
-            if known is not None:
-                frequent = {p for p in prefixes if p in known.entries}
-                unseen = [p for p in prefixes if p not in known]
-            if unseen:
-                supports = backend.supports(level, unseen)
-                frequent.update(p for p in unseen if supports[p] >= theta)
-                counted = extra.get("prefix_supports", 0) + len(unseen)
+        def frequent_prefixes(prefixes: np.ndarray) -> np.ndarray:
+            known = context.cells.get((level, prefixes.shape[1]))
+            if known is None:
+                frequent = np.zeros(len(prefixes), dtype=bool)
+                unseen = ~frequent
+            else:
+                frequent, infrequent = known.find(prefixes)
+                unseen = ~(frequent | infrequent)
+            if unseen.any():
+                supports = backend.supports(level, prefixes[unseen])
+                frequent[unseen] = supports >= theta
+                counted = extra.get("prefix_supports", 0) + int(unseen.sum())
                 extra["prefix_supports"] = counted
             return frequent
 
@@ -155,7 +174,7 @@ class CountStage:
 
     def run(self, context: MiningContext, state: CellState) -> None:
         # an empty batch needs no count (and no horizontal scan)
-        if state.candidates:
+        if len(state.candidates):
             state.supports = context.backend.supports(
                 state.task.level, state.candidates
             )
@@ -164,35 +183,34 @@ class CountStage:
 class LabelStage:
     """Correlation, label and chain-alive flag; builds the cell.
 
-    The whole batch is labelled with array operations: the measure's
+    The whole batch is labelled with array operations straight from
+    the candidate matrix and its count array: the measure's
     :meth:`~repro.core.measures.Measure.batch` over the supports and
     the member-support matrix, then Definition 1 as masks.  Only
-    frequent itemsets become :class:`CellEntry` objects, and the
-    chain-alive walk runs only for the signed ones.
+    frequent rows become :class:`CellEntry` objects (with tuple
+    itemsets); their chain-alive flags come from one lookup of the
+    generalized rows in the cell above.  Counted-infrequent rows go
+    into the cell as sorted keys.
     """
 
     name = "label"
 
     def run(self, context: MiningContext, state: CellState) -> None:
         level, k = state.task.level, state.task.k
-        cell = Cell(level=level, k=k, n_candidates=state.stats.candidates)
-        state.cell = cell
-        supports = state.supports
-        if not supports:
-            return
-        itemsets = list(supports)
-        matrix = np.fromiter(
-            chain.from_iterable(itemsets),
-            dtype=np.int64,
-            count=len(itemsets) * k,
-        ).reshape(len(itemsets), k)
-        counts = np.fromiter(
-            supports.values(), dtype=np.int64, count=len(itemsets)
+        cell = Cell(
+            level=level,
+            k=k,
+            n_candidates=state.stats.candidates,
+            keys=context.row_keys[level],
         )
+        state.cell = cell
+        rows, counts = state.candidates, state.supports
+        if not len(counts):
+            return
         node_supports = context.node_supports[level]
         lookup = np.zeros(max(node_supports) + 1, dtype=np.int64)
         lookup[list(node_supports)] = list(node_supports.values())
-        members = lookup[matrix]
+        members = lookup[rows]
         correlations = context.measure.batch(counts, members)
         gamma, epsilon = self.bands(context, members)
         codes = label_codes(
@@ -202,32 +220,28 @@ class LabelStage:
             gamma,
             epsilon,
         )
-        parent_cell = context.cells.get((level - 1, k))
         frequent = np.flatnonzero(codes)
-        for row, code, correlation in zip(
-            frequent.tolist(),
+        alive = self._chain_alive(
+            context, level, rows[frequent], codes[frequent]
+        )
+        for itemset, support, code, correlation, is_alive in zip(
+            map(tuple, rows[frequent].tolist()),
+            counts[frequent].tolist(),
             codes[frequent].tolist(),
             correlations[frequent].tolist(),
+            alive.tolist(),
         ):
-            itemset = itemsets[row]
-            label = LABELS_BY_CODE[code]
-            alive = label.is_signed and self._chain_alive(
-                context, level, itemset, label, parent_cell
-            )
             cell.add(
                 CellEntry(
                     itemset=itemset,
-                    support=supports[itemset],
+                    support=support,
                     correlation=correlation,
-                    label=label,
-                    alive=alive,
+                    label=LABELS_BY_CODE[code],
+                    alive=is_alive,
                 )
             )
         infrequent = codes == 0
-        cell.add_infrequent(
-            list(compress(itemsets, infrequent.tolist())),
-            correlations[infrequent],
-        )
+        cell.add_infrequent(rows[infrequent], correlations[infrequent])
 
     def bands(
         self, context: MiningContext, item_supports: np.ndarray
@@ -239,26 +253,32 @@ class LabelStage:
         self,
         context: MiningContext,
         level: int,
-        itemset: tuple[int, ...],
-        label: Label,
-        parent_cell: Cell | None,
-    ) -> bool:
-        """Is the whole vertical chain down to this signed itemset
-        flipping?"""
-        if level == 1:
-            return True
+        rows: np.ndarray,
+        codes: np.ndarray,
+    ) -> np.ndarray:
+        """Per frequent row: is the whole vertical chain down to it
+        flipping?  A signed row is alive at level 1.  Below, its
+        generalization by one level must keep k distinct nodes (no
+        siblings collapse) and be an alive entry of the cell above
+        whose label flips with the row's."""
+        signed = np.isin(codes, _SIGNED_CODES)
+        if level == 1 or not signed.any():
+            return signed
+        alive = np.zeros(len(rows), dtype=bool)
+        parent_cell = context.cells.get((level - 1, rows.shape[1]))
         if parent_cell is None:
-            return False
-        # Generalize by one level: map each level-h node to level-(h-1).
-        parent_itemset = tuple(
-            sorted({context.parent_of[node] for node in itemset})
+            return alive
+        parent_of = context.parent_of
+        lookup = np.zeros(max(parent_of) + 1, dtype=np.int64)
+        lookup[list(parent_of)] = list(parent_of.values())
+        parents = np.sort(lookup[rows[signed]], axis=1)
+        distinct = (parents[:, 1:] != parents[:, :-1]).all(axis=1)
+        found, parent_codes, parent_alive = parent_cell.find_entries(parents)
+        flips = np.isin(parent_codes, _SIGNED_CODES) & (
+            parent_codes != codes[signed]
         )
-        if len(parent_itemset) != len(itemset):
-            return False  # siblings collapsed: items share a category
-        parent_entry = parent_cell.get(parent_itemset)
-        if parent_entry is None or not parent_entry.alive:
-            return False
-        return flips(parent_entry.label, label)
+        alive[signed] = distinct & found & parent_alive & flips
+        return alive
 
 
 class SibpRemovalStage:

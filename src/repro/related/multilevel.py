@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.counting import BitmapBackend
 from repro.core.itemsets import apriori_join, has_infrequent_subset
 from repro.core.thresholds import Thresholds
@@ -131,14 +133,14 @@ def mine_multilevel(
             ]
             if not candidates:
                 break
-            supports = backend.supports(level, candidates)
-            current = {
-                itemset
-                for itemset, support in supports.items()
-                if support >= min_count
-            }
-            for itemset in current:
-                level_frequent[itemset] = supports[itemset]
+            counts = backend.supports(
+                level, np.array(candidates, dtype=np.int64)
+            ).tolist()
+            current: set[tuple[int, ...]] = set()
+            for itemset, support in zip(candidates, counts):
+                if support >= min_count:
+                    current.add(itemset)
+                    level_frequent[itemset] = support
             previous = current
             k += 1
 

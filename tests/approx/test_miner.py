@@ -21,7 +21,9 @@ import pytest
 
 from repro import FlipperMiner, Thresholds, mine_flipping_patterns
 from repro.approx import ApproxMiner, mine_approximate
-from repro.core.counting import DeltaCounter
+from repro.core.counting import DeltaCounter, ShardBackendPool
+from repro.core.labels import Label
+from repro.core.patterns import ChainLink, FlippingPattern
 from repro.data.database import TransactionDatabase
 from repro.data.shards import ShardedTransactionStore
 from repro.datasets.groceries import (
@@ -86,13 +88,13 @@ class TestExactness:
 
 class TestCandidates:
     def test_intervals_cover_verified_supports(self, groceries):
-        store_miner = FlipperMiner(
+        with FlipperMiner(
             groceries,
             GROCERIES_THRESHOLDS,
             sample_rate=0.5,
             sample_seed=2,
-        )
-        result = store_miner.mine()
+        ) as store_miner:
+            result = store_miner.mine()
         assert result.patterns
         candidates = {
             candidate.leaf_names: candidate
@@ -105,13 +107,13 @@ class TestCandidates:
                 assert link.support <= cand_link.support_hi
 
     def test_candidate_dict_shape(self, groceries):
-        miner = ApproxMiner(
+        with ApproxMiner(
             groceries,
             GROCERIES_THRESHOLDS,
             sample_rate=0.5,
             sample_seed=0,
-        )
-        miner.mine()
+        ) as miner:
+            miner.mine()
         assert miner.candidates
         payload = miner.candidates[0].to_dict()
         assert set(payload) == {"leaf_names", "signature", "links"}
@@ -150,23 +152,25 @@ class TestServingCompatibility:
 
 class TestFlipperMinerWiring:
     def test_implied_partitions_for_in_memory_database(self, groceries):
-        miner = FlipperMiner(groceries, GROCERIES_THRESHOLDS, sample_rate=0.5)
-        result = miner.mine()
+        with FlipperMiner(
+            groceries, GROCERIES_THRESHOLDS, sample_rate=0.5
+        ) as miner:
+            result = miner.mine()
         assert result.config["partitions"] == 1
         assert "approx" in result.config
 
     def test_update_after_approx_mine_is_exact(self, groceries):
         rows = [groceries.transaction_names(i) for i in range(len(groceries))]
         base, delta = rows[:-60], rows[-60:]
-        miner = FlipperMiner(
+        with FlipperMiner(
             TransactionDatabase(base, groceries.taxonomy),
             GROCERIES_THRESHOLDS,
             partitions=2,
             sample_rate=0.5,
             sample_seed=1,
-        )
-        miner.mine()
-        updated = miner.update(delta)
+        ) as miner:
+            miner.mine()
+            updated = miner.update(delta)
         full = mine_flipping_patterns(
             TransactionDatabase(rows, groceries.taxonomy),
             GROCERIES_THRESHOLDS,
@@ -244,3 +248,72 @@ class TestStagesConflict:
                 sample_rate=0.5,
                 stages=build_default_stages(),
             )
+
+
+class TestVerifyResidency:
+    """Phase 2 counts every chain in one residency pass over the pool:
+    under a budget that holds one shard, each shard is admitted once,
+    however many (level, size) groups the chains fall into."""
+
+    def test_verify_admits_each_shard_once(self, tmp_path, monkeypatch):
+        database = generate_groceries(scale=0.2)
+        store = ShardedTransactionStore.partition_database(
+            database, tmp_path, 4
+        )
+        counter = DeltaCounter(
+            store, memory_budget_mb=0.05, persist_images=False
+        )
+        miner = ApproxMiner(
+            store,
+            GROCERIES_THRESHOLDS,
+            sample_rate=1.0,
+            verify_backend=counter,
+        )
+        screened = miner.mine().patterns
+        assert screened and {p.k for p in screened} == {2}
+        chains = screened + [_triple_chain(store.taxonomy, screened[0])]
+        assert {p.k for p in chains} == {2, 3}
+
+        built: list[int] = []
+        build = ShardBackendPool._build
+
+        def spy(pool, index):
+            built.append(index)
+            return build(pool, index)
+
+        monkeypatch.setattr(ShardBackendPool, "_build", spy)
+        resolved = GROCERIES_THRESHOLDS.resolve(
+            store.taxonomy.height, store.n_transactions
+        )
+        verified, rejected = miner._verify(chains, resolved)
+        assert built == [0, 1, 2, 3]
+        assert len(verified) + rejected == len(chains)
+
+
+def _triple_chain(taxonomy, pattern):
+    """A 3-item chain at every level: a pattern's leaves plus one leaf
+    under a third level-1 category (labels need not hold; verify
+    re-labels and may reject it)."""
+    height = taxonomy.height
+    leaves = [
+        taxonomy.node_by_name(name).node_id for name in pattern.leaf_names
+    ]
+    top = taxonomy.item_ancestor_map(1)
+    used = {top[leaf] for leaf in leaves}
+    extra = next(item for item in taxonomy.item_ids if top[item] not in used)
+    leaves = sorted(leaves + [extra])
+    links = []
+    for level in range(1, height + 1):
+        mapping = taxonomy.item_ancestor_map(level)
+        itemset = tuple(sorted(mapping[leaf] for leaf in leaves))
+        links.append(
+            ChainLink(
+                level=level,
+                itemset=itemset,
+                names=tuple(taxonomy.name_of(node) for node in itemset),
+                support=0,
+                correlation=0.0,
+                label=Label.POSITIVE if level % 2 else Label.NEGATIVE,
+            )
+        )
+    return FlippingPattern(links=tuple(links))

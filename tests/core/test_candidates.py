@@ -30,10 +30,10 @@ def make_cell(level, k, entries):
 
 class TestPairCandidates:
     def test_all_pairs_sorted(self):
-        assert pair_candidates([3, 1, 2]) == [(1, 2), (1, 3), (2, 3)]
+        assert pair_candidates([3, 1, 2]).tolist() == [[1, 2], [1, 3], [2, 3]]
 
     def test_single_item_no_pairs(self):
-        assert pair_candidates([1]) == []
+        assert pair_candidates([1]).tolist() == []
 
 
 class TestRowJoin:
@@ -48,7 +48,7 @@ class TestRowJoin:
             ],
         )
         # only (1,2) and (1,3) join -> (1,2,3)
-        assert row_join_candidates(cell) == [(1, 2, 3)]
+        assert row_join_candidates(cell).tolist() == [[1, 2, 3]]
 
 
 class TestChildExpansion:

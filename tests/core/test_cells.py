@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro import FlipperMiner, PruningConfig, Thresholds
 from repro.core.candidates import filter_known_infrequent_subsets
 from repro.core.cells import Cell, CellEntry
@@ -77,7 +79,7 @@ class TestCell:
         cell = Cell(level=2, k=2)
         cell.add(entry((1, 2), corr=0.5, label=Label.POSITIVE))
         cell.add(entry((1, 3), corr=0.9, label=Label.INFREQUENT))
-        cell.add_infrequent([(3, 4), (2, 4)], [0.8, 0.2])
+        cell.add_infrequent(np.array([(3, 4), (2, 4)]), [0.8, 0.2])
         assert len(cell) == 4
         assert (1, 3) in cell and (3, 4) in cell
         assert cell.get((1, 3)) is None  # no entry object kept
@@ -102,7 +104,9 @@ class _RecordingCount(CountStage):
 
     def run(self, context, state):
         super().run(context, state)
-        self.seen[(state.task.level, state.task.k)] = dict(state.supports)
+        self.seen[(state.task.level, state.task.k)] = dict(
+            zip(map(tuple, state.candidates.tolist()), state.supports.tolist())
+        )
 
 
 def test_mined_cells_count_every_counted_itemset(random_db):
@@ -137,7 +141,10 @@ def test_mined_cells_count_every_counted_itemset(random_db):
         infrequent = {i for i, s in supports.items() if s < theta}
         total_infrequent += len(infrequent)
         assert cell_stats.counted == len(cell) == len(supports)
-        assert cell.infrequent == infrequent
+        rows = np.array(sorted(infrequent), dtype=np.int64)
+        assert np.array_equal(
+            cell.infrequent, cell.keys.sort(rows.reshape(-1, cell.k))
+        )
         assert all(itemset in cell for itemset in supports)
         best: dict[int, float] = {}
         for itemset, support in supports.items():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.counting import (
@@ -43,12 +44,15 @@ class TestAgreement:
         tax = example3_db.taxonomy
         for level in (1, 2, 3):
             nodes = tax.nodes_at_level(level)
-            candidates = [
-                tuple(sorted(pair))
-                for pair in itertools.combinations(nodes, 2)
-            ]
-            assert bitmap.supports(level, candidates) == other.supports(
-                level, candidates
+            candidates = np.array(
+                [
+                    tuple(sorted(pair))
+                    for pair in itertools.combinations(nodes, 2)
+                ]
+            )
+            assert (
+                bitmap.supports(level, candidates).tolist()
+                == other.supports(level, candidates).tolist()
             )
 
     @pytest.mark.parametrize("other_cls", [HorizontalBackend])
@@ -57,10 +61,13 @@ class TestAgreement:
         other = other_cls(random_db)
         tax = random_db.taxonomy
         nodes = tax.nodes_at_level(2)
-        candidates = [
-            tuple(sorted(t)) for t in itertools.combinations(nodes, 3)
-        ]
-        assert bitmap.supports(2, candidates) == other.supports(2, candidates)
+        candidates = np.array(
+            [tuple(sorted(t)) for t in itertools.combinations(nodes, 3)]
+        )
+        assert (
+            bitmap.supports(2, candidates).tolist()
+            == other.supports(2, candidates).tolist()
+        )
 
 
 class TestScanAccounting:
@@ -70,15 +77,15 @@ class TestScanAccounting:
         backend.node_supports(1)
         assert backend.scans == 1
         nodes = example3_db.taxonomy.nodes_at_level(1)
-        backend.supports(1, [tuple(sorted(nodes))])
-        backend.supports(1, [])
+        backend.supports(1, np.array([tuple(sorted(nodes))]))
+        backend.supports(1, np.zeros((0, len(nodes)), dtype=np.int64))
         assert backend.scans == 3
 
     @pytest.mark.parametrize("backend_cls", [BitmapBackend])
     def test_index_backends_single_build_scan(self, example3_db, backend_cls):
         backend = backend_cls(example3_db)
         backend.node_supports(1)
-        backend.supports(1, [])
+        backend.supports(1, np.zeros((0, 2), dtype=np.int64))
         assert backend.scans == 1
 
 
@@ -136,18 +143,20 @@ class TestDeltaCounter:
 
         counter = DeltaCounter(store)
         nodes = sorted(store.taxonomy.nodes_at_level(2))
-        itemsets = [
-            (nodes[i], nodes[j])
-            for i in range(len(nodes))
-            for j in range(i + 1, len(nodes))
-        ][:12]
+        itemsets = np.array(
+            [
+                (nodes[i], nodes[j])
+                for i in range(len(nodes))
+                for j in range(i + 1, len(nodes))
+            ][:12]
+        )
         first = counter.supports(2, itemsets)
         delta = [random_db.transaction_names(index) for index in range(25)]
         store.append_batch(delta)
         second = counter.supports(2, itemsets)
         oracle = BitmapBackend(store.to_database()).supports(2, itemsets)
-        assert second == oracle
-        assert any(second[i] > first[i] for i in itemsets)
+        assert second.tolist() == oracle.tolist()
+        assert any(second[i] > first[i] for i in range(len(itemsets)))
         # no itemset support is cached
         assert counter.cached_itemsets == 0
 
@@ -156,9 +165,11 @@ class TestDeltaCounter:
 
         counter = DeltaCounter(store)
         nodes = sorted(store.taxonomy.nodes_at_level(1))
-        itemsets = [(nodes[1], nodes[2]), (nodes[0], nodes[1])]
+        itemsets = np.array([(nodes[1], nodes[2]), (nodes[0], nodes[1])])
         out = counter.supports(1, itemsets)
-        assert list(out) == itemsets
+        assert out.tolist() == [
+            counter.supports(1, row[None, :]).tolist()[0] for row in itemsets
+        ]
 
     def test_empty_delta_shard_contributes_zero(self, store):
         from repro.core.counting import DeltaCounter
@@ -212,9 +223,9 @@ class TestShardPoolResidency:
         oracle = BitmapBackend(random_db)
         assert budgeted.node_supports(1) == oracle.node_supports(1)
         nodes = sorted(store.taxonomy.nodes_at_level(1))
-        itemsets = [(nodes[0], nodes[1]), (nodes[1], nodes[2])]
-        assert budgeted.supports(1, itemsets) == (
-            oracle.supports(1, itemsets)
+        itemsets = np.array([(nodes[0], nodes[1]), (nodes[1], nodes[2])])
+        assert budgeted.supports(1, itemsets).tolist() == (
+            oracle.supports(1, itemsets).tolist()
         )
 
     def test_unpinned_lru_eviction_still_happens(self, store):

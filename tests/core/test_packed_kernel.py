@@ -77,6 +77,16 @@ def _three_backends(
     }
 
 
+def _by_size(batch: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """The batch's itemsets as one row matrix per itemset size, each
+    in batch order."""
+    sizes = sorted({len(itemset) for itemset in batch})
+    return [
+        np.array([i for i in batch if len(i) == size], dtype=np.int64)
+        for size in sizes
+    ]
+
+
 def _dirty_heap(nbytes: int) -> None:
     """Free a 0xFF-filled buffer of ``nbytes``, so that an allocation
     of that size which is not cleared holds set bits."""
@@ -128,13 +138,14 @@ def test_packed_kernel_equals_bigint_reference(
                 _dirty_heap(len(nodes) * n_words * 8)
                 assert backend.node_supports(level) == nodes, (name, level)
             for level, batch in batches.items():
-                counts = backend.supports(level, batch)
-                expected = {
-                    itemset: reference.support(level, itemset)
-                    for itemset in batch
-                }
-                assert counts == expected, (name, level)
-                assert list(counts) == list(expected), (name, level)
+                # a batch holds one itemset size: one call per size
+                for rows in _by_size(batch):
+                    counts = backend.supports(level, rows)
+                    expected = [
+                        reference.support(level, tuple(itemset))
+                        for itemset in rows.tolist()
+                    ]
+                    assert counts.tolist() == expected, (name, level)
 
 
 @pytest.mark.parametrize("n_rows", ROW_COUNTS)
@@ -155,7 +166,8 @@ def test_image_admit_views_words_in_place_when_width_allows(
 
 def test_batch_spanning_several_real_blocks(grocery_taxonomy, tmp_path):
     """At 70,000 rows a 256 KiB block holds 29 itemsets, so a batch of
-    100 mixed-size itemsets spans four blocks, the last one partial."""
+    100 itemsets spans four blocks, the last one partial; one batch
+    per itemset size."""
     database = _database(grocery_taxonomy, 70_000, seed=3)
     reference = VerticalIndex(database)
     n_words = (70_000 + 63) // 64
@@ -164,15 +176,16 @@ def test_batch_spanning_several_real_blocks(grocery_taxonomy, tmp_path):
     for name, backend in _three_backends(database, tmp_path).items():
         for level in (2, 3):
             nodes = grocery_taxonomy.nodes_at_level(level)
-            batch = [
-                tuple(sorted(rng.sample(nodes, rng.choice((2, 2, 3, 4)))))
-                for _ in range(100)
-            ]
-            expected = {
-                itemset: reference.support(level, itemset)
-                for itemset in batch
-            }
-            assert backend.supports(level, batch) == expected, (name, level)
+            for size in (2, 3, 4):
+                batch = [
+                    tuple(sorted(rng.sample(nodes, size)))
+                    for _ in range(100)
+                ]
+                expected = [
+                    reference.support(level, itemset) for itemset in batch
+                ]
+                counts = backend.supports(level, np.array(batch))
+                assert counts.tolist() == expected, (name, level, size)
 
 
 class TestSupportsContract:
@@ -184,22 +197,35 @@ class TestSupportsContract:
         leaf = example3_db.taxonomy.node_by_name("a11").node_id
         top = example3_db.taxonomy.nodes_at_level(1)
         with pytest.raises(DataError, match="not at taxonomy level 1"):
-            backend.supports(1, [tuple(top), (top[0], leaf)])
+            backend.supports(1, np.array([tuple(top), (top[0], leaf)]))
 
     @pytest.mark.parametrize("node_id", [-1, 10**6])
     def test_unknown_node_id_rejected(self, backend, node_id):
         with pytest.raises(DataError, match=f"node {node_id} "):
-            backend.supports(2, [(node_id, node_id)])
+            backend.supports(2, np.array([(node_id, node_id)]))
 
     def test_empty_itemset_rejected(self, backend, example3_db):
-        top = tuple(example3_db.taxonomy.nodes_at_level(1))
         with pytest.raises(DataError, match="empty itemset"):
-            backend.supports(1, [top, ()])
+            backend.supports(1, np.zeros((1, 0), dtype=np.int64))
 
     def test_unknown_level_rejected(self, backend, example3_db):
         top = tuple(example3_db.taxonomy.nodes_at_level(1))
         with pytest.raises(DataError, match="no taxonomy level 9"):
-            backend.supports(9, [top])
+            backend.supports(9, np.array([top]))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 2)],
+            np.array([1, 2]),
+            np.array([[[1, 2]]]),
+            np.array([[1.0, 2.0]]),
+        ],
+        ids=["list", "1-d", "3-d", "float"],
+    )
+    def test_rows_must_be_an_integer_matrix(self, backend, rows):
+        with pytest.raises(DataError, match="integer matrix"):
+            backend.supports(1, rows)
 
     def test_foreign_item_id_rejected(self, example3_db):
         bogus = max(example3_db.item_ids) + 999
@@ -284,11 +310,11 @@ class TestImageFormatUnchanged:
                 tuple(sorted(rng.sample(nodes, rng.choice((2, 3)))))
                 for _ in range(200)
             ]
-            totals = dict.fromkeys(batch, 0)
-            for backend in backends:
-                for itemset, count in backend.supports(level, batch).items():
-                    totals[itemset] += count
-            assert totals == {
-                itemset: reference.support(level, itemset)
-                for itemset in batch
-            }
+            for rows in _by_size(batch):
+                totals = np.zeros(len(rows), dtype=np.int64)
+                for backend in backends:
+                    totals += backend.supports(level, rows)
+                assert totals.tolist() == [
+                    reference.support(level, tuple(itemset))
+                    for itemset in rows.tolist()
+                ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.counting import BitmapBackend, DeltaCounter
@@ -22,11 +23,13 @@ def _oracle(store):
 
 def _some_itemsets(store, level, limit=12):
     nodes = sorted(store.taxonomy.nodes_at_level(level))
-    return [
-        (nodes[i], nodes[j])
-        for i in range(len(nodes))
-        for j in range(i + 1, len(nodes))
-    ][:limit]
+    return np.array(
+        [
+            (nodes[i], nodes[j])
+            for i in range(len(nodes))
+            for j in range(i + 1, len(nodes))
+        ][:limit]
+    )
 
 
 class TestRetire:
@@ -39,8 +42,8 @@ class TestRetire:
         assert rows > 0
         oracle = _oracle(store)
         assert counter.node_supports(2) == oracle.node_supports(2)
-        assert counter.supports(2, itemsets) == (
-            oracle.supports(2, itemsets)
+        assert counter.supports(2, itemsets).tolist() == (
+            oracle.supports(2, itemsets).tolist()
         )
 
     def test_retire_updates_counted_generations(self, store):

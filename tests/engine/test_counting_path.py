@@ -48,9 +48,10 @@ class TestScanCost:
         ],
     )
     def test_db_scans_per_substrate(self, planted_db, backend, kwargs, scans):
-        result = FlipperMiner(
+        with FlipperMiner(
             planted_db, GROCERIES_THRESHOLDS, backend=backend, **kwargs
-        ).mine()
+        ) as miner:
+            result = miner.mine()
         assert len(result.patterns) > 0
         assert result.stats.db_scans == scans
 
@@ -64,14 +65,14 @@ class TestScanCost:
             )
             assert type(miner.context.backend) is cls
             assert miner.mine().config["partitions"] == 1
-        sharded = FlipperMiner(
+        with FlipperMiner(
             planted_db,
             GROCERIES_THRESHOLDS,
             backend="horizontal",
             partitions=2,
-        )
-        assert isinstance(sharded.context.backend, DeltaCounter)
-        assert sharded.context.backend.inner_name == "horizontal"
+        ) as sharded:
+            assert isinstance(sharded.context.backend, DeltaCounter)
+            assert sharded.context.backend.inner_name == "horizontal"
 
 
 class TestEngineSurface:

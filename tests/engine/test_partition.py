@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.counting import (
@@ -45,7 +46,8 @@ def _fingerprint(result) -> str:
 
 
 def _mine(database, **kwargs):
-    return FlipperMiner(database, GROCERIES_THRESHOLDS, **kwargs).mine()
+    with FlipperMiner(database, GROCERIES_THRESHOLDS, **kwargs) as miner:
+        return miner.mine()
 
 
 class TestCountingParity:
@@ -62,14 +64,17 @@ class TestCountingParity:
         partitioned = DeltaCounter(store, inner=backend_name)
         monolithic = make_backend(backend_name, planted_db)
         level = 2
-        candidates = [
-            tuple(sorted(pair))
-            for pair in itertools.combinations(
-                planted_db.taxonomy.nodes_at_level(level), 2
-            )
-        ]
-        assert partitioned.supports(level, candidates) == monolithic.supports(
-            level, candidates
+        candidates = np.array(
+            [
+                tuple(sorted(pair))
+                for pair in itertools.combinations(
+                    planted_db.taxonomy.nodes_at_level(level), 2
+                )
+            ]
+        )
+        assert (
+            partitioned.supports(level, candidates).tolist()
+            == monolithic.supports(level, candidates).tolist()
         )
         assert partitioned.node_supports(level) == monolithic.node_supports(
             level
@@ -231,14 +236,14 @@ class TestMiningParity:
         """Repeated mine() must still find the temp shard files (the
         monolithic path supports repeated runs; the partitioned path
         must too, even with evictions forcing shard re-reads)."""
-        miner = FlipperMiner(
+        with FlipperMiner(
             planted_db,
             GROCERIES_THRESHOLDS,
             partitions=3,
             memory_budget_mb=0.1,
-        )
-        first = miner.mine()
-        second = miner.mine()
+        ) as miner:
+            first = miner.mine()
+            second = miner.mine()
         assert len(first.patterns) > 0
         assert _fingerprint(first) == _fingerprint(second)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.candidates import (
@@ -93,18 +94,24 @@ def test_array_expansion_matches_scalar_reference(instance):
         return sum(1 for row in transactions if set(itemset) <= row)
 
     def frequent_pairs(pairs):
-        assert all(a < b for a, b in pairs)
-        return {pair for pair in pairs if pair not in dead}
+        assert all(a < b for a, b in pairs.tolist())
+        return np.array(
+            [pair not in dead for pair in map(tuple, pairs.tolist())],
+            dtype=bool,
+        )
 
     def frequent_prefixes(prefixes):
-        assert prefixes
-        assert len({len(prefix) for prefix in prefixes}) == 1
-        assert all(3 <= len(prefix) < k for prefix in prefixes)
-        assert all(list(prefix) == sorted(prefix) for prefix in prefixes)
-        return {prefix for prefix in prefixes if support(prefix) >= min_count}
+        assert len(prefixes)
+        assert prefixes.ndim == 2
+        assert 3 <= prefixes.shape[1] < k
+        assert all(prefix == sorted(prefix) for prefix in prefixes.tolist())
+        return np.array(
+            [support(prefix) >= min_count for prefix in prefixes.tolist()],
+            dtype=bool,
+        )
 
     got = expand_children(
-        parents,
+        np.array(parents, dtype=np.int64).reshape(-1, k),
         children_of,
         frequent,
         banned=banned,
@@ -134,7 +141,7 @@ def test_array_expansion_matches_scalar_reference(instance):
         return True
 
     reference = [c for c in reference if prefixes_frequent(c)]
-    assert got.candidates == reference
+    assert list(map(tuple, got.candidates.tolist())) == reference
     assert got.banned_children == sum(
         1
         for node in {node for parent in parents for node in parent}

@@ -3,11 +3,12 @@
 A hypothesis state machine appends random batches to a shard store,
 retires its oldest shards through the :class:`DeltaCounter` and asks
 the counter for node supports and for the supports of random pairs
-and triples at random levels.  After every step the answers must
-equal a monolithic :class:`BitmapBackend` over the store's current
-rows — an oracle that shares no SON or pool code with the counter —
-every shard must be counted, and the pool may hold no shard the store
-no longer has.
+and triples at random levels, as ``(n, k)`` row matrices with
+repeated rows and, now and then, an empty ``(0, k)`` batch.  After
+every step the answers must equal a monolithic :class:`BitmapBackend`
+over the store's current rows, row for row — an oracle that shares
+no SON or pool code with the counter — every shard must be counted,
+and the pool may hold no shard the store no longer has.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 
+import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -29,6 +31,8 @@ from repro import Taxonomy, TransactionDatabase
 from repro.core.counting import BitmapBackend, DeltaCounter
 from repro.data.shards import ShardedTransactionStore
 from tests.conftest import _random_rows, taxonomy_trees
+
+NO_ROWS = np.zeros((0, 2), dtype=np.int64)
 
 
 class DeltaCounterMachine(RuleBasedStateMachine):
@@ -61,15 +65,18 @@ class DeltaCounterMachine(RuleBasedStateMachine):
             self.store, inner=inner, memory_budget_mb=budget_mb
         )
 
-    def expected(self, level, itemsets=()):
-        """Node and itemset supports of a monolithic count of the
-        store's current rows (all 0 once only empty shards are left:
-        an empty database has no backend)."""
+    def expected(self, level, rows=NO_ROWS):
+        """Node and row supports of a monolithic count of the store's
+        current rows (all 0 once only empty shards are left: an empty
+        database has no backend)."""
         if self.store.n_transactions == 0:
             nodes = self.taxonomy.nodes_at_level(level)
-            return dict.fromkeys(nodes, 0), dict.fromkeys(itemsets, 0)
+            return dict.fromkeys(nodes, 0), [0] * len(rows)
         oracle = BitmapBackend(self.store.to_database())
-        return oracle.node_supports(level), oracle.supports(level, itemsets)
+        return (
+            oracle.node_supports(level),
+            oracle.supports(level, rows).tolist(),
+        )
 
     @rule(
         n_rows=st.integers(min_value=0, max_value=40),
@@ -103,8 +110,14 @@ class DeltaCounterMachine(RuleBasedStateMachine):
                 max_size=6,
             )
         )
-        nodes_expected, itemsets_expected = self.expected(level, itemsets)
-        assert self.counter.supports(level, itemsets) == itemsets_expected
+        repeats = (
+            data.draw(st.lists(st.sampled_from(itemsets), max_size=4))
+            if itemsets
+            else []
+        )
+        rows = np.array(itemsets + repeats, dtype=np.int64).reshape(-1, size)
+        nodes_expected, rows_expected = self.expected(level, rows)
+        assert self.counter.supports(level, rows).tolist() == rows_expected
         assert self.counter.node_supports(level) == nodes_expected
 
     @invariant()

@@ -59,18 +59,19 @@ def test_prefix_lookup_agrees_with_counting(width5, monkeypatch):
     def checked(*args, frequent_prefixes, **kwargs):
         def check(prefixes):
             nonlocal read_from_cells
-            level = level_of[prefixes[0][0]]
-            known = context.cells[(level, len(prefixes[0]))]
-            read_from_cells += sum(prefix in known for prefix in prefixes)
+            level = level_of[int(prefixes[0, 0])]
+            known = context.cells[(level, prefixes.shape[1])]
+            itemsets = list(map(tuple, prefixes.tolist()))
+            read_from_cells += sum(prefix in known for prefix in itemsets)
             before = context.stats.extra.get("prefix_supports", 0)
             got = frequent_prefixes(prefixes)
             counted = context.stats.extra.get("prefix_supports", 0)
             assert counted - before == sum(
-                prefix not in known for prefix in prefixes
+                prefix not in known for prefix in itemsets
             )
             supports = context.backend.supports(level, prefixes)
             theta = context.thresholds.min_count(level)
-            assert got == {p for p in prefixes if supports[p] >= theta}
+            assert got.tolist() == (supports >= theta).tolist()
             return got
 
         return expand_children(*args, frequent_prefixes=check, **kwargs)

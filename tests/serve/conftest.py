@@ -47,6 +47,6 @@ def corpus_store(corpus_result):
 @pytest.fixture
 def live_miner(toy_database, toy_thresholds):
     """A partitioned miner whose update() feeds the serving path."""
-    miner = FlipperMiner(toy_database, toy_thresholds, partitions=2)
-    miner.mine()
-    return miner
+    with FlipperMiner(toy_database, toy_thresholds, partitions=2) as miner:
+        miner.mine()
+        yield miner

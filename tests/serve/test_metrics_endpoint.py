@@ -99,6 +99,7 @@ class TestMetricsEndpoint:
     def test_unknown_param_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as info:
             _get(server.url + "/v1/metrics?verbose=1")
+        info.value.close()
         assert info.value.code == 400
 
     def test_legacy_alias_carries_deprecation_header(self, server):
