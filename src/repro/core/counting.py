@@ -104,21 +104,6 @@ def _check_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _local_item_ids(reader: ColumnarShard, taxonomy: Taxonomy) -> np.ndarray:
-    """Global item id of every *local* item id of a columnar shard."""
-    id_by_name = {taxonomy.name_of(item): item for item in taxonomy.item_ids}
-    items = np.empty(len(reader.item_names), dtype=np.int64)
-    for local, name in enumerate(reader.item_names):
-        item = id_by_name.get(name)
-        if item is None:
-            raise DataError(
-                f"{reader.path}: unknown item {name!r} for the bound "
-                "taxonomy"
-            )
-        items[local] = item
-    return items
-
-
 #: plane word: little-endian, so a plane's bytes are the image's
 #: little-endian bit packing on any host
 _WORD = np.dtype("<u8")
@@ -133,32 +118,49 @@ def _scatter_planes(
     n_rows: int,
     rows: np.ndarray,
     items: np.ndarray,
-    item_ids: Iterable[int],
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Per level, the node ids in plane-row order and the ``uint64``
     word plane.
 
-    ``rows``/``items`` list every (row, item) value of the data, with
-    ``items`` indexing ``item_ids``.  Bit ``r`` of a node's plane row
-    is set when row ``r`` holds an item beneath the node; one
-    vectorized scatter per level, duplicates collapse in the OR.
+    ``rows``/``items`` list every (row, item id) value of the data.
+    Bit ``r`` of a node's plane row is set when row ``r`` holds an
+    item beneath the node; one gather through the compiled taxonomy's
+    item table and one vectorized scatter per level, duplicates
+    collapse in the OR.
     """
+    compiled = taxonomy.compiled
+    foreign = _first_foreign(items, compiled.item_ancestors(1) >= 0)
+    if foreign is not None:
+        raise DataError(
+            f"transaction {int(rows[foreign])}: item id "
+            f"{int(items[foreign])} is not an item of the bound taxonomy"
+        )
     n_words = (n_rows + 63) // 64
     words = rows >> 6
     bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
     level_nodes: dict[int, np.ndarray] = {}
     planes: dict[int, np.ndarray] = {}
-    for level in range(1, taxonomy.height + 1):
-        mapping = taxonomy.item_ancestor_map(level)
-        nodes = np.array(taxonomy.nodes_at_level(level), dtype=np.int64)
-        item_column = index_of(nodes)[
-            np.array([mapping[int(item)] for item in item_ids], dtype=np.int64)
-        ]
+    for level in range(1, compiled.height + 1):
+        nodes = compiled.nodes_at_level(level)
+        ancestors = compiled.item_ancestors(level)
+        item_row = np.where(ancestors >= 0, index_of(nodes)[ancestors], -1)
         plane = np.zeros((len(nodes), n_words), dtype=_WORD)
-        np.bitwise_or.at(plane, (item_column[items], words), bits)
+        np.bitwise_or.at(plane, (item_row[items], words), bits)
         level_nodes[level] = nodes
         planes[level] = plane
     return level_nodes, planes
+
+
+def _first_foreign(items: np.ndarray, known: np.ndarray) -> int | None:
+    """Position of the first id in ``items`` that the id mask
+    ``known`` does not mark, or ``None`` when it marks them all."""
+    if not len(items):
+        return None
+    if items.min() >= 0 and items.max() < len(known) and known[items].all():
+        return None
+    inside = (items >= 0) & (items < len(known))
+    inside[inside] = known[items[inside]]
+    return int(np.argmin(inside))
 
 
 def _and_popcount(plane: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -192,29 +194,18 @@ class BitmapBackend:
     """
 
     def __init__(self, database: TransactionDatabase) -> None:
-        taxonomy = database.taxonomy
-        item_ids = taxonomy.item_ids
-        item_index = {item: i for i, item in enumerate(item_ids)}
         lengths = np.fromiter(
             map(len, database), dtype=np.int64, count=len(database)
         )
-        try:
-            items = np.fromiter(
-                map(item_index.__getitem__, chain.from_iterable(database)),
-                dtype=np.intp,
-                count=int(lengths.sum()),
-            )
-        except KeyError as exc:
-            item = exc.args[0]
-            row = next(r for r, t in enumerate(database) if item in t)
-            raise DataError(
-                f"transaction {row}: item id {item} is not an item of the "
-                "bound taxonomy"
-            ) from None
+        items = np.fromiter(
+            chain.from_iterable(database),
+            dtype=np.int64,
+            count=int(lengths.sum()),
+        )
         rows = np.repeat(np.arange(len(database), dtype=np.int64), lengths)
         # building the planes reads the database once
         self._attach(
-            *_scatter_planes(taxonomy, len(database), rows, items, item_ids),
+            *_scatter_planes(database.taxonomy, len(database), rows, items),
             raw={},
             scans=1,
         )
@@ -226,13 +217,13 @@ class BitmapBackend:
         """Build the planes straight from a shard's mapped CSR arrays:
         the same vectorized scatter, no per-row Python objects and no
         :class:`TransactionDatabase`."""
+        items = reader.item_ids(taxonomy.compiled.item_id_by_name)
         return cls.__new__(cls)._attach(
             *_scatter_planes(
                 taxonomy,
                 reader.n_rows,
                 reader.row_index(),
-                reader.items,
-                _local_item_ids(reader, taxonomy),
+                items[reader.items],
             ),
             raw={},
             scans=1,

@@ -35,9 +35,10 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.cells import Cell
 from repro.core.counting import CountingBackend, DeltaCounter, make_backend
-from repro.core.itemsets import generalize
 from repro.core.labels import Label, flips
 from repro.core.measures import Measure, get_measure
 from repro.core.patterns import ChainLink, FlippingPattern, MiningResult
@@ -278,7 +279,6 @@ class FlipperMiner(ShardDirOwner):
             self._context,
             list(stages) if stages is not None else build_default_stages(),
         )
-        self._ancestor_maps: dict[int, dict[int, int]] = {}
         # TPG: smallest column proven free of flipping patterns
         self._k_cap: int | None = None
 
@@ -547,7 +547,7 @@ class FlipperMiner(ShardDirOwner):
     def _prepare_levels(self) -> None:
         """Scan for single-node supports and frequent items per level
         (Algorithm 1, line 1)."""
-        taxonomy = self._taxonomy
+        compiled = self._taxonomy.compiled
         context = self._context
         for level in range(1, self._height + 1):
             supports = self._backend.node_supports(level)
@@ -556,15 +556,10 @@ class FlipperMiner(ShardDirOwner):
             context.frequent_items[level] = {
                 node for node, support in supports.items() if support >= theta
             }
-            self._ancestor_maps[level] = taxonomy.item_ancestor_map(level)
             context.row_keys[level] = RowKeys.of_nodes(
-                taxonomy.nodes_at_level(level)
+                compiled.nodes_at_level(level)
             )
             context.banned[level] = {}
-        for node in taxonomy.iter_nodes():
-            if node.level >= 2:
-                assert node.parent_id is not None
-                context.parent_of[node.node_id] = node.parent_id
 
     def _k_bound(self) -> int:
         """Upper bound on itemset size (paper Section 4.1): number of
@@ -673,9 +668,9 @@ class FlipperMiner(ShardDirOwner):
         if not upper or not lower:
             return
         banned = context.banned[lower_level]
+        parent_of = self._taxonomy.compiled.parent
         for item in lower:
-            parent = context.parent_of.get(item)
-            if parent is not None and parent in upper:
+            if int(parent_of[item]) in upper:
                 previous = banned.get(item)
                 if previous is None or k < previous:
                     banned[item] = k
@@ -723,8 +718,10 @@ class FlipperMiner(ShardDirOwner):
         links: list[ChainLink] = []
         previous_label: Label | None = None
         k = len(leaf_itemset)
+        leaves = np.array(leaf_itemset, dtype=np.int64)
         for level in range(1, self._height + 1):
-            itemset = generalize(leaf_itemset, self._ancestor_maps[level])
+            ancestors = taxonomy.compiled.item_ancestors(level)
+            itemset = tuple(np.unique(ancestors[leaves]).tolist())
             if len(itemset) != k:
                 return None
             cell = self._context.cells.get((level, k))

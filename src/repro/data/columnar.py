@@ -27,6 +27,12 @@ then the raw little-endian arrays, each aligned to 64 bytes.  Writes
 go through a temporary file in the same directory and ``os.replace``,
 so a crash can leave at worst an ignorable temp file, never a torn
 shard or image.
+
+Every columnar shard is written by :func:`write_columnar_arrays` from
+encoded CSR arrays: :func:`encode_names` numbers item names in
+first-occurrence order, and :func:`localize` renumbers global item
+ids the same way, so a shard's bytes depend only on its rows, however
+they were encoded.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import math
 import mmap
 import os
 import weakref
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import Any
 
@@ -54,9 +60,12 @@ __all__ = [
     "IMAGE_BACKEND",
     "IMAGE_FORMAT_VERSION",
     "ColumnarShard",
+    "encode_names",
+    "localize",
     "read_backend_image",
     "taxonomy_fingerprint",
     "write_backend_image",
+    "write_columnar_arrays",
     "write_columnar_shard",
 ]
 
@@ -167,6 +176,65 @@ def _atomic_write(path: Path, chunks: list[bytes]) -> None:
 # ----------------------------------------------------------------------
 
 
+def encode_names(
+    rows: Iterable[Iterable[str]],
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Rows of item names as a shard's CSR arrays: ``int64`` row
+    offsets, ``int32`` local item ids and the local name table, in
+    first-occurrence order."""
+    name_table: dict[str, int] = {}
+    lengths: list[int] = []
+    local: list[int] = []
+    for row in rows:
+        before = len(local)
+        for name in row:
+            local.append(name_table.setdefault(name, len(name_table)))
+        lengths.append(len(local) - before)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets, np.array(local, dtype=np.int32), list(name_table)
+
+
+def localize(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Local ids of an id array in first-occurrence order, the order
+    of a shard's name table: ``(int32 local id per value, the distinct
+    ids in local-id order)``."""
+    by_value = np.argsort(items, kind="stable")
+    ordered = items[by_value]
+    starts = np.ones(len(ordered), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    # a stable sort puts each value's first occurrence first
+    first = by_value[starts]
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[order] = np.arange(len(first), dtype=np.int32)
+    local = np.empty(len(items), dtype=np.int32)
+    local[by_value] = rank[np.cumsum(starts) - 1]
+    return local, ordered[starts][order]
+
+
+def write_columnar_arrays(
+    path: str | Path,
+    offsets: np.ndarray,
+    items: np.ndarray,
+    item_names: list[str],
+) -> None:
+    """Write one shard from its CSR arrays: ``int64`` row offsets,
+    local item ids (indexes into ``item_names``) and the name table.
+    Every columnar shard is written here."""
+    header = {
+        "format": COLUMNAR_FORMAT_VERSION,
+        "n_rows": len(offsets) - 1,
+        "n_values": len(items),
+        "item_names": item_names,
+    }
+    head = _pack_header(COLUMNAR_MAGIC, header)
+    offset_bytes = np.ascontiguousarray(offsets, dtype=np.int64).tobytes()
+    pad = b"\x00" * (_pad_to(len(offset_bytes)) - len(offset_bytes))
+    item_bytes = np.ascontiguousarray(items, dtype=np.int32).tobytes()
+    _atomic_write(Path(path), [head, offset_bytes, pad, item_bytes])
+
+
 def write_columnar_shard(
     path: str | Path, rows: list[tuple[str, ...]]
 ) -> None:
@@ -175,32 +243,7 @@ def write_columnar_shard(
     The item name table is built in first-occurrence order, so the
     file content is a deterministic function of the rows alone.
     """
-    path = Path(path)
-    name_table: dict[str, int] = {}
-    locals_per_row: list[list[int]] = []
-    for row in rows:
-        encoded = []
-        for name in row:
-            local = name_table.setdefault(name, len(name_table))
-            encoded.append(local)
-        locals_per_row.append(encoded)
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(encoded) for encoded in locals_per_row], out=offsets[1:])
-    items = np.fromiter(
-        (local for encoded in locals_per_row for local in encoded),
-        dtype=np.int32,
-        count=int(offsets[-1]),
-    )
-    header = {
-        "format": COLUMNAR_FORMAT_VERSION,
-        "n_rows": len(rows),
-        "n_values": int(offsets[-1]),
-        "item_names": list(name_table),
-    }
-    head = _pack_header(COLUMNAR_MAGIC, header)
-    offset_bytes = offsets.tobytes()
-    pad = b"\x00" * (_pad_to(len(offset_bytes)) - len(offset_bytes))
-    _atomic_write(path, [head, offset_bytes, pad, items.tobytes()])
+    write_columnar_arrays(path, *encode_names(rows))
 
 
 class ColumnarShard:
@@ -257,6 +300,22 @@ class ColumnarShard:
     def item_names(self) -> tuple[str, ...]:
         """Per-shard item name table (local id -> name)."""
         return self._item_names
+
+    def item_ids(self, id_by_name: Mapping[str, int]) -> np.ndarray:
+        """Global item id of every local item id, through a taxonomy's
+        name -> item id map (see
+        :attr:`~repro.taxonomy.tree.CompiledTaxonomy.item_id_by_name`)."""
+        try:
+            return np.fromiter(
+                map(id_by_name.__getitem__, self._item_names),
+                dtype=np.int64,
+                count=len(self._item_names),
+            )
+        except KeyError as exc:
+            raise DataError(
+                f"{self._path}: unknown item {exc.args[0]!r} for the "
+                "bound taxonomy"
+            ) from None
 
     @property
     def offsets(self) -> np.ndarray:

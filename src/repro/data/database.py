@@ -53,10 +53,9 @@ class TransactionDatabase:
             taxonomy = rebalance_with_copies(taxonomy)
         self._taxonomy = taxonomy
         # items are the original leaves of the (balanced) tree
-        self._item_ids: list[int] = taxonomy.item_ids
-        self._id_by_name: dict[str, int] = {
-            taxonomy.name_of(item_id): item_id for item_id in self._item_ids
-        }
+        compiled = taxonomy.compiled
+        self._item_ids: list[int] = compiled.item_ids.tolist()
+        self._id_by_name = compiled.item_id_by_name
         encoded: list[tuple[int, ...]] = []
         for index, raw in enumerate(transactions):
             ids: set[int] = set()
@@ -153,10 +152,10 @@ class TransactionDatabase:
         transaction can support a k-itemset only if its projection has
         at least k distinct nodes.
         """
-        mapping = self._taxonomy.item_ancestor_map(level)
+        ancestor = self._taxonomy.compiled.item_ancestors(level).tolist()
         best = 0
         for transaction in self._transactions:
-            width = len({mapping[item] for item in transaction})
+            width = len({ancestor[item] for item in transaction})
             if width > best:
                 best = width
         return best
@@ -169,9 +168,9 @@ class TransactionDatabase:
         """Every transaction with items replaced by their level-``level``
         generalizations (duplicates collapse, matching the paper's
         Example 3)."""
-        mapping = self._taxonomy.item_ancestor_map(level)
+        ancestor = self._taxonomy.compiled.item_ancestors(level).tolist()
         return [
-            frozenset(mapping[item] for item in transaction)
+            frozenset(ancestor[item] for item in transaction)
             for transaction in self._transactions
         ]
 

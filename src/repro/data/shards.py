@@ -61,6 +61,16 @@ The taxonomy is bound at construction/open time (exactly like
 ``TransactionDatabase``), so a reopened store resolves item names
 through the identical balanced tree and mining results cannot drift
 between open sessions.
+
+Writes go through one encoder and one writer: ``append_batch`` maps a
+delta's names to item ids in one pass through the taxonomy's compiled
+name map, rejecting a malformed row or an unknown item before any
+file is written, and ``partition_database`` and ``migrate`` produce
+the same CSR arrays over item ids.  The writer renumbers them into
+the shard's local name table, and the arrays also give the shard's
+width at every taxonomy level, which the store keeps per generation:
+:meth:`ShardedTransactionStore.width_at_level` is a max over the live
+shards, and a retirement drops only the retired shards' widths.
 """
 
 from __future__ import annotations
@@ -69,9 +79,10 @@ import json
 import os
 import shutil
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
 from pathlib import Path
-from typing import Self
+from typing import Self, cast
 
 import numpy as np
 
@@ -79,12 +90,14 @@ from repro.core.atomicio import atomic_write_text
 from repro.data.columnar import (
     IMAGE_BACKEND,
     ColumnarShard,
-    write_columnar_shard,
+    encode_names,
+    localize,
+    write_columnar_arrays,
 )
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError, DataError
 from repro.taxonomy.rebalance import rebalance_with_copies
-from repro.taxonomy.tree import Taxonomy
+from repro.taxonomy.tree import CompiledTaxonomy, Taxonomy
 
 __all__ = [
     "SHARD_FORMATS",
@@ -216,7 +229,10 @@ class ShardedTransactionStore:
                     f"shard file {name} is not in the requested "
                     f"{format!r} format"
                 )
-        self._width_cache: dict[int, int] = {}
+        #: generation -> the shard's width at every level (index 0 is
+        #: level 1); stamped when a shard is written, measured once
+        #: for a shard opened from disk, dropped when it retires
+        self._widths: dict[int, tuple[int, ...]] = {}
         #: columnar readers are cached (they hold mmaps)
         self._columnar_readers: dict[int, ColumnarShard] = {}
         #: shard files are immutable once written (appends and
@@ -254,8 +270,28 @@ class ShardedTransactionStore:
             base + (1 if index < remainder else 0)
             for index in range(n_shards)
         ]
-        rows = (database.transaction_names(index) for index in range(n))
-        return cls._write(directory, database.taxonomy, rows, sizes, format)
+        lengths = np.fromiter(map(len, database), dtype=np.int64, count=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        items = np.fromiter(
+            chain.from_iterable(database),
+            dtype=np.int64,
+            count=int(offsets[-1]),
+        )
+        taxonomy = database.taxonomy
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        shard_files: list[str] = []
+        widths: list[tuple[int, ...]] = []
+        for index, chunk in enumerate(_split(offsets, items, sizes)):
+            name = _shard_file_name(index, format)
+            _write_encoded(directory / name, *chunk, taxonomy, format)
+            widths.append(_row_widths(*chunk, taxonomy.compiled))
+            shard_files.append(name)
+        _write_manifest(directory, shard_files, sizes)
+        store = cls(directory, taxonomy)
+        store._widths.update(enumerate(widths))
+        return store
 
     @classmethod
     def ingest(
@@ -304,7 +340,7 @@ class ShardedTransactionStore:
             if not buffer:
                 return
             name = _shard_file_name(len(shard_files), format)
-            _write_shard_file(directory / name, buffer, format)
+            _write_shard_file(directory / name, *encode_names(buffer), format)
             shard_files.append(name)
             shard_sizes.append(len(buffer))
             buffer.clear()
@@ -323,26 +359,6 @@ class ShardedTransactionStore:
         if not shard_sizes:
             raise DataError("transaction stream is empty")
         _write_manifest(directory, shard_files, shard_sizes)
-        return cls(directory, taxonomy)
-
-    @classmethod
-    def _write(
-        cls,
-        directory: str | Path,
-        taxonomy: Taxonomy,
-        rows: Iterator[tuple[str, ...]],
-        sizes: list[int],
-        format: str,
-    ) -> "ShardedTransactionStore":
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        shard_files: list[str] = []
-        for index, size in enumerate(sizes):
-            name = _shard_file_name(index, format)
-            chunk = [next(rows) for _ in range(size)]
-            _write_shard_file(directory / name, chunk, format)
-            shard_files.append(name)
-        _write_manifest(directory, shard_files, sizes)
         return cls(directory, taxonomy)
 
     @classmethod
@@ -392,25 +408,25 @@ class ShardedTransactionStore:
             raise DataError(
                 f"rows_per_shard must be >= 1, got {rows_per_shard}"
             )
-        rows = [tuple(str(item) for item in raw) for raw in transactions]
-        if not rows:
+        # One pass maps every name to its item id and rejects a bad
+        # row before the first write: a bad delta must not leave the
+        # on-disk store half-extended.
+        offsets, items = _encode_rows(
+            transactions,
+            self._taxonomy.compiled.item_id_by_name,
+            "delta transaction",
+        )
+        n_rows = len(offsets) - 1
+        if not n_rows:
             return []
-        # Validate before the first write: a bad delta must not leave
-        # the on-disk store half-extended.
-        id_by_name = self._id_by_name()
-        for row_index, row in enumerate(rows):
-            for name in row:
-                if name not in id_by_name:
-                    raise DataError(
-                        f"delta transaction {row_index}: unknown item "
-                        f"{name!r}"
-                    )
+        step = rows_per_shard or n_rows
+        sizes = [
+            min(step, n_rows - start) for start in range(0, n_rows, step)
+        ]
         new_files: list[str] = []
-        new_sizes: list[int] = []
         new_gens: list[int] = []
-        step = rows_per_shard or len(rows)
-        for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
+        new_widths: list[tuple[int, ...]] = []
+        for chunk in _split(offsets, items, sizes):
             # Names come from the generation counter, not the list
             # position, so a name retired earlier is never reused.
             generation = self._next_generation + len(new_files)
@@ -418,14 +434,16 @@ class ShardedTransactionStore:
             # An existing file at a brand-new generation is an orphan
             # from a crashed earlier append (written, never committed
             # to the manifest); replacing it is the recovery path.
-            _write_shard_file(self._directory / name, chunk, format)
+            _write_encoded(
+                self._directory / name, *chunk, self._taxonomy, format
+            )
+            new_widths.append(_row_widths(*chunk, self._taxonomy.compiled))
             new_files.append(name)
-            new_sizes.append(len(chunk))
             new_gens.append(generation)
         _write_manifest(
             self._directory,
             self._shard_files + new_files,
-            self._shard_sizes + new_sizes,
+            self._shard_sizes + sizes,
             generations=self._generations + new_gens,
             next_generation=self._next_generation + len(new_files),
         )
@@ -433,38 +451,12 @@ class ShardedTransactionStore:
         # the in-memory view allowed to see the delta.
         first_new = len(self._shard_files)
         self._shard_files.extend(new_files)
-        self._shard_sizes.extend(new_sizes)
+        self._shard_sizes.extend(sizes)
         self._generations.extend(new_gens)
         self._next_generation += len(new_files)
-        self._n_transactions += len(rows)
-        # Cached per-level widths stay exact: fold in the delta rows
-        # instead of re-streaming every shard.
-        for level, best in list(self._width_cache.items()):
-            self._width_cache[level] = max(
-                best, self._rows_width_at_level(rows, level, id_by_name)
-            )
+        self._n_transactions += n_rows
+        self._widths.update(zip(new_gens, new_widths))
         return list(range(first_new, len(self._shard_files)))
-
-    def _id_by_name(self) -> dict[str, int]:
-        return {
-            self._taxonomy.name_of(item): item
-            for item in self._taxonomy.item_ids
-        }
-
-    def _rows_width_at_level(
-        self,
-        rows: list[tuple[str, ...]],
-        level: int,
-        id_by_name: dict[str, int],
-    ) -> int:
-        """Largest distinct-node width among ``rows`` at ``level``."""
-        mapping = self._taxonomy.item_ancestor_map(level)
-        best = 0
-        for row in rows:
-            nodes = {mapping[id_by_name[name]] for name in row}
-            if len(nodes) > best:
-                best = len(nodes)
-        return best
 
     # ------------------------------------------------------------------
     # format migration
@@ -499,8 +491,11 @@ class ShardedTransactionStore:
                 for generation in self._generations
             ]
             for index, name in enumerate(new_files):
-                _write_shard_file(
-                    staging / name, self.shard_transactions(index), to
+                _write_encoded(
+                    staging / name,
+                    *self._shard_arrays(index),
+                    self._taxonomy,
+                    to,
                 )
             # Release mmaps over the old files before unlinking them.
             self._columnar_readers.clear()
@@ -564,6 +559,7 @@ class ShardedTransactionStore:
         new_sizes = [self._shard_sizes[old] for old in survivors]
         new_gens = [self._generations[old] for old in survivors]
         retired_names = [self._shard_files[old] for old in retired]
+        retired_gens = [self._generations[old] for old in retired]
         rows = sum(self._shard_sizes[old] for old in retired)
         _write_manifest(
             self._directory,
@@ -589,9 +585,9 @@ class ShardedTransactionStore:
         self._shard_sizes = new_sizes
         self._generations = new_gens
         self._n_transactions -= rows
-        # Width maxima may have lived in the retired rows; recompute
-        # lazily so windowed results match a cold mine byte for byte.
-        self._width_cache.clear()
+        # A survivor's widths stay exact: drop only the retired ones.
+        for generation in retired_gens:
+            self._widths.pop(generation, None)
         return rows
 
     def retire_before(self, generation: int) -> list[int]:
@@ -828,67 +824,47 @@ class ShardedTransactionStore:
     # database-compatible shape queries (what the miner needs)
     # ------------------------------------------------------------------
 
-    def _local_node_map(
-        self,
-        reader: ColumnarShard,
-        index: int,
-        level: int,
-        mapping: dict[int, int],
-        id_by_name: dict[str, int],
-    ) -> np.ndarray:
-        """Level-``level`` ancestor node id of every *local* item id
-        of one columnar shard (the vectorized projection table)."""
-        nodes = np.empty(len(reader.item_names), dtype=np.int64)
-        for local, name in enumerate(reader.item_names):
-            item = id_by_name.get(name)
-            if item is None:
-                raise DataError(f"shard {index}: unknown item {name!r}")
-            nodes[local] = mapping[item]
-        return nodes
+    def _shard_arrays(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """One shard as CSR arrays over item ids: ``int64`` row
+        offsets and the item id of every value.  A columnar shard maps
+        its arrays; a jsonl shard is parsed and encoded."""
+        if self._shard_sizes[index] == 0:
+            return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        id_by_name = self._taxonomy.compiled.item_id_by_name
+        if self.shard_format(index) == "columnar":
+            reader = self.columnar_reader(index)
+            return (
+                np.asarray(reader.offsets),
+                reader.item_ids(id_by_name)[reader.items],
+            )
+        return _encode_rows(
+            self.shard_transactions(index),
+            id_by_name,
+            f"shard {index} transaction",
+        )
 
     def width_at_level(self, level: int) -> int:
-        """Largest distinct-node width after projecting to ``level``,
-        computed by streaming the shards (never all at once).
+        """Largest distinct-node width after projecting to ``level``:
+        the largest width of a live shard.
 
-        Columnar shards are measured directly on the mapped arrays:
-        distinct ``(row, node)`` pairs via one vectorized pass, no
-        per-row Python objects.
+        A shard's widths at every level are stamped from its encoded
+        arrays when :meth:`append_batch` or :meth:`partition_database`
+        writes it; a shard opened from disk is measured once, on the
+        first query.  :meth:`retire_shards` drops only the retired
+        shards' widths, so a retirement reads no surviving shard.
         """
-        if level not in self._width_cache:
-            mapping = self._taxonomy.item_ancestor_map(level)
-            id_by_name = self._id_by_name()
-            stride = max(mapping.values(), default=0) + 1
-            best = 0
-            for index in range(self.n_shards):
-                if self._shard_sizes[index] == 0:
-                    continue
-                if self.shard_format(index) == "columnar":
-                    reader = self.columnar_reader(index)
-                    if reader.n_values == 0:
-                        continue
-                    node_of = self._local_node_map(
-                        reader, index, level, mapping, id_by_name
-                    )
-                    keys = np.unique(
-                        reader.row_index() * stride
-                        + node_of[reader.items]
-                    )
-                    widths = np.bincount(keys // stride)
-                    best = max(best, int(widths.max()))
-                    continue
-                for row in self.shard_transactions(index):
-                    nodes: set[int] = set()
-                    for name in row:
-                        item = id_by_name.get(name)
-                        if item is None:
-                            raise DataError(
-                                f"shard {index}: unknown item {name!r}"
-                            )
-                        nodes.add(mapping[item])
-                    if len(nodes) > best:
-                        best = len(nodes)
-            self._width_cache[level] = best
-        return self._width_cache[level]
+        compiled = self._taxonomy.compiled
+        # the taxonomy's own error for a level out of range
+        compiled.item_ancestors(level)
+        for index, generation in enumerate(self._generations):
+            if generation not in self._widths:
+                self._widths[generation] = _row_widths(
+                    *self._shard_arrays(index), compiled
+                )
+        return max(
+            (widths[level - 1] for widths in self._widths.values()),
+            default=0,
+        )
 
     def to_database(self) -> TransactionDatabase:
         """Materialize the whole store in memory (tests / small data)."""
@@ -1012,14 +988,124 @@ def _format_of(name: str) -> str:
         ) from None
 
 
-def _write_shard_file(
-    path: Path, rows: list[tuple[str, ...]], format: str
+def _encode_rows(
+    transactions: Iterable[Iterable[str]],
+    id_by_name: Mapping[str, int],
+    label: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of item names as CSR arrays over item ids (``int64`` row
+    offsets, the item id of every value), in one pass over the names.
+
+    A row must be an iterable of names other than a string, bytes or
+    a mapping, and every name a known item's name; the first bad row
+    raises :class:`DataError` naming ``label`` and its index.
+    """
+    rows = cast("list[Sequence[str]]", list(transactions))
+    if not {type(row) for row in rows} <= {list, tuple}:
+        rows = [
+            _as_row(row, f"{label} {index}") for index, row in enumerate(rows)
+        ]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, rows)), out=offsets[1:])
+    try:
+        items = np.fromiter(
+            map(id_by_name.__getitem__, chain.from_iterable(rows)),
+            dtype=np.int64,
+            count=int(offsets[-1]),
+        )
+    except (KeyError, TypeError):
+        for index, row in enumerate(rows):
+            _check_names(row, id_by_name, f"{label} {index}")
+        raise
+    return offsets, items
+
+
+def _as_row(row: object, where: str) -> Sequence[str]:
+    if not isinstance(row, Iterable) or isinstance(row, (str, bytes, Mapping)):
+        raise DataError(
+            f"{where}: expected a list of item names, got "
+            f"{type(row).__name__}"
+        )
+    return tuple(row)
+
+
+def _check_names(
+    row: Iterable[object], id_by_name: Mapping[str, int], where: str
 ) -> None:
+    for name in row:
+        if not isinstance(name, str):
+            raise DataError(f"{where}: item {name!r} is not a string")
+        if name not in id_by_name:
+            raise DataError(f"{where}: unknown item {name!r}")
+
+
+def _split(
+    offsets: np.ndarray, items: np.ndarray, sizes: list[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Cut CSR arrays into consecutive chunks of ``sizes`` rows."""
+    start = 0
+    for size in sizes:
+        stop = start + size
+        first, last = int(offsets[start]), int(offsets[stop])
+        yield offsets[start : stop + 1] - first, items[first:last]
+        start = stop
+
+
+def _row_widths(
+    offsets: np.ndarray, items: np.ndarray, compiled: CompiledTaxonomy
+) -> tuple[int, ...]:
+    """Per level ``1..height``, the most distinct nodes one row holds
+    after projecting its items to the level (the k bound's input)."""
+    if not len(items):
+        return (0,) * compiled.height
+    rows = np.repeat(
+        np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets)
+    )
+    widths = []
+    for level in range(1, compiled.height + 1):
+        nodes = compiled.item_ancestors(level)[items]
+        stride = int(nodes.max()) + 1
+        pairs = np.sort(rows * stride + nodes)
+        distinct = np.ones(len(pairs), dtype=bool)
+        distinct[1:] = pairs[1:] != pairs[:-1]
+        widths.append(int(np.bincount(pairs[distinct] // stride).max()))
+    return tuple(widths)
+
+
+def _write_encoded(
+    path: Path,
+    offsets: np.ndarray,
+    items: np.ndarray,
+    taxonomy: Taxonomy,
+    format: str,
+) -> None:
+    """Write one shard from CSR arrays over item ids.  The name table
+    is in first-occurrence order, so the bytes equal
+    :func:`write_columnar_shard` of the rows."""
+    local, distinct = localize(items)
+    names = [taxonomy.name_of(item) for item in distinct.tolist()]
+    _write_shard_file(path, offsets, local, names, format)
+
+
+def _write_shard_file(
+    path: Path,
+    offsets: np.ndarray,
+    local: np.ndarray,
+    names: list[str],
+    format: str,
+) -> None:
+    """Write one shard from its CSR arrays over a local name table."""
     if format == "columnar":
-        write_columnar_shard(path, rows)
+        write_columnar_arrays(path, offsets, local, names)
         return
+    bounds = offsets.tolist()
+    values = [names[item] for item in local.tolist()]
     atomic_write_text(
-        path, "".join(json.dumps(list(row)) + "\n" for row in rows)
+        path,
+        "".join(
+            json.dumps(values[start:stop]) + "\n"
+            for start, stop in zip(bounds, bounds[1:])
+        ),
     )
 
 

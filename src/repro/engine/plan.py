@@ -94,8 +94,6 @@ class MiningContext:
     cells: dict[tuple[int, int], Cell] = field(default_factory=dict)
     node_supports: dict[int, dict[int, int]] = field(default_factory=dict)
     frequent_items: dict[int, set[int]] = field(default_factory=dict)
-    #: parent taxonomy node of every node at level >= 2
-    parent_of: dict[int, int] = field(default_factory=dict)
     #: level -> the key space of the level's rows (cells, pair cache)
     row_keys: dict[int, RowKeys] = field(default_factory=dict)
     #: SIBP: level -> {item -> largest itemset size it may join}

@@ -108,11 +108,6 @@ class GenerateStage:
             [entry.itemset for entry in parent_cell.alive_entries],
             dtype=np.int64,
         ).reshape(-1, k)
-        taxonomy = context.taxonomy
-        children_of = {
-            node: taxonomy.children_ids(node)
-            for node in np.unique(alive).tolist()
-        }
         backend = context.backend
         extra = context.stats.extra
         theta = context.thresholds.min_count(level)
@@ -157,7 +152,7 @@ class GenerateStage:
 
         expansion = expand_children(
             alive,
-            children_of,
+            context.taxonomy.compiled.children_of,
             context.frequent_items[level],
             banned=context.banned[level] if context.pruning.sibp else {},
             frequent_pairs=frequent_pairs,
@@ -268,10 +263,8 @@ class LabelStage:
         parent_cell = context.cells.get((level - 1, rows.shape[1]))
         if parent_cell is None:
             return alive
-        parent_of = context.parent_of
-        lookup = np.zeros(max(parent_of) + 1, dtype=np.int64)
-        lookup[list(parent_of)] = list(parent_of.values())
-        parents = np.sort(lookup[rows[signed]], axis=1)
+        parent_of = context.taxonomy.compiled.parent
+        parents = np.sort(parent_of[rows[signed]], axis=1)
         distinct = (parents[:, 1:] != parents[:, :-1]).all(axis=1)
         found, parent_codes, parent_alive = parent_cell.find_entries(parents)
         flips = np.isin(parent_codes, _SIGNED_CODES) & (

@@ -11,18 +11,162 @@ The mining algorithms require a *balanced* taxonomy: every leaf at the
 same depth.  Unbalanced trees can be repaired with the two strategies
 of Fig. 3 of the paper, implemented in
 :mod:`repro.taxonomy.rebalance`.
+
+The node objects are the construction form.  Readers on the mining
+and slide paths use :attr:`Taxonomy.compiled`, a
+:class:`CompiledTaxonomy` built on first use and dropped by any
+structural change: node ids per level, a parent array, children as
+CSR, the per-level generalization of every item as one table, and the
+name → item id map, all read-only.  :meth:`Taxonomy.item_ancestor_map`
+is a dict view of that table.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Any
+
+import numpy as np
 
 from repro.errors import TaxonomyError
 from repro.taxonomy.node import ROOT_NAME, TaxonomyNode
 
-__all__ = ["Taxonomy"]
+__all__ = ["CompiledTaxonomy", "Taxonomy"]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _Children(Mapping[int, tuple[int, ...]]):
+    """Node id -> child ids, in ``children_ids`` order, read from the
+    CSR arrays (the shape :func:`repro.core.candidates.expand_children`
+    takes)."""
+
+    def __init__(self, start: np.ndarray, ids: np.ndarray) -> None:
+        self._start = start
+        self._ids = ids
+
+    def __getitem__(self, node: int) -> tuple[int, ...]:
+        if not 0 <= node < len(self._start) - 1:
+            raise KeyError(node)
+        start, stop = self._start[node : node + 2].tolist()
+        return tuple(self._ids[start:stop].tolist())
+
+    def __len__(self) -> int:
+        return len(self._start) - 1
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self._start) - 1))
+
+
+class CompiledTaxonomy:
+    """The frozen array form of one :class:`Taxonomy`.
+
+    Arrays are indexed by node id and read-only:
+
+    * ``parent`` — the parent id of every node, -1 for the root;
+    * ``child_start`` / ``child_ids`` — children as CSR: the children
+      of node ``n`` are ``child_ids[child_start[n]:child_start[n + 1]]``,
+      in ``children_ids`` order;
+    * ``item_ids`` — the items, ascending (see :attr:`Taxonomy.item_ids`);
+    * :meth:`nodes_at_level` — node ids per level, ascending;
+    * :meth:`item_ancestors` — per level, the generalization of every
+      item (rebalancing copies included), -1 at every non-item id.
+
+    ``item_id_by_name`` maps an item's name to its id (a shared dict:
+    read it, never write it).  Errors match
+    the node-walk accessors: an unbalanced tree or an out-of-range
+    level raises the same :class:`TaxonomyError`.
+    """
+
+    def __init__(self, taxonomy: "Taxonomy") -> None:
+        nodes = taxonomy._nodes
+        size = max(nodes, default=-1) + 1
+        parent = np.full(size, -1, dtype=np.int64)
+        level = np.full(size, -1, dtype=np.int64)
+        source = np.full(size, -1, dtype=np.int64)
+        n_children = np.zeros(size, dtype=np.int64)
+        child_ids: list[int] = []
+        items: list[int] = []
+        for node_id in sorted(nodes):
+            node = nodes[node_id]
+            if node.parent_id is not None:
+                parent[node_id] = node.parent_id
+            level[node_id] = node.level
+            assert node.source_id is not None
+            source[node_id] = node.source_id
+            n_children[node_id] = len(node.children_ids)
+            child_ids.extend(node.children_ids)
+            # an item: an original leaf, or an original node with only
+            # rebalancing copies below it
+            if node.is_copy or node.parent_id is None:
+                continue
+            if all(nodes[child].is_copy for child in node.children_ids):
+                items.append(node_id)
+        self.height = int(level.max(initial=0))
+        self.parent = _frozen(parent)
+        self.child_start = _frozen(
+            np.concatenate(([0], np.cumsum(n_children))).astype(np.int64)
+        )
+        self.child_ids = _frozen(np.array(child_ids, dtype=np.int64))
+        self.item_ids = _frozen(np.array(items, dtype=np.int64))
+        self.item_id_by_name: Mapping[str, int] = {
+            nodes[item].name: item for item in items
+        }
+        self.children_of: Mapping[int, tuple[int, ...]] = _Children(
+            self.child_start, self.child_ids
+        )
+        self._level_nodes = tuple(
+            _frozen(np.flatnonzero(level == depth))
+            for depth in range(self.height + 1)
+        )
+        leaves = np.flatnonzero((level >= 0) & (n_children == 0))
+        self.balanced = bool((level[leaves] == self.height).all())
+        #: every item, in leaf-id order: item_ancestor_map's keys
+        self._leaf_items = _frozen(source[leaves])
+        self._ancestors: np.ndarray | None = None
+        if self.balanced:
+            # Walk every leaf up one level at a time; a leaf stands for
+            # its source item, so copies resolve to the item they copy.
+            table = np.full((self.height + 1, size), -1, dtype=np.int64)
+            current = leaves
+            for depth in range(self.height, 0, -1):
+                table[depth, self._leaf_items] = current
+                current = parent[current]
+            self._ancestors = _frozen(table)
+
+    def nodes_at_level(self, level: int) -> np.ndarray:
+        """Ids of all nodes at the given level, ascending."""
+        if level < 0 or level > self.height:
+            raise TaxonomyError(
+                f"level {level} out of range [0, {self.height}]"
+            )
+        return self._level_nodes[level]
+
+    def item_ancestors(self, level: int) -> np.ndarray:
+        """The generalization id at ``level`` of every item, indexed
+        by item id (-1 at ids that are not items).  Requires a
+        balanced taxonomy."""
+        if self._ancestors is None:
+            raise TaxonomyError(
+                "taxonomy is unbalanced; rebalance it before mining "
+                "(see repro.taxonomy.rebalance)"
+            )
+        if level < 1 or level > self.height:
+            raise TaxonomyError(
+                f"level {level} out of range [1, {self.height}]"
+            )
+        return self._ancestors[level]
+
+    def item_ancestor_map(self, level: int) -> dict[int, int]:
+        """:meth:`item_ancestors` as an ``item -> generalization``
+        dict."""
+        ancestors = self.item_ancestors(level)
+        keys = self._leaf_items
+        return dict(zip(keys.tolist(), ancestors[keys].tolist()))
 
 
 class Taxonomy:
@@ -42,6 +186,7 @@ class Taxonomy:
         # caches, invalidated on _finalize()
         self._levels_cache: dict[int, list[int]] | None = None
         self._height_cache: int | None = None
+        self._compiled: CompiledTaxonomy | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -232,8 +377,17 @@ class Taxonomy:
         """Recompute caches; call after any structural change."""
         self._levels_cache = None
         self._height_cache = None
+        self._compiled = None
         for ids in self._name_index.values():
             ids.sort(key=lambda nid: self._nodes[nid].level)
+
+    @property
+    def compiled(self) -> CompiledTaxonomy:
+        """The frozen array form, built on first use."""
+        compiled = self._compiled
+        if compiled is None:
+            compiled = self._compiled = CompiledTaxonomy(self)
+        return compiled
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -419,26 +573,10 @@ class Taxonomy:
         """Map each item id to its generalization id at ``level``.
 
         Requires a balanced taxonomy (rebalance first otherwise) so
-        that every item has an ancestor at every level.
+        that every item has an ancestor at every level.  A view of
+        :meth:`CompiledTaxonomy.item_ancestors`.
         """
-        if not self.is_balanced:
-            raise TaxonomyError(
-                "taxonomy is unbalanced; rebalance it before mining "
-                "(see repro.taxonomy.rebalance)"
-            )
-        if level < 1 or level > self.height:
-            raise TaxonomyError(
-                f"level {level} out of range [1, {self.height}]"
-            )
-        mapping: dict[int, int] = {}
-        for node in self._nodes.values():
-            if not node.is_leaf:
-                continue
-            assert node.source_id is not None
-            mapping[node.source_id] = self.ancestor_at_level(
-                node.node_id, level
-            )
-        return mapping
+        return self.compiled.item_ancestor_map(level)
 
     # ------------------------------------------------------------------
     # presentation

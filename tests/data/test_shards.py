@@ -3,15 +3,64 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from repro.core.counting import ShardBackendPool
+from repro.data.columnar import write_columnar_shard
 from repro.data.database import TransactionDatabase
 from repro.data.shards import (
     ShardedTransactionStore,
     estimate_transaction_bytes,
 )
 from repro.errors import DataError
+
+
+def _reference_columnar(rows):
+    """The ``FLIPCOL1`` bytes of ``rows`` as the name-by-name writer
+    laid them out: local ids in first-occurrence order, a compact
+    sorted-key JSON header, the header and the offsets padded to 64
+    bytes."""
+    table: dict[str, int] = {}
+    encoded = [
+        [table.setdefault(name, len(table)) for name in row] for row in rows
+    ]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in encoded], out=offsets[1:])
+    items = np.array(
+        [local for row in encoded for local in row], dtype=np.int32
+    )
+    header = json.dumps(
+        {
+            "format": 1,
+            "item_names": list(table),
+            "n_rows": len(rows),
+            "n_values": int(offsets[-1]),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode()
+
+    def padded(raw):
+        return raw + b"\x00" * (-len(raw) % 64)
+
+    head = b"FLIPCOL1" + len(header).to_bytes(4, "little") + header
+    return padded(head) + padded(offsets.tobytes()) + items.tobytes()
+
+
+NOT_A_ROW = "expected a list of item names, got"
+
+#: a delta with repeated names and empty rows
+DELTA = [
+    ("milk", "cola", "milk"),
+    (),
+    ("apples", "milk"),
+    ("cola",),
+    (),
+    ("apples", "apples"),
+]
 
 
 class TestPartitionDatabase:
@@ -404,3 +453,165 @@ class TestAppendBatch:
         )
         with pytest.raises(DataError, match="rows_per_shard"):
             store.append_batch([("milk",)], rows_per_shard=0)
+
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            ([("milk",), None], f"1: {NOT_A_ROW} NoneType"),
+            ([("milk",), "milk"], f"1: {NOT_A_ROW} str"),
+            ([b"milk"], f"0: {NOT_A_ROW} bytes"),
+            ([{"milk": 1}], f"0: {NOT_A_ROW} dict"),
+            ([("milk",), 7], f"1: {NOT_A_ROW} int"),
+            ([("milk", 1)], "0: item 1 is not a string"),
+            ([("cola",), ("milk", None)], "1: item None is not a string"),
+            ([("milk", b"cola")], "0: item b'cola' is not a string"),
+            ([("milk", ["cola"])], "0: item ['cola'] is not a string"),
+        ],
+    )
+    def test_malformed_delta_rejected_before_writing(
+        self, random_db, tmp_path, delta, message
+    ):
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 2
+        )
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        files = sorted(path.name for path in tmp_path.iterdir())
+        with pytest.raises(DataError) as raised:
+            store.append_batch(delta)
+        assert str(raised.value) == f"delta transaction {message}"
+        assert store.n_shards == 2
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
+        assert sorted(path.name for path in tmp_path.iterdir()) == files
+
+    def test_rows_of_any_iterable_are_accepted(self, random_db, tmp_path):
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 2
+        )
+        store.append_batch(iter([iter(["milk", "cola"]), ("apples",)]))
+        assert store.shard_transactions(2) == [("milk", "cola"), ("apples",)]
+
+
+class TestWidths:
+    """Per-shard widths: stamped on write, kept across retirements."""
+
+    def _levels(self, store):
+        return range(1, store.taxonomy.height + 1)
+
+    def test_retire_reads_no_surviving_shard(
+        self, random_db, tmp_path, monkeypatch
+    ):
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 4
+        )
+        store.append_batch(DELTA)
+        for level in self._levels(store):
+            store.width_at_level(level)
+        store.retire_shards([0, 2])
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a width query read a shard")
+
+        monkeypatch.setattr(store, "columnar_reader", no_read)
+        monkeypatch.setattr(store, "shard_transactions", no_read)
+        widths = [store.width_at_level(level) for level in self._levels(store)]
+        monkeypatch.undo()
+        expected = store.to_database()
+        assert widths == [
+            expected.width_at_level(level) for level in self._levels(store)
+        ]
+
+    def test_reopened_store_measures_each_shard_once(
+        self, random_db, tmp_path, monkeypatch
+    ):
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 3
+        )
+        store.append_batch(DELTA, rows_per_shard=4)
+        reopened = ShardedTransactionStore.open(tmp_path, random_db.taxonomy)
+        reads: Counter[int] = Counter()
+        reader = reopened.columnar_reader
+
+        def counted(index):
+            reads[index] += 1
+            return reader(index)
+
+        monkeypatch.setattr(reopened, "columnar_reader", counted)
+        for _ in range(2):
+            widths = [
+                reopened.width_at_level(level) for level in self._levels(store)
+            ]
+        assert reads == {index: 1 for index in range(reopened.n_shards)}
+        assert widths == [
+            store.width_at_level(level) for level in self._levels(store)
+        ]
+
+    def test_jsonl_shards_are_measured_too(self, random_db, tmp_path):
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 3, format="jsonl"
+        )
+        reopened = ShardedTransactionStore.open(tmp_path, random_db.taxonomy)
+        levels = self._levels(store)
+        widths = [reopened.width_at_level(level) for level in levels]
+        assert widths == [random_db.width_at_level(level) for level in levels]
+
+
+class TestDeltaShardBytes:
+    """Encoded delta shards keep the bytes of the name-by-name writer."""
+
+    def test_columnar_delta_with_splits(self, random_db, tmp_path):
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 2
+        )
+        new = store.append_batch(DELTA, rows_per_shard=4)
+        written = [store.shard_path(index).read_bytes() for index in new]
+        assert written == [
+            _reference_columnar(DELTA[:4]),
+            _reference_columnar(DELTA[4:]),
+        ]
+
+    def test_jsonl_delta_with_splits(self, random_db, tmp_path):
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 2, format="jsonl"
+        )
+        new = store.append_batch(DELTA, rows_per_shard=4, format="jsonl")
+        written = [store.shard_path(index).read_text() for index in new]
+        assert written == [
+            "".join(json.dumps(list(row)) + "\n" for row in chunk)
+            for chunk in (DELTA[:4], DELTA[4:])
+        ]
+
+    def test_partitioned_shards(self, random_db, tmp_path):
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 3
+        )
+        start = 0
+        for index, size in enumerate(store.shard_sizes):
+            rows = [
+                random_db.transaction_names(row)
+                for row in range(start, start + size)
+            ]
+            expected = _reference_columnar(rows)
+            assert store.shard_path(index).read_bytes() == expected
+            start += size
+
+    def test_write_columnar_shard(self, tmp_path):
+        path = tmp_path / "rows.col"
+        write_columnar_shard(path, DELTA)
+        assert path.read_bytes() == _reference_columnar(DELTA)
+
+    def test_backend_image_still_admitted_after_append(
+        self, random_db, tmp_path
+    ):
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 2
+        )
+        pool = ShardBackendPool(store)
+        for _ in pool.iter_backends():
+            pass
+        assert pool.save_images() == 2
+        store.append_batch(DELTA)
+        reopened = ShardedTransactionStore.open(tmp_path, random_db.taxonomy)
+        fresh = ShardBackendPool(reopened)
+        for index in range(2):
+            fresh.backend(index)
+        assert fresh.image_admits == 2

@@ -8,7 +8,9 @@ repeated rows and, now and then, an empty ``(0, k)`` batch.  After
 every step the answers must equal a monolithic :class:`BitmapBackend`
 over the store's current rows, row for row — an oracle that shares
 no SON or pool code with the counter — every shard must be counted,
-and the pool may hold no shard the store no longer has.
+and the pool may hold no shard the store no longer has.  The store's
+per-level widths (kept per shard across retirements) must equal a
+row walk over the same rows.
 """
 
 from __future__ import annotations
@@ -127,6 +129,16 @@ class DeltaCounterMachine(RuleBasedStateMachine):
             assert self.counter.node_supports(level) == nodes_expected
         assert self.counter.counted_shards == self.store.n_shards
         assert len(self.counter.pool.resident_shards) <= self.store.n_shards
+
+    @invariant()
+    def widths_match_a_row_walk(self):
+        for level in range(1, self.taxonomy.height + 1):
+            expected = (
+                self.store.to_database().width_at_level(level)
+                if self.store.n_transactions
+                else 0
+            )
+            assert self.store.width_at_level(level) == expected
 
 
 TestDeltaCounterMachine = DeltaCounterMachine.TestCase

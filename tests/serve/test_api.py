@@ -109,6 +109,27 @@ class TestErrorEnvelope:
             error = _envelope(response, "bad_request")
             assert fragment in error["message"]
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([None], "expected a list of item names, got NoneType"),
+            (["a11"], "expected a list of item names, got str"),
+            ([{"a11": 1}], "expected a list of item names, got dict"),
+            ([["a11", 7]], "item 7 is not a string"),
+        ],
+    )
+    def test_malformed_delta_rows_400(self, writable, rows, message):
+        version = writable.store.version
+        body = json.dumps({"transactions": [["b11"], *rows]}).encode()
+        intent = writable.dispatch("POST", "/v1/update", body)
+        assert isinstance(intent, UpdateIntent)
+        response = writable.run_update(intent)
+        assert response.status == 400
+        error = _envelope(response, "bad_request")
+        assert error["message"] == f"delta transaction 1: {message}"
+        health = _json(writable.dispatch("GET", "/v1/healthz"))
+        assert health["store_version"] == version
+
     def test_dispatch_never_raises(self, api):
         # even a hostile target resolves to an enveloped response
         for target in ("/v1//", "/v1/patterns/%00", "//", "/v1/../x"):
