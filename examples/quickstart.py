@@ -171,13 +171,12 @@ def main() -> None:
         f"(+{diff['added']} ~{diff['changed']} -{diff['removed']})"
     )
 
-    # 9b. The HTTP API is versioned under /v1 — served identically by
-    #     the threaded server (`flipper-mine serve`) and the asyncio
-    #     front end (`flipper-mine serve --async`, which adds a
+    # 9b. The HTTP API is versioned under /v1 and served by the
+    #     asyncio server (`flipper-mine serve`: one event loop, a
     #     bounded update queue, a byte-level response cache, and
-    #     `--workers N` SO_REUSEPORT replicas).  PatternAPI is the
-    #     route layer both share; driving it directly shows the
-    #     exact wire contract without a socket:
+    #     `--workers N` SO_REUSEPORT replicas).  PatternAPI is its
+    #     route layer; driving it directly shows the exact wire
+    #     contract without a socket:
     #
     #       GET  /v1/patterns        query params: items, under,
     #            signature, min/max_height, min/max_corr(elation),
@@ -254,7 +253,7 @@ def main() -> None:
     #     store gc`).  Feeding each result to the PatternStore diffs
     #     the generations into flip_started / flip_stopped /
     #     flip_level_changed events, which `GET /v1/events?
-    #     since_version=N&timeout=S` long-polls on both servers —
+    #     since_version=N&timeout=S` long-polls on the server —
     #     versions in the payload are real store generations, so
     #     resuming from `next_since` never misses a transition.
     from repro.engine.incremental import IncrementalMiner

@@ -14,7 +14,7 @@ corpus and asserts the properties that make it trustworthy:
   (this holds by construction: phase 2 re-counts every candidate
   exactly; the bench re-asserts it anyway);
 * **speedup** — the approximate run beats the exact run by at least
-  :data:`MIN_SPEEDUP` (the acceptance criterion CI gates).
+  :data:`MIN_SPEEDUP`.
 
 Protocol: both runs are *cold* and *memory-budgeted* — the store is
 split into :data:`_N_SHARDS` on-disk shards and the counting pool's
@@ -29,16 +29,16 @@ against identical minimum supports.  Backend-image persistence is
 disabled for *both* runs: re-admitting an evicted shard from its
 persisted image is nearly free, which would make the exact run's
 churn cost — the very thing sampling avoids — vanish from the
-measurement.  The bench isolates the sampling trade; the image-admit
-speedup is gated separately by ``repro bench partition``.
+measurement.  The bench isolates the sampling trade.
 
 ``run_approx_bench`` renders a report and writes the
 machine-readable ``BENCH_approx.json`` (path overridable via
-``REPRO_BENCH_APPROX_OUT``), which ``scripts/check_bench_regression.py
---approx-baseline`` gates in CI.  ``quick=True`` (the per-Python CI
-smoke: ``repro bench approx --quick``) shrinks the dataset and skips
-the wall-clock floor — timing at smoke scale is scheduler noise — but
-keeps every correctness check.
+``REPRO_BENCH_APPROX_OUT``).  Its checks are its gate: ``python -m
+repro bench approx`` exits 1 when any of them fails, the speedup floor
+included.  ``quick=True`` (the per-Python CI smoke: ``repro bench
+approx --quick``) shrinks the dataset and skips the wall-clock floor —
+timing at smoke scale is scheduler noise — but keeps every
+correctness check.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ __all__ = [
 DEFAULT_OUT_PATH = "BENCH_approx.json"
 
 #: acceptance floor: the sample-then-verify run must beat the exact
-#: out-of-core run by at least this factor (the CI gate enforces it)
+#: out-of-core run by at least this factor
 MIN_SPEEDUP = 2.0
 
 #: the acceptance criterion's operating point
@@ -119,8 +119,8 @@ def run_approx_bench(
 ) -> tuple[str, dict[str, object]]:
     """Run the approx bench and write ``BENCH_approx.json``."""
     if out_path is None:
-        # A quick run must never silently overwrite the committed
-        # full-scale baseline the CI gate compares against.
+        # A quick run must never silently overwrite a full-scale
+        # run's output.
         default = "BENCH_approx_quick.json" if quick else DEFAULT_OUT_PATH
         out_path = os.environ.get("REPRO_BENCH_APPROX_OUT", default)
     scale = bench_scale()
@@ -138,11 +138,11 @@ def run_approx_bench(
         sample_rate = _QUICK_SAMPLE_RATE
     config = bench_config(n_transactions=n)
     database = generate_synthetic(config)
-    # Same selective profile as the incremental bench (7x the Fig. 8
-    # default, gamma=0.2): a planted-pattern corpus whose flipping
-    # chains carry supports well above the per-level thresholds, so
-    # the sample bounds have room to work.  Absolute counts keep both
-    # runs on identical resolved thresholds.
+    # A selective profile (7x the Fig. 8 default, gamma=0.2): a
+    # planted-pattern corpus whose flipping chains carry supports
+    # well above the per-level thresholds, so the sample bounds have
+    # room to work.  Absolute counts keep both runs on identical
+    # resolved thresholds.
     profile = tuple(min(0.2, fraction * 7) for fraction in DEFAULT_MINSUP)
     thresholds = thresholds_for_profile(
         profile, gamma=0.2, epsilon=0.1, n_transactions=n
@@ -155,8 +155,7 @@ def run_approx_bench(
 
         # Controlled comparison: persist_images=False on both runs so
         # re-faults pay the full parse-and-rebuild cost the sampling
-        # path is designed to avoid (the image-admit fast path has its
-        # own gated bench, ``repro bench partition``).
+        # path is designed to avoid.
         exact_miner = FlipperMiner(
             store,
             thresholds,
@@ -304,7 +303,7 @@ def run_approx_bench(
             f"verify {info['verify_seconds']:.2f}s",
             "",
             render_checks(checks),
-            f"baseline written to {out_path}",
+            f"results written to {out_path}",
         ]
     )
     return report, data

@@ -12,11 +12,6 @@ from collections.abc import Sequence
 
 from repro.bench.approx import run_approx_bench
 from repro.bench.chart import sweep_chart
-from repro.bench.engine import run_engine_smoke
-from repro.bench.incremental import run_incremental_bench
-from repro.bench.partition import run_partition_bench
-from repro.bench.serve import run_serve_bench
-from repro.bench.window import run_window_bench
 from repro.bench.harness import (
     LADDER,
     RunRecord,
@@ -64,11 +59,6 @@ __all__ = [
     "run_fig9b",
     "run_table1",
     "run_table4",
-    "run_engine_smoke",
-    "run_partition_bench",
-    "run_incremental_bench",
-    "run_serve_bench",
-    "run_window_bench",
     "real_datasets",
     "EXPERIMENTS",
 ]
@@ -491,10 +481,5 @@ EXPERIMENTS = {
     "fig9b": run_fig9b,
     "table1": run_table1,
     "table4": run_table4,
-    "engine": run_engine_smoke,
-    "partition": run_partition_bench,
-    "incremental": run_incremental_bench,
-    "serve": run_serve_bench,
-    "window": run_window_bench,
     "approx": run_approx_bench,
 }

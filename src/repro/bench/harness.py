@@ -43,8 +43,6 @@ class RunRecord:
     tpg_events: int
     sibp_bans: int
     peak_memory_bytes: int | None = None
-    partitions: int = 1
-    memory_budget_mb: float | None = None
 
     @classmethod
     def from_run(
@@ -53,8 +51,6 @@ class RunRecord:
         miner: FlipperMiner,
         n_patterns: int,
         peak_memory: int | None = None,
-        partitions: int = 1,
-        memory_budget_mb: float | None = None,
     ) -> "RunRecord":
         stats = miner.stats
         return cls(
@@ -69,8 +65,6 @@ class RunRecord:
             tpg_events=len(stats.tpg_events),
             sibp_bans=len(stats.sibp_bans),
             peak_memory_bytes=peak_memory,
-            partitions=partitions,
-            memory_budget_mb=memory_budget_mb,
         )
 
 
@@ -82,8 +76,6 @@ def run_method(
     measure: str | Measure = "kulczynski",
     backend: str = "bitmap",
     max_k: int | None = None,
-    partitions: int | None = None,
-    memory_budget_mb: float | None = None,
     track_memory: bool = False,
 ) -> RunRecord:
     """Run one configuration and record its costs.
@@ -103,8 +95,6 @@ def run_method(
             pruning=pruning,
             backend=backend,
             max_k=max_k,
-            partitions=partitions,
-            memory_budget_mb=memory_budget_mb,
         )
         result = miner.mine()
         if track_memory:
@@ -113,12 +103,7 @@ def run_method(
         if track_memory:
             tracemalloc.stop()
     return RunRecord.from_run(
-        label or pruning.name,
-        miner,
-        len(result.patterns),
-        peak,
-        partitions=result.config["partitions"],
-        memory_budget_mb=result.config["memory_budget_mb"],
+        label or pruning.name, miner, len(result.patterns), peak
     )
 
 

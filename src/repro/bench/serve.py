@@ -1,105 +1,21 @@
-"""Serve bench: indexed query latency vs. a brute-force linear scan.
+"""A deterministic synthetic pattern corpus at serving scale.
 
-The serving subsystem's bargain is that a query resolves through
-posting-list intersections and ``bisect`` range scans instead of
-testing every pattern.  This bench quantifies the bargain on a
-deterministic synthetic pattern corpus (mining produces corpora far
-too small to stress an index; serving millions of users means serving
-stores far larger than one toy mine) and asserts the two properties
-that make it trustworthy:
-
-* the indexed answers are **byte-identical** to
-  :func:`~repro.serve.query.linear_scan` over the same store, for
-  every query in the workload, and
-* the indexed pass beats the scan pass by at least
-  :data:`MIN_SPEEDUP` overall (the acceptance criterion CI gates).
-
-Protocol: build a :class:`~repro.serve.store.PatternStore` over
-``~200k * scale`` synthetic flipping patterns, round-trip it through
-disk (serving always starts from a saved store), then run a fixed
-mixed workload — point item lookups, pair intersections, taxonomy
-node queries, signature + support ranges, correlation-range top-k,
-height filters — three ways: indexed with the cache off, brute-force
-scan, and indexed with the cache on (the steady state a hot serving
-path sees).  Per-pass wall-clock, throughput and p50/p99 latency are
-recorded to ``BENCH_serve.json`` (path overridable via
-``REPRO_BENCH_SERVE_OUT``), which
-``scripts/check_bench_regression.py --serve-baseline`` gates in CI.
+Mining produces corpora far too small to stress an index, so the
+serving benchmark workload and the serve tests index a generated
+corpus instead: :func:`synthetic_serve_result` builds ``n_patterns``
+flipping patterns over a fixed category/group/item namespace, shaped
+exactly like the miner's output.
 """
 
 from __future__ import annotations
 
-import asyncio
-import json
-import os
 import random
-import tempfile
-import time
-from collections.abc import Callable, Sequence
-from pathlib import Path
-from typing import Any
 
-from repro.bench.profiles import bench_scale
-from repro.bench.report import ShapeCheck, format_table, render_checks
 from repro.core.labels import Label
 from repro.core.patterns import ChainLink, FlippingPattern, MiningResult
 from repro.core.stats import MiningStats
-from repro.obs import catalog
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    quantile_from_buckets,
-)
-from repro.serve.aserver import AsyncPatternServer
-from repro.serve.query import Query, QueryEngine, linear_scan
-from repro.serve.server import PatternServer
-from repro.serve.store import PatternStore, pattern_id_of
 
-__all__ = [
-    "run_serve_bench",
-    "synthetic_serve_result",
-    "serve_workload",
-    "DEFAULT_OUT_PATH",
-    "MIN_SPEEDUP",
-    "MIN_CONCURRENT_SPEEDUP",
-    "MAX_BLOCKED_READ_RATIO",
-    "MAX_ASYNC_P99_MS",
-    "DEFAULT_CONCURRENCY",
-]
-
-DEFAULT_OUT_PATH = "BENCH_serve.json"
-
-#: acceptance floor: the indexed pass must beat the linear-scan pass
-#: by at least this factor (the CI gate enforces it on every PR)
-MIN_SPEEDUP = 5.0
-
-#: acceptance floor for the concurrent phase: the asyncio front end
-#: must sustain at least this many times the threaded server's qps
-#: under mixed read/update load (enforced at full concurrency only —
-#: tiny smoke runs record the metrics without gating on them)
-MIN_CONCURRENT_SPEEDUP = 3.0
-
-#: "no read blocked by an update": the async server's mixed-phase
-#: read p99 may be at most this multiple of its read-only p99.  A
-#: snapshot swap legitimately cools every per-version cache, so the
-#: first pass over the targets recomputes serially on the event loop
-#: (~60ms at full scale); the ceiling bounds that churn while still
-#: catching an actual reader-blocking regression (a lock would push
-#: mixed p99 toward the update duration, hundreds of ms)
-MAX_BLOCKED_READ_RATIO = 20.0
-
-#: advisory absolute ceiling on the async mixed-phase read p99,
-#: recorded in the baseline for trend context.  The *gated* p99 SLO
-#: is relative — async mixed p99 must beat the threaded mixed p99
-#: measured in the same run — because the absolute number swings
-#: with machine load while the same-run comparison does not
-MAX_ASYNC_P99_MS = 150.0
-
-#: connections the concurrent phase drives by default
-DEFAULT_CONCURRENCY = 100
-
-#: concurrency below which the SLO checks are recorded but not gated
-_GATE_CONCURRENCY = 50
+__all__ = ["synthetic_serve_result"]
 
 #: synthetic taxonomy namespace: 12 categories x 80 groups x 600 items
 _N_CATS = 12
@@ -211,611 +127,3 @@ def synthetic_serve_result(n_patterns: int, seed: int = 7) -> MiningResult:
         stats=stats,
         config={"synthetic": True, "seed": seed, "n_patterns": n_patterns},
     )
-
-
-def serve_workload(seed: int = 13) -> list[Query]:
-    """The fixed mixed query workload (≈120 distinct queries)."""
-    rng = random.Random(seed)
-    queries: list[Query] = []
-    for _ in range(40):
-        i = rng.randint(1, _N_ITEMS)
-        queries.append(Query(contains_items=(_item(i)[1],), limit=50))
-    for _ in range(15):
-        a, b = rng.sample(range(1, _N_ITEMS + 1), 2)
-        queries.append(Query(contains_items=(_item(a)[1], _item(b)[1])))
-    for _ in range(20):
-        g = rng.randint(1, _N_GROUPS)
-        queries.append(
-            Query(
-                under_node=_group(g)[1],
-                min_correlation=0.5,
-                limit=20,
-            )
-        )
-    for _ in range(10):
-        c = rng.randint(1, _N_CATS)
-        queries.append(
-            Query(
-                under_node=_cat(c)[1],
-                sort_by="support",
-                limit=50,
-            )
-        )
-    for _ in range(15):
-        lo = rng.randint(100, 3000)
-        queries.append(
-            Query(
-                signature="+-+",
-                min_support=lo,
-                max_support=lo + 500,
-                sort_by="support",
-                descending=False,
-            )
-        )
-    for _ in range(10):
-        queries.append(
-            Query(
-                min_correlation=round(rng.uniform(0.90, 0.96), 3),
-                max_correlation=1.0,
-                sort_by="min_gap",
-                limit=10,
-            )
-        )
-    for _ in range(10):
-        queries.append(
-            Query(
-                max_height=2,
-                signature=rng.choice(("+-", "-+")),
-                sort_by="mean_gap",
-                limit=25,
-            )
-        )
-    return queries
-
-
-def _percentile(sorted_values: list[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1,
-        int(round(fraction * (len(sorted_values) - 1))),
-    )
-    return sorted_values[index]
-
-
-def _timed_pass(
-    run: Callable[[Query], Any], queries: Sequence[Query]
-) -> tuple[list[Any], dict[str, float]]:
-    results = []
-    latencies: list[float] = []
-    for query in queries:
-        started = time.perf_counter()
-        results.append(run(query))
-        latencies.append(time.perf_counter() - started)
-    total = sum(latencies)
-    latencies.sort()
-    return results, {
-        "seconds": total,
-        "qps": len(queries) / total if total > 0 else 0.0,
-        "p50_ms": _percentile(latencies, 0.50) * 1000.0,
-        "p99_ms": _percentile(latencies, 0.99) * 1000.0,
-    }
-
-
-def _server_side_quantiles(registry: MetricsRegistry) -> dict[str, float]:
-    """p50/p99 as the *server* saw them, from its request-latency
-    histogram — aggregated across routes, so it covers everything the
-    load generator (and the updater) hit."""
-    metric = registry.get(catalog.HTTP_REQUEST_SECONDS)
-    if not isinstance(metric, Histogram):
-        return {"server_p50_ms": 0.0, "server_p99_ms": 0.0}
-    merged: list[int] = [0] * (len(metric.buckets) + 1)
-    for _key, data in metric.samples():
-        for index, count in enumerate(data.bucket_counts):
-            merged[index] += count
-    return {
-        "server_p50_ms": quantile_from_buckets(metric.buckets, merged, 0.50)
-        * 1000.0,
-        "server_p99_ms": quantile_from_buckets(metric.buckets, merged, 0.99)
-        * 1000.0,
-    }
-
-
-class _ScriptedMiner:
-    """Cycles precomputed mining results; ``update()`` ignores the
-    transactions.  Makes the concurrent phase measure *serving* under
-    snapshot swaps, not mining speed."""
-
-    def __init__(self, generations: list[MiningResult]) -> None:
-        self._generations = list(generations)
-        self._round = 0
-
-    def update(self, transactions: object) -> MiningResult:
-        result = self._generations[self._round % len(self._generations)]
-        self._round += 1
-        return result
-
-
-def _update_generations(
-    base: MiningResult, rounds: int, delta: int
-) -> list[MiningResult]:
-    """``rounds`` corpus variants, each replacing ~``delta`` patterns.
-
-    Every generation differs from the base (and from its neighbours)
-    in a bounded slice, so each applied update is an incremental
-    reindex — the realistic shape of a live delta — while every swap
-    still bumps the version and invalidates all caches.
-    """
-    by_id = {pattern_id_of(p): p for p in base.patterns}
-    generations: list[MiningResult] = []
-    for i in range(rounds):
-        variant = synthetic_serve_result(delta, seed=5000 + i)
-        merged = dict(by_id)
-        for pattern in variant.patterns:
-            merged[pattern_id_of(pattern)] = pattern
-        generations.append(
-            MiningResult(
-                patterns=list(merged.values()),
-                stats=base.stats,
-                config=dict(base.config, generation=i + 1),
-            )
-        )
-    return generations
-
-
-def _read_targets(seed: int = 29) -> list[str]:
-    """~60 deterministic ``GET /v1/patterns`` request targets covering
-    the same query families as :func:`serve_workload`."""
-    rng = random.Random(seed)
-    targets: list[str] = []
-    for _ in range(20):
-        i = rng.randint(1, _N_ITEMS)
-        targets.append(f"/v1/patterns?items={_item(i)[1]}&limit=50")
-    for _ in range(10):
-        g = rng.randint(1, _N_GROUPS)
-        targets.append(
-            f"/v1/patterns?under={_group(g)[1]}&min_corr=0.5&limit=20"
-        )
-    for _ in range(10):
-        c = rng.randint(1, _N_CATS)
-        targets.append(
-            f"/v1/patterns?under={_cat(c)[1]}&sort=support&limit=50"
-        )
-    for _ in range(10):
-        lo = rng.randint(100, 3000)
-        targets.append(
-            "/v1/patterns?signature=%2B-%2B"
-            f"&min_support={lo}&max_support={lo + 500}"
-            "&sort=support&order=asc&limit=50"
-        )
-    for _ in range(10):
-        corr = round(rng.uniform(0.90, 0.96), 3)
-        targets.append(
-            f"/v1/patterns?min_corr={corr}&max_corr=1.0"
-            "&sort=min_gap&limit=10"
-        )
-    return targets
-
-
-async def _read_http_response(
-    reader: asyncio.StreamReader,
-) -> tuple[int, bytes]:
-    status_line = await reader.readline()
-    if not status_line:
-        raise ConnectionError("server closed the connection")
-    status = int(status_line.split()[1])
-    length = 0
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _sep, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            length = int(value)
-    body = await reader.readexactly(length) if length else b""
-    return status, body
-
-
-def _run_load(
-    host: str,
-    port: int,
-    targets: list[str],
-    concurrency: int,
-    duration: float,
-    *,
-    with_updates: bool = False,
-) -> dict[str, float]:
-    """Drive ``concurrency`` keep-alive connections for ``duration``
-    seconds; optionally one extra connection issuing back-to-back
-    updates.  Returns sustained read qps, p50/p99 and update count."""
-
-    async def main() -> dict[str, float]:
-        loop = asyncio.get_running_loop()
-        latencies: list[float] = []
-        errors: list[str] = []
-        updates = 0
-        connections = await asyncio.gather(
-            *(
-                asyncio.open_connection(host, port)
-                for _ in range(concurrency)
-            )
-        )
-        # one warm-up request per connection (threads spawn, caches
-        # fill) before the measured window opens
-        for offset, (reader, writer) in enumerate(connections):
-            target = targets[offset % len(targets)]
-            writer.write(
-                f"GET {target} HTTP/1.1\r\nHost: bench\r\n\r\n".encode()
-            )
-        await asyncio.gather(*(writer.drain() for _, writer in connections))
-        for reader, _writer in connections:
-            await _read_http_response(reader)
-        deadline = loop.time() + duration
-
-        async def read_loop(index: int) -> None:
-            reader, writer = connections[index]
-            i = index
-            try:
-                while loop.time() < deadline:
-                    target = targets[i % len(targets)]
-                    i += concurrency
-                    started = time.perf_counter()
-                    writer.write(
-                        f"GET {target} HTTP/1.1\r\n"
-                        "Host: bench\r\n\r\n".encode()
-                    )
-                    await writer.drain()
-                    status, _body = await _read_http_response(reader)
-                    latencies.append(time.perf_counter() - started)
-                    if status != 200:
-                        errors.append(f"GET {target} -> {status}")
-                        return
-            except (ConnectionError, asyncio.IncompleteReadError) as exc:
-                errors.append(f"reader {index}: {exc}")
-            finally:
-                writer.close()
-
-        async def update_loop() -> None:
-            nonlocal updates
-            body = json.dumps({"transactions": [["bench-delta"]]}).encode()
-            head = (
-                "POST /v1/update HTTP/1.1\r\nHost: bench\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n"
-            ).encode()
-            try:
-                reader, writer = await asyncio.open_connection(host, port)
-            except OSError as exc:  # pragma: no cover - startup race
-                errors.append(f"updater connect: {exc}")
-                return
-            try:
-                while loop.time() < deadline:
-                    writer.write(head + body)
-                    await writer.drain()
-                    status, _body = await _read_http_response(reader)
-                    if status != 200:
-                        errors.append(f"POST /v1/update -> {status}")
-                        return
-                    updates += 1
-            except (ConnectionError, asyncio.IncompleteReadError) as exc:
-                errors.append(f"updater: {exc}")
-            finally:
-                writer.close()
-
-        tasks = [
-            asyncio.ensure_future(read_loop(i))
-            for i in range(concurrency)
-        ]
-        if with_updates:
-            tasks.append(asyncio.ensure_future(update_loop()))
-        await asyncio.gather(*tasks)
-        if errors:
-            raise RuntimeError(
-                f"load generator hit {len(errors)} error(s): {errors[0]}"
-            )
-        latencies.sort()
-        return {
-            "requests": len(latencies),
-            "qps": len(latencies) / duration if duration > 0 else 0.0,
-            "p50_ms": _percentile(latencies, 0.50) * 1000.0,
-            "p99_ms": _percentile(latencies, 0.99) * 1000.0,
-            "updates": updates,
-        }
-
-    return asyncio.run(main())
-
-
-def _spot_parity(url: str, store: PatternStore, targets: list[str]) -> bool:
-    """The served ``/v1`` bytes equal the engine's answer, modulo
-    transport: ``json.dumps(engine.execute(query).to_dict())`` plus
-    the cursor field the route layer appends."""
-    import urllib.request
-
-    from repro.serve.api import PatternAPI
-
-    api = PatternAPI(QueryEngine(store, cache_size=0))
-    for target in targets:
-        expected = api.dispatch("GET", target)
-        with urllib.request.urlopen(url + target) as response:
-            served = response.read()
-        if served != expected.encode():
-            return False
-    return True
-
-
-def _concurrent_phase(
-    result: MiningResult, concurrency: int, duration: float
-) -> dict[str, object]:
-    """Threaded vs asyncio under sustained concurrent load.
-
-    Both servers index their own copy of the same corpus and share
-    the event-loop load generator (same process, same measurement
-    bias), first read-only, then mixed with one back-to-back update
-    stream driven by a scripted miner.
-    """
-    targets = _read_targets()
-    delta = max(20, len(result.patterns) // 25)
-    rounds = 6
-    phases: dict[str, dict[str, float]] = {}
-    parity = True
-    for kind in ("threaded", "async"):
-        store = PatternStore.build(result)
-        miner = _ScriptedMiner(_update_generations(result, rounds, delta))
-        registry = MetricsRegistry()
-        if kind == "threaded":
-            server: PatternServer | AsyncPatternServer = PatternServer(
-                store, miner=miner, registry=registry
-            )
-        else:
-            server = AsyncPatternServer(
-                store,
-                miner=miner,
-                max_connections=concurrency + 8,
-                registry=registry,
-            )
-        with server:
-            parity = parity and _spot_parity(
-                server.url, PatternStore.build(result), targets[:6]
-            )
-            read_only = _run_load(
-                server.host, server.port, targets, concurrency, duration
-            )
-            mixed = _run_load(
-                server.host,
-                server.port,
-                targets,
-                concurrency,
-                duration,
-                with_updates=True,
-            )
-        phases[kind] = {"read_only": read_only, "mixed": mixed}
-        phases[kind].update(_server_side_quantiles(registry))
-    threaded, async_ = phases["threaded"], phases["async"]
-    speedup = (
-        async_["mixed"]["qps"] / threaded["mixed"]["qps"]
-        if threaded["mixed"]["qps"] > 0
-        else 0.0
-    )
-    blocked_ratio = (
-        async_["mixed"]["p99_ms"] / async_["read_only"]["p99_ms"]
-        if async_["read_only"]["p99_ms"] > 0
-        else 0.0
-    )
-    return {
-        "concurrency": concurrency,
-        "duration_seconds": duration,
-        "n_targets": len(targets),
-        "threaded": threaded,
-        "async": async_,
-        "async_over_threaded": speedup,
-        "blocked_read_ratio": blocked_ratio,
-        "min_async_over_threaded": MIN_CONCURRENT_SPEEDUP,
-        "max_blocked_read_ratio": MAX_BLOCKED_READ_RATIO,
-        "max_async_p99_ms": MAX_ASYNC_P99_MS,
-        "parity": parity,
-    }
-
-
-def run_serve_bench(
-    out_path: str | Path | None = None,
-    *,
-    concurrency: int | None = None,
-    load_seconds: float | None = None,
-) -> tuple[str, dict]:
-    """Run the serve bench; returns ``(report_text, data)``."""
-    if out_path is None:
-        out_path = os.environ.get("REPRO_BENCH_SERVE_OUT", DEFAULT_OUT_PATH)
-    if concurrency is None:
-        concurrency = int(
-            os.environ.get(
-                "REPRO_BENCH_SERVE_CONCURRENCY", DEFAULT_CONCURRENCY
-            )
-        )
-    if load_seconds is None:
-        load_seconds = float(
-            os.environ.get("REPRO_BENCH_SERVE_SECONDS", "1.0")
-        )
-    scale = bench_scale()
-    n_patterns = max(300, round(200_000 * scale))
-    result = synthetic_serve_result(n_patterns)
-    built = PatternStore.build(result)
-    # Serving always starts from a saved store: include the disk
-    # round-trip so a persistence regression cannot hide.
-    with tempfile.TemporaryDirectory(prefix="repro-bench-serve-") as tmp:
-        store_file = built.save(tmp)
-        store_bytes = store_file.stat().st_size
-        store = PatternStore.open(store_file)
-    queries = serve_workload()
-    engine = QueryEngine(store, cache_size=len(queries))
-
-    indexed_results, indexed = _timed_pass(
-        lambda q: engine.execute(q, use_cache=False), queries
-    )
-    scan_results, scan = _timed_pass(lambda q: linear_scan(store, q), queries)
-    # Cache warm-up, then the steady-state cached pass.
-    for query in queries:
-        engine.execute(query)
-    cached_results, cached = _timed_pass(lambda q: engine.execute(q), queries)
-
-    parity = all(
-        a.ids == b.ids and a.total == b.total
-        for a, b in zip(indexed_results, scan_results)
-    ) and all(
-        a.ids == b.ids for a, b in zip(cached_results, scan_results)
-    )
-    speedup = (
-        scan["seconds"] / indexed["seconds"]
-        if indexed["seconds"] > 0
-        else 0.0
-    )
-    n_nonempty = sum(1 for r in scan_results if r.total > 0)
-
-    concurrent = _concurrent_phase(result, concurrency, load_seconds)
-    gated = concurrency >= _GATE_CONCURRENCY
-
-    checks = [
-        ShapeCheck(
-            "indexed answers identical to the linear scan "
-            "(cache off and on)",
-            parity,
-            f"{len(queries)} queries",
-        ),
-        ShapeCheck(
-            f"indexed pass is >= {MIN_SPEEDUP:g}x faster than the scan",
-            speedup >= MIN_SPEEDUP,
-            f"{speedup:.1f}x",
-        ),
-        ShapeCheck(
-            "workload exercises the store (most queries match)",
-            n_nonempty >= len(queries) // 2,
-            f"{n_nonempty}/{len(queries)} non-empty",
-        ),
-        ShapeCheck(
-            "served /v1 bytes equal the engine's answers "
-            "(both front ends)",
-            bool(concurrent["parity"]),
-            "spot-checked over the load targets",
-        ),
-    ]
-    if gated:
-        # SLO floors only bind at real concurrency; tiny smoke runs
-        # record the metrics without gating on them
-        checks.extend(
-            [
-                ShapeCheck(
-                    f"async sustains >= {MIN_CONCURRENT_SPEEDUP:g}x "
-                    "the threaded qps under mixed load",
-                    concurrent["async_over_threaded"]
-                    >= MIN_CONCURRENT_SPEEDUP,
-                    f"{concurrent['async_over_threaded']:.1f}x at "
-                    f"concurrency {concurrency}",
-                ),
-                ShapeCheck(
-                    "no read blocked by an update (mixed p99 <= "
-                    f"{MAX_BLOCKED_READ_RATIO:g}x read-only p99)",
-                    0.0
-                    < concurrent["blocked_read_ratio"]
-                    <= MAX_BLOCKED_READ_RATIO,
-                    f"{concurrent['blocked_read_ratio']:.2f}x",
-                ),
-                ShapeCheck(
-                    "async mixed read p99 beats the threaded mixed "
-                    "p99 (same machine, same load)",
-                    concurrent["async"]["mixed"]["p99_ms"]
-                    <= concurrent["threaded"]["mixed"]["p99_ms"],
-                    f"{concurrent['async']['mixed']['p99_ms']:.2f}ms "
-                    "async vs "
-                    f"{concurrent['threaded']['mixed']['p99_ms']:.2f}ms "
-                    "threaded",
-                ),
-            ]
-        )
-
-    data: dict[str, object] = {
-        "bench": "serve",
-        "scale": scale,
-        "n_patterns": len(store),
-        "store_bytes": store_bytes,
-        "n_queries": len(queries),
-        "indexed": indexed,
-        "scan": scan,
-        "cached": cached,
-        "speedup": speedup,
-        "min_speedup": MIN_SPEEDUP,
-        "parity": parity,
-        "concurrent": concurrent,
-        "checks_pass": all(check.passed for check in checks),
-    }
-    Path(out_path).write_text(json.dumps(data, indent=2) + "\n")
-
-    rows = [
-        [
-            name,
-            f"{stats['seconds']:.3f}",
-            f"{stats['qps']:.0f}",
-            f"{stats['p50_ms']:.3f}",
-            f"{stats['p99_ms']:.3f}",
-        ]
-        for name, stats in (
-            ("indexed", indexed),
-            ("scan", scan),
-            ("cached", cached),
-        )
-    ]
-    concurrent_rows = []
-    for kind in ("threaded", "async"):
-        for phase in ("read_only", "mixed"):
-            stats = concurrent[kind][phase]  # type: ignore[index]
-            concurrent_rows.append(
-                [
-                    f"{kind} {phase.replace('_', '-')}",
-                    f"{stats['qps']:.0f}",
-                    f"{stats['p50_ms']:.3f}",
-                    f"{stats['p99_ms']:.3f}",
-                    str(int(stats["updates"])),
-                ]
-            )
-    threaded_stats: dict[str, float]
-    async_stats: dict[str, float]
-    threaded_stats = concurrent["threaded"]  # type: ignore[assignment]
-    async_stats = concurrent["async"]  # type: ignore[assignment]
-    report = "\n".join(
-        [
-            f"== Serve bench (bench scale {scale:g}) ==",
-            f"{len(store)} patterns "
-            f"({store_bytes / 1024:.0f} KiB on disk), "
-            f"{len(queries)} queries per pass",
-            "",
-            format_table(
-                ["pass", "seconds", "qps", "p50 ms", "p99 ms"], rows
-            ),
-            "",
-            f"indexed-vs-scan speedup: {speedup:.1f}x "
-            f"(floor {MIN_SPEEDUP:g}x)",
-            "",
-            f"concurrent load: {concurrency} connections, "
-            f"{load_seconds:g}s per phase"
-            + ("" if gated else " (below gate concurrency; not gated)"),
-            format_table(
-                ["phase", "read qps", "p50 ms", "p99 ms", "updates"],
-                concurrent_rows,
-            ),
-            "",
-            "server-side latency (request-seconds histogram): "
-            f"threaded p50 {threaded_stats['server_p50_ms']:.3f} / "
-            f"p99 {threaded_stats['server_p99_ms']:.3f} ms, "
-            f"async p50 {async_stats['server_p50_ms']:.3f} / "
-            f"p99 {async_stats['server_p99_ms']:.3f} ms",
-            "",
-            f"async-over-threaded (mixed): "
-            f"{concurrent['async_over_threaded']:.1f}x "
-            f"(floor {MIN_CONCURRENT_SPEEDUP:g}x); "
-            f"blocked-read ratio: "
-            f"{concurrent['blocked_read_ratio']:.2f}x "
-            f"(ceiling {MAX_BLOCKED_READ_RATIO:g}x)",
-            "",
-            render_checks(checks),
-            f"baseline written to {out_path}",
-        ]
-    )
-    return report, data

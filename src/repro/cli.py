@@ -8,7 +8,7 @@ The subcommands cover the library's workflows::
     flipper-mine query    --store ./shards --items "milk,beer" --limit 10
     flipper-mine rules    --transactions data.basket --taxonomy tax.json ...
     flipper-mine generate --dataset groceries --out-dir ./data
-    flipper-mine bench    fig8a fig8b ... serve | all
+    flipper-mine bench    fig8a fig8b ... table4 approx | all
     flipper-mine explain  [--measure kulczynski]
 
 ``mine`` runs Flipper (this paper); ``mine --sample-rate 0.1
@@ -68,7 +68,6 @@ from repro.obs.tracing import (
 from repro.serve import (
     MEASURE_GETTERS,
     AsyncPatternServer,
-    PatternServer,
     PatternStore,
     Query,
     QueryEngine,
@@ -304,19 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU entries of the query-result cache",
     )
     serve.add_argument(
-        "--async", dest="use_async", action="store_true",
-        help="serve from a single asyncio event loop instead of a "
-             "thread per connection (the high-concurrency front end)",
-    )
-    serve.add_argument(
         "--connections", type=int, default=1024,
-        help="concurrent connections the async front end accepts "
-             "before new ones wait (default: 1024; needs --async)",
+        help="concurrent connections the server accepts before new "
+             "ones wait (default: 1024)",
     )
     serve.add_argument(
         "--workers", type=int, default=1,
-        help="async read-only replicas sharing the port via "
-             "SO_REUSEPORT (needs --async and --result; default: 1)",
+        help="read-only replicas sharing the port via SO_REUSEPORT "
+             "(needs --result; default: 1)",
     )
 
     query = sub.add_parser(
@@ -389,17 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="+",
         choices=sorted(EXPERIMENTS) + ["all"],
-        help="experiment ids (fig8a..fig9b, table1, table4) or 'all'",
+        help="experiment ids (fig8a..fig9b, table1, table4, approx) "
+             "or 'all'; exits 1 if a bench reports failed checks",
     )
     bench.add_argument(
         "--quick", action="store_true",
         help="reduced-size smoke run: correctness checks only, no "
-             "wall-clock floor (approx and partition benches only)",
-    )
-    bench.add_argument(
-        "--concurrency", type=int, default=None,
-        help="connections the serve bench's concurrent phase drives "
-             "(serve bench only; default: 100)",
+             "wall-clock floor (approx bench only)",
     )
 
     store = sub.add_parser(
@@ -526,8 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
              "catalog)",
     )
     analyze.add_argument(
-        "paths", nargs="*", default=["src", "scripts"],
-        help="files or directories to scan (default: src scripts)",
+        "paths", nargs="*", default=["src"],
+        help="files or directories to scan (default: src)",
     )
     analyze.add_argument(
         "--format", choices=("text", "json"), default="text",
@@ -791,31 +781,22 @@ def _make_server(
     miner: object | None = None,
     store_path: Path | None = None,
     reuse_port: bool = False,
-) -> PatternServer | AsyncPatternServer:
-    if getattr(args, "use_async", False):
-        return AsyncPatternServer(
-            store,
-            miner=miner,
-            store_path=store_path,
-            host=args.host,
-            port=args.port,
-            cache_size=args.cache_size,
-            max_connections=args.connections,
-            reuse_port=reuse_port,
-        )
-    return PatternServer(
+) -> AsyncPatternServer:
+    return AsyncPatternServer(
         store,
         miner=miner,
         store_path=store_path,
         host=args.host,
         port=args.port,
         cache_size=args.cache_size,
+        max_connections=args.connections,
+        reuse_port=reuse_port,
     )
 
 
 def _build_server(
     args: argparse.Namespace, *, reuse_port: bool = False
-) -> PatternServer | AsyncPatternServer:
+) -> AsyncPatternServer:
     """Resolve serve's ``--result``/``--store`` into a ready server.
 
     Factored out of :func:`_cmd_serve` so tests can build (and probe)
@@ -826,19 +807,7 @@ def _build_server(
             "serve needs exactly one of --result (read-only archive) "
             "or --store (live shard store)"
         )
-    use_async = getattr(args, "use_async", False)
-    if not use_async:
-        if getattr(args, "connections", 1024) != 1024:
-            raise ReproError(
-                "--connections tunes the asyncio front end; pass "
-                "--async too"
-            )
-        if getattr(args, "workers", 1) != 1:
-            raise ReproError(
-                "--workers runs SO_REUSEPORT async replicas; pass "
-                "--async too"
-            )
-    if getattr(args, "workers", 1) != 1 and args.result is None:
+    if args.workers != 1 and args.result is None:
         raise ReproError(
             "--workers replicas are read-only; serve an archive with "
             "--result (live --store updates would diverge)"
@@ -904,9 +873,9 @@ def _reuseport_worker(args: argparse.Namespace) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
+    import threading
 
-    workers = getattr(args, "workers", 1)
-    multi = workers > 1
+    multi = args.workers > 1
     if multi and args.port == 0:
         raise ReproError(
             "--workers replicas share one port via SO_REUSEPORT; pass "
@@ -922,27 +891,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             context.Process(
                 target=_reuseport_worker, args=(args,), daemon=True
             )
-            for _ in range(workers - 1)
+            for _ in range(args.workers - 1)
         ]
         for process in processes:
             process.start()  # type: ignore[attr-defined]
-    read_only = args.result is not None
-    front = "async" if getattr(args, "use_async", False) else "threaded"
-    print(
-        f"serving {len(server.store)} pattern(s) "
-        f"(store version {server.store.version}"
-        f"{', read-only' if read_only else ''}, {front} front end"
-        + (f", {workers} SO_REUSEPORT replicas" if multi else "")
-        + f") at http://{args.host}:{args.port or server.port}",
-        flush=True,
-    )
-    print(
-        "endpoints: GET /v1/patterns  GET /v1/patterns/{id}  "
-        "GET /v1/stats  POST /v1/update  GET /v1/events  "
-        "GET /v1/healthz  "
-        "(legacy unprefixed aliases answer with a Deprecation header)",
-        flush=True,
-    )
 
     def _terminate(signum: int, frame: object) -> None:
         # Graceful SIGTERM/SIGINT: unwind through the KeyboardInterrupt
@@ -951,7 +903,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
-        server.serve_forever()
+        # The event loop runs in the server's thread; the main thread
+        # waits for a signal.  Starting first binds the socket, so the
+        # banner names the real port even under --port 0.
+        server.start()
+        read_only = args.result is not None
+        print(
+            f"serving {len(server.store)} pattern(s) "
+            f"(store version {server.store.version}"
+            f"{', read-only' if read_only else ''}"
+            + (f", {args.workers} SO_REUSEPORT replicas" if multi else "")
+            + f") at {server.url}",
+            flush=True,
+        )
+        print(
+            "endpoints: GET /v1/patterns  GET /v1/patterns/{id}  "
+            "GET /v1/stats  POST /v1/update  GET /v1/events  "
+            "GET /v1/healthz  "
+            "(legacy unprefixed aliases answer with a Deprecation header)",
+            flush=True,
+        )
+        threading.Event().wait()
     except KeyboardInterrupt:
         print("shutting down", flush=True)
     finally:
@@ -1140,33 +1112,26 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: benches whose runners take a ``quick=True`` smoke mode
-_QUICK_BENCHES = frozenset({"approx", "partition"})
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     names = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
-    if args.quick and not _QUICK_BENCHES & set(names):
+    if args.quick and "approx" not in names:
         raise ReproError(
-            "--quick is the approx/partition benches' smoke mode; add "
-            "'approx' or 'partition' to the experiment list"
+            "--quick is the approx bench's smoke mode; add 'approx' to "
+            "the experiment list"
         )
-    if args.concurrency is not None and "serve" not in names:
-        raise ReproError(
-            "--concurrency tunes the serve bench's concurrent phase; "
-            "add 'serve' to the experiment list"
-        )
+    failed: list[str] = []
     for name in names:
-        if name in _QUICK_BENCHES and args.quick:
-            report, _data = EXPERIMENTS[name](quick=True)  # type: ignore[call-arg]
-        elif name == "serve" and args.concurrency is not None:
-            report, _data = EXPERIMENTS[name](  # type: ignore[call-arg]
-                concurrency=args.concurrency
-            )
+        if name == "approx" and args.quick:
+            report, data = EXPERIMENTS[name](quick=True)  # type: ignore[call-arg]
         else:
-            report, _data = EXPERIMENTS[name]()
+            report, data = EXPERIMENTS[name]()
         print(report)
         print()
+        if isinstance(data, dict) and data.get("checks_pass") is False:
+            failed.append(name)
+    if failed:
+        print(f"failed checks: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -7,11 +7,11 @@ Two formats, both pure functions of the registry state:
   values, cumulative ``_bucket`` series with a ``+Inf`` terminator
   plus ``_sum``/``_count`` for histograms;
 * :func:`render_json` — the same samples as one JSON document for
-  programmatic consumers (the serve bench, tests, ``?format=json``).
+  programmatic consumers (tests, ``?format=json``).
 
 Output ordering is deterministic (metrics by name, series by label
-values), which is what makes the threaded and async servers'
-``/v1/metrics`` responses byte-comparable.
+values), so the same registry state always renders the same
+``/v1/metrics`` bytes.
 """
 
 from __future__ import annotations

@@ -7,11 +7,10 @@ generations of an indexed
 incremental updates via atomic snapshot swaps), a
 :class:`QueryEngine` compiles composable :class:`Query` filters
 against a pinned snapshot with a cost-ordered plan and an LRU result
-cache, and two front ends expose the whole thing over HTTP through
-the shared :class:`PatternAPI` route layer: the threaded
-:class:`PatternServer` and the high-concurrency asyncio
-:class:`AsyncPatternServer`.  See ARCHITECTURE.md ("The serving
-subsystem" and "Lock-free serving") for the data flow.
+cache, and the asyncio :class:`AsyncPatternServer` exposes the whole
+thing over HTTP through the :class:`PatternAPI` route layer.  See
+ARCHITECTURE.md ("The serving subsystem" and "Lock-free serving") for
+the data flow.
 """
 
 from repro.serve.api import (
@@ -32,7 +31,6 @@ from repro.serve.query import (
     linear_scan,
     matches,
 )
-from repro.serve.server import PatternServer
 from repro.serve.store import (
     MEASURE_GETTERS,
     STORE_FILE_NAME,
@@ -49,7 +47,6 @@ __all__ = [
     "AsyncPatternServer",
     "PatternAPI",
     "PatternStore",
-    "PatternServer",
     "Query",
     "QueryEngine",
     "QueryPlan",

@@ -1,13 +1,13 @@
-"""The versioned HTTP route/wire layer shared by both servers.
+"""The versioned HTTP route/wire layer of the pattern server.
 
 :class:`PatternAPI` is the transport-agnostic core of the serving
 tier: it turns a parsed HTTP request (method, target, body, a few
 headers) into an :class:`ApiResponse` — status, JSON payload, extra
 headers — or an :class:`UpdateIntent` for writes, without touching a
-socket.  The threaded :class:`~repro.serve.server.PatternServer` and
-the asyncio :class:`~repro.serve.aserver.AsyncPatternServer` both
-dispatch through one shared instance, so the two surfaces cannot
-drift.
+socket.  The asyncio :class:`~repro.serve.aserver.AsyncPatternServer`
+dispatches every request through one instance, and tests and
+benchmarks drive the same instance without a socket, so the wire
+contract is testable on its own.
 
 **Routes.**  The current surface lives under ``/v1``:
 
@@ -207,10 +207,9 @@ class UpdateIntent:
     """A validated ``POST .../update`` waiting for the writer path.
 
     Dispatch validates the request (routes, body shape, read-only
-    state) but does **not** run the update — each server decides how
-    writes are serialized (a plain lock for the threaded server, a
-    bounded queue for the asyncio one) and then calls
-    :meth:`PatternAPI.run_update`.
+    state) but does **not** run the update — the server decides how
+    writes are serialized (the asyncio server's bounded queue and
+    single writer task) and then calls :meth:`PatternAPI.run_update`.
     """
 
     transactions: list[Any]
@@ -226,11 +225,10 @@ class EventsIntent:
     """A validated ``GET .../events`` waiting for the (possibly
     blocking) long-poll.
 
-    Dispatch validates parameters but does **not** wait — each server
-    decides where the blocking wait may run (inline in a handler
-    thread for the threaded server, ``run_in_executor`` for the
-    asyncio one, which must never block its event loop) and then
-    calls :meth:`PatternAPI.run_events`.
+    Dispatch validates parameters but does **not** wait — the server
+    decides where the blocking wait may run (``run_in_executor`` in
+    the asyncio server, which must never block its event loop) and
+    then calls :meth:`PatternAPI.run_events`.
     """
 
     since_version: int
@@ -277,7 +275,7 @@ _UPDATE_FIELDS = {"transactions"}
 
 
 class PatternAPI:
-    """Routes + wire formats over one engine; shared by both servers.
+    """Routes + wire formats over one engine, without a socket.
 
     Parameters
     ----------
@@ -291,7 +289,7 @@ class PatternAPI:
         update.
     queue_depth:
         Callable reporting the server's pending-update queue depth
-        (the asyncio server's bounded queue; 0 for the threaded one).
+        (the asyncio server's bounded queue; 0 when not given).
     """
 
     def __init__(
@@ -361,12 +359,12 @@ class PatternAPI:
         self._draining = True
 
     # ------------------------------------------------------------------
-    # request accounting (shared by both transports)
+    # request accounting
     # ------------------------------------------------------------------
 
     def now(self) -> float:
-        """Request-timing clock; servers stamp request starts here so
-        tests can freeze one clock for both transports."""
+        """Request-timing clock; the server stamps request starts
+        here so tests can freeze one clock."""
         return time.perf_counter()
 
     def route_template(self, target: str) -> str:

@@ -1,9 +1,8 @@
-"""High-concurrency asyncio front end for the pattern store.
+"""The asyncio HTTP server of the pattern store.
 
-:class:`AsyncPatternServer` serves the same
-:class:`~repro.serve.api.PatternAPI` surface as the threaded
-:class:`~repro.serve.server.PatternServer`, but from a single event
-loop built on :func:`asyncio.start_server`: thousands of keep-alive
+:class:`AsyncPatternServer` serves the
+:class:`~repro.serve.api.PatternAPI` surface from a single event loop
+built on :func:`asyncio.start_server`: thousands of keep-alive
 connections multiplex onto one thread instead of one OS thread each,
 which is what lets the serving tier sustain high fan-out without
 GIL-thrashing a thread pool.

@@ -14,7 +14,7 @@ sources intersect into it, expensive ones are left to the final
 per-pattern verification.  Verification re-checks **all** predicates
 via :func:`matches`, so plan choices affect speed only — the answer
 is always exactly what :func:`linear_scan`, the index-free reference
-used by the parity tests and the serve bench, returns.
+used by the parity tests and the ``serve-read`` benchmark, returns.
 
 Every execution *pins* one immutable
 :class:`~repro.serve.store.StoreSnapshot` up front and compiles,
@@ -284,9 +284,8 @@ class QueryEngine:
     Works over a live :class:`PatternStore` (each execution pins the
     then-current snapshot) or over one fixed :class:`StoreSnapshot`.
     The engine itself holds no per-generation state beyond the
-    version-keyed cache, so one instance is safe to share across the
-    threaded server's handler pool and the asyncio server's event
-    loop alike.
+    version-keyed cache, so one instance is safe to share across
+    threads.
     """
 
     def __init__(
@@ -302,8 +301,8 @@ class QueryEngine:
             OrderedDict()
         )
         # guards the cache dict and hit/miss counters only; query
-        # compilation runs outside it, so concurrent readers (e.g.
-        # the threaded HTTP server) never serialize on real work
+        # compilation runs outside it, so concurrent readers never
+        # serialize on real work
         self._cache_lock = threading.Lock()
         self.cache_hits = 0
         self.cache_misses = 0

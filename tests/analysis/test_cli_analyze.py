@@ -194,7 +194,7 @@ class TestCatalogue:
 
 class TestSelfCheck:
     def test_live_tree_is_clean_modulo_baseline(self, capsys, monkeypatch):
-        """``repro analyze`` over the real src/scripts tree must pass
-        with the committed baseline — the invariants hold live."""
+        """``repro analyze`` over the real src tree must pass with the
+        committed baseline — the invariants hold live."""
         monkeypatch.chdir(REPO_ROOT)
         assert main(["analyze"]) == 0, capsys.readouterr().out

@@ -1,18 +1,17 @@
 """End-to-end smoke of the approx bench (quick mode).
 
-The wall-clock speedup floor is scale-dependent (CI's perf-gate job
-measures it at the default scale against the committed baseline), so
-this smoke runs the bench's ``quick`` mode — which skips the floor
-but keeps every correctness check — and asserts the exactness
-properties plus the baseline file shape.  Everything in the quick run
-is deterministic (fixed dataset seed, fixed sample seed), so its
-recall check is stable.
+The wall-clock speedup floor is scale-dependent (CI runs the full
+bench at the default scale, where ``python -m repro bench approx``
+exits 1 below the floor), so this smoke runs the bench's ``quick``
+mode — which skips the floor but keeps every correctness check — and
+asserts the exactness properties plus the output file shape.
+Everything in the quick run is deterministic (fixed dataset seed,
+fixed sample seed), so its recall check is stable.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -51,18 +50,3 @@ def test_approx_bench_quick_writes_baseline(tmp_path):
         "verify",
     }
 
-
-def test_committed_baseline_passes_its_own_checks():
-    """The committed BENCH_approx.json (produced at the default
-    scale, quick=False) must satisfy its internal checks, including
-    the 2x speedup floor and perfect recall the CI gate enforces."""
-    committed = json.loads(
-        (
-            Path(__file__).resolve().parents[2] / "BENCH_approx.json"
-        ).read_text()
-    )
-    assert committed["quick"] is False
-    assert committed["checks_pass"] is True
-    assert committed["recall"] == 1.0
-    assert committed["speedup"] >= committed["min_speedup"]
-    assert committed["sample_rate"] == 0.1

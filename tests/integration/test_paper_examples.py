@@ -114,10 +114,5 @@ class TestBenchRunnersSmoke:
             "fig9b",
             "table1",
             "table4",
-            "engine",
-            "partition",
-            "incremental",
-            "serve",
             "approx",
-            "window",
         }

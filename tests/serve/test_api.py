@@ -1,9 +1,9 @@
 """The versioned ``/v1`` route layer: envelopes, cursors, ETags.
 
 These tests drive :class:`~repro.serve.api.PatternAPI` directly —
-the exact dispatch both servers share — so they cover the wire
-contract without socket noise.  A few closing tests then assert the
-same behaviour over real HTTP through each front end.
+the exact dispatch the server runs — so they cover the wire contract
+without socket noise.  A closing test then asserts the same behaviour
+over real HTTP through :class:`~repro.serve.aserver.AsyncPatternServer`.
 """
 
 from __future__ import annotations
@@ -333,17 +333,16 @@ class TestEtagRevalidation:
 
 
 class TestOverHttp:
-    """The same contract through real sockets, on both front ends."""
+    """The same contract through real sockets."""
 
-    @pytest.mark.parametrize("kind", ["threaded", "async"])
+    @pytest.mark.parametrize("kind", ["async"])
     def test_v1_contract_end_to_end(self, kind, corpus_store):
         import http.client
 
-        from repro.serve import AsyncPatternServer, PatternServer
+        from repro.serve import AsyncPatternServer
 
-        make = PatternServer if kind == "threaded" else AsyncPatternServer
         offline = PatternAPI(QueryEngine(corpus_store, cache_size=0))
-        with make(corpus_store) as server:
+        with AsyncPatternServer(corpus_store) as server:
             conn = http.client.HTTPConnection(
                 server.host, server.port, timeout=10
             )

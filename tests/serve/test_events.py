@@ -22,7 +22,6 @@ from repro.errors import ConfigError
 from repro.serve import (
     AsyncPatternServer,
     PatternAPI,
-    PatternServer,
     PatternStore,
     QueryEngine,
 )
@@ -335,16 +334,6 @@ class TestOverHttp:
         finally:
             conn.close()
 
-    def test_threaded_server_serves_events(self):
-        store = PatternStore.build(result_of(A, B))
-        with PatternServer(store) as server:
-            status, payload = self._fetch(
-                server.host, server.port, "/v1/events?since_version=0"
-            )
-        assert status == 200
-        assert len(payload["events"]) == 2
-        assert payload["next_since"] == store.version
-
     def test_async_server_serves_events(self):
         store = PatternStore.build(result_of(A, B))
         with AsyncPatternServer(store) as server:
@@ -358,7 +347,7 @@ class TestOverHttp:
     def test_long_poll_wakes_on_publish_over_http(self):
         store = PatternStore.build(result_of(A))
         since = store.version
-        with PatternServer(store) as server:
+        with AsyncPatternServer(store) as server:
             answers: list = []
 
             def poll():

@@ -1,5 +1,5 @@
 """The /v1/metrics surface: exposition, health consistency, logs,
-and threaded-vs-async byte parity."""
+and frozen clocks."""
 
 from __future__ import annotations
 
@@ -15,8 +15,7 @@ import pytest
 from repro.obs import catalog
 from repro.obs.exposition import CONTENT_TYPE_TEXT
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import PatternServer, PatternStore
-from repro.serve.aserver import AsyncPatternServer
+from repro.serve import AsyncPatternServer, PatternStore
 
 
 def _get(url: str) -> tuple[int, dict[str, str], bytes]:
@@ -44,9 +43,7 @@ def _wait_until(predicate, timeout: float = 5.0) -> None:
 
 @pytest.fixture
 def server(toy_store):
-    with PatternServer(
-        toy_store, registry=MetricsRegistry()
-    ) as running:
+    with AsyncPatternServer(toy_store, registry=MetricsRegistry()) as running:
         yield running
 
 
@@ -151,7 +148,7 @@ class TestHealthzConsistency:
     def test_update_bumps_counter_and_snapshot_gauges(self, live_miner):
         registry = MetricsRegistry()
         store = PatternStore.build(live_miner.mine())
-        with PatternServer(
+        with AsyncPatternServer(
             store, miner=live_miner, registry=registry
         ) as server:
             request = urllib.request.Request(
@@ -255,11 +252,11 @@ class TestAsyncMetrics:
         assert f'{catalog.CACHE_HITS}{{cache="response"}}' in text
 
 
-class TestByteParity:
-    """Threaded and async /v1/metrics must be byte-identical for the
-    same request history (frozen clocks, fresh registries)."""
+class TestFrozenClocks:
+    """With the api and store clocks frozen, /v1/metrics reports zero
+    uptime and snapshot age after a request history."""
 
-    #: the identical request script driven at both servers
+    #: the request script driven before the scrape
     SCRIPT = (
         "/v1/patterns?limit=5",
         "/v1/patterns?signature=%2B-%2B",
@@ -281,7 +278,7 @@ class TestByteParity:
         )
         return _get_body(server.url + "/v1/metrics")
 
-    def test_metrics_bodies_identical(self, toy_result, monkeypatch):
+    def test_metrics_body_reads_frozen_clocks(self, toy_result, monkeypatch):
         frozen = SimpleNamespace(
             monotonic=lambda: 1000.0, perf_counter=lambda: 500.0
         )
@@ -289,18 +286,13 @@ class TestByteParity:
         # store modules only (the asyncio loop keeps the real clock)
         monkeypatch.setattr("repro.serve.api.time", frozen)
         monkeypatch.setattr("repro.serve.store.time", frozen)
-        threaded = PatternServer(
-            PatternStore.build(toy_result), registry=MetricsRegistry()
-        )
-        async_ = AsyncPatternServer(
+        server = AsyncPatternServer(
             PatternStore.build(toy_result),
             response_cache_size=0,
             registry=MetricsRegistry(),
         )
-        with threaded, async_:
-            threaded_body = self._drive(threaded)
-            async_body = self._drive(async_)
-        assert threaded_body == async_body
-        text = threaded_body.decode("utf-8")
+        with server:
+            body = self._drive(server)
+        text = body.decode("utf-8")
         assert f"{catalog.UPTIME_SECONDS} 0" in text
         assert f"{catalog.SNAPSHOT_AGE_SECONDS} 0" in text

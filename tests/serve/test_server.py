@@ -12,7 +12,7 @@ from repro.core.flipper import mine_flipping_patterns
 from repro.data.database import TransactionDatabase
 from repro.errors import ConfigError
 from repro.serve import (
-    PatternServer,
+    AsyncPatternServer,
     PatternStore,
     Query,
     linear_scan,
@@ -44,7 +44,7 @@ def _error(call):
 
 @pytest.fixture
 def server(corpus_store):
-    with PatternServer(corpus_store) as running:
+    with AsyncPatternServer(corpus_store) as running:
         yield running
 
 
@@ -192,7 +192,7 @@ class TestUpdates:
         store = PatternStore.build(live_miner.mine())
         store_path = tmp_path / "pattern_store.json"
         delta = [["a11", "b11"], ["a12", "b12"]]
-        with PatternServer(
+        with AsyncPatternServer(
             store, miner=live_miner, store_path=store_path
         ) as server:
             before = store.version
@@ -232,7 +232,7 @@ class TestUpdates:
 
     def test_malformed_update_body(self, live_miner):
         store = PatternStore.build(live_miner.mine())
-        with PatternServer(store, miner=live_miner) as server:
+        with AsyncPatternServer(store, miner=live_miner) as server:
             # unknown body fields are a loud 400...
             code, payload = _error(
                 lambda: _post(server.url + "/update", {"rows": []})
@@ -248,7 +248,7 @@ class TestUpdates:
 
 class TestLifecycle:
     def test_double_start_rejected(self, corpus_store):
-        server = PatternServer(corpus_store)
+        server = AsyncPatternServer(corpus_store)
         try:
             server.start()
             with pytest.raises(Exception, match="already started"):
@@ -257,11 +257,11 @@ class TestLifecycle:
             server.close()
 
     def test_close_releases_port(self, corpus_store):
-        server = PatternServer(corpus_store).start()
+        server = AsyncPatternServer(corpus_store).start()
         port = server.port
         server.close()
         # the port is free again: a new server can bind it
-        rebound = PatternServer(corpus_store, port=port)
+        rebound = AsyncPatternServer(corpus_store, port=port)
         try:
             rebound.start()
             _, payload = _get(rebound.url + "/healthz")
@@ -278,7 +278,7 @@ class TestKeepAlive:
         request line."""
         import http.client
 
-        with PatternServer(corpus_store) as server:
+        with AsyncPatternServer(corpus_store) as server:
             conn = http.client.HTTPConnection(
                 server.host, server.port, timeout=5
             )
@@ -341,7 +341,7 @@ class TestConcurrency:
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
-        with PatternServer(store, miner=live_miner) as server:
+        with AsyncPatternServer(store, miner=live_miner) as server:
             readers = [
                 threading.Thread(target=read_loop, args=(server.url,))
                 for _ in range(4)

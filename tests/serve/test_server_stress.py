@@ -28,7 +28,7 @@ import urllib.request
 import pytest
 
 from repro.bench.serve import synthetic_serve_result
-from repro.serve import PatternServer, PatternStore
+from repro.serve import AsyncPatternServer, PatternStore
 
 #: store generations the writer pushes (beyond the initial build)
 _N_UPDATES = 6
@@ -79,7 +79,7 @@ def test_readers_never_observe_torn_state(generations):
     failures: list[str] = []
     stop = threading.Event()
 
-    with PatternServer(
+    with AsyncPatternServer(
         store, miner=_ScriptedMiner(updates), cache_size=32
     ) as server:
 
@@ -151,7 +151,7 @@ def test_stale_version_pins_conflict_cleanly(generations):
     initial, *updates = generations
     store = PatternStore.build(initial)
     pinned = store.version
-    with PatternServer(store, miner=_ScriptedMiner(updates)) as server:
+    with AsyncPatternServer(store, miner=_ScriptedMiner(updates)) as server:
         # a pin on the current generation succeeds
         status, _page = _get(server.url + f"/patterns?expect_version={pinned}")
         assert status == 200

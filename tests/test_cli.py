@@ -389,6 +389,30 @@ class TestBench:
         out = capsys.readouterr().out
         assert "Table 1" in out and "[PASS]" in out
 
+    @staticmethod
+    def _fake_bench(monkeypatch, passed):
+        from repro.bench.experiments import EXPERIMENTS
+
+        def run():
+            return "== fake bench ==", {"checks_pass": passed}
+
+        monkeypatch.setitem(EXPERIMENTS, "approx", run)
+
+    def test_failed_checks_exit_1_after_every_report(
+        self, monkeypatch, capsys
+    ):
+        self._fake_bench(monkeypatch, passed=False)
+        assert main(["bench", "approx", "table1"]) == 1
+        captured = capsys.readouterr()
+        assert "== fake bench ==" in captured.out
+        assert "Table 1" in captured.out
+        assert "failed checks: approx" in captured.err
+
+    def test_passing_checks_exit_0(self, monkeypatch, capsys):
+        self._fake_bench(monkeypatch, passed=True)
+        assert main(["bench", "approx"]) == 0
+        assert "== fake bench ==" in capsys.readouterr().out
+
 
 class TestUpdateCommand:
     def test_init_append_and_mine(self, example_files, tmp_path, capsys):
@@ -741,8 +765,9 @@ class TestServe:
         assert main(["serve", "--store", str(store_dir)]) == 2
         assert "--min-support" in capsys.readouterr().err
 
-    def test_result_archive_is_read_only(self, example_files, tmp_path):
-        from repro.cli import _build_server
+    @pytest.fixture
+    def archive(self, example_files, tmp_path):
+        """A save_result archive of the example mine (one pattern)."""
         from repro.core.serialize import save_result
         from repro.core.flipper import mine_flipping_patterns
         from repro.core.thresholds import Thresholds
@@ -756,6 +781,11 @@ class TestServe:
         )
         archive = tmp_path / "run.json"
         save_result(result, archive)
+        return archive
+
+    def test_result_archive_is_read_only(self, archive):
+        from repro.cli import _build_server
+
         args = build_parser().parse_args([
             "serve",
             "--result",
@@ -768,6 +798,54 @@ class TestServe:
             assert len(server.store) == 1
         finally:
             server.close()
+
+    def test_serve_command_names_bound_port_and_stops_on_sigterm(
+        self, archive
+    ):
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "serve",
+                "--result",
+                str(archive),
+                "--port",
+                "0",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            banner = process.stdout.readline()
+            match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
+            assert match and int(match.group(1)) > 0, banner
+            with urllib.request.urlopen(
+                match.group(0) + "/v1/healthz", timeout=10
+            ) as resp:
+                assert json.load(resp)["status"] == "ok"
+        finally:
+            process.send_signal(signal.SIGTERM)
+            out, err = process.communicate(timeout=30)
+        assert process.returncode == 0, err
+        assert "read-only" in banner
+        assert "shutting down" in out
 
 
 class TestQueryCommand:

@@ -278,7 +278,7 @@ class TestMalformedInputs:
     def test_bench_quick_without_approx(self, capsys):
         _expect_error(
             capsys,
-            ["bench", "engine", "--quick"],
+            ["bench", "table1", "--quick"],
             "--quick",
             "approx",
         )
