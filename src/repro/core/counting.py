@@ -10,10 +10,19 @@ backends answer it over an in-memory database:
 
 * :class:`BitmapBackend` (default) — one packed ``uint64`` word plane
   per taxonomy level; a per-level lookup array maps node ids to plane
-  rows, and a batch is counted by one blocked gather, AND and
-  ``np.bitwise_count`` popcount over the plane
-  (:func:`_and_popcount`).  The pure-Python bigint
-  :class:`~repro.data.vertical.VerticalIndex` is its test reference.
+  rows, and :func:`_and_popcount` counts a batch with
+  ``np.bitwise_count`` popcounts over the plane.  A size rule, read
+  from the batch alone, picks one of two kernels.  The dense kernel
+  gathers every row's plane rows, ANDs them and popcounts every word.
+  The prefix-grouped kernel sorts the rows by their (k-1)-prefix,
+  ANDs each distinct prefix once and extends it by each row's last
+  item: over the prefix AND's non-zero words only where they are
+  few, densely against the shared prefix AND where they are many.
+  Plane width, rows per prefix and the prefix ANDs' non-zero word
+  counts (sampled for the batch, then per prefix) decide; no option
+  does.  The pure-Python bigint
+  :class:`~repro.data.vertical.VerticalIndex` is the test reference
+  of both.
 * :class:`HorizontalBackend` — scans the level-projected transaction
   list once per candidate batch, mirroring the paper's disk-resident
   sequential-scan cost model (one scan per cell).  Used by the backend
@@ -24,6 +33,12 @@ A sharded store counts through :class:`DeltaCounter`: one inner
 backend per shard, and the exact global supports are the sum of the
 shards' count arrays (the SON merge).  Per-level node supports are
 maintained exactly as shards are appended and retired.
+
+Every backend also answers ``width_at_level(level)``, the most
+distinct level nodes one transaction holds, from what it already
+keeps: the bitmap backend from its plane, the horizontal backend from
+its level projection and :class:`DeltaCounter` from the store's
+per-shard widths.  The miner's k bound reads it there.
 
 Every backend counts one candidate batch per ``supports`` call; the
 engine's stages hand it a cell's whole batch, so a horizontal batch
@@ -56,7 +71,7 @@ from repro.data.shards import ShardedTransactionStore
 from repro.errors import ConfigError, DataError
 from repro.obs import catalog
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.core.rowkeys import index_of
+from repro.core.rowkeys import RowKeys, index_of
 from repro.obs.tracing import trace_span
 from repro.taxonomy.tree import Taxonomy
 
@@ -90,6 +105,11 @@ class CountingBackend(Protocol):
         counts in row order."""
         ...
 
+    def width_at_level(self, level: int) -> int:
+        """Largest number of distinct level-``level`` nodes in one
+        transaction (0 without transactions)."""
+        ...
+
 
 def _check_rows(rows: np.ndarray) -> np.ndarray:
     """A batch must be a 2-D integer matrix, one itemset per row."""
@@ -102,6 +122,28 @@ def _check_rows(rows: np.ndarray) -> np.ndarray:
             "a support batch is an (n, k) integer matrix of node ids"
         )
     return rows
+
+
+def _level_positions(
+    lookup: np.ndarray, level: int, rows: np.ndarray
+) -> np.ndarray:
+    """A non-empty batch's node ids as positions among the level's
+    nodes, through ``lookup`` (node id -> position, -1 off the
+    level).  An empty itemset, and a node that is not at the level or
+    is unknown, raise :class:`~repro.errors.DataError`; every backend
+    validates a batch here."""
+    if not rows.shape[1]:
+        raise DataError("support of an empty itemset is undefined")
+    low, high = int(rows.min()), int(rows.max())
+    if low < 0 or high >= len(lookup):
+        bad = low if low < 0 else high
+        raise DataError(f"node {bad} is not at taxonomy level {level}")
+    positions = lookup[rows]
+    off_level = positions < 0
+    if off_level.any():
+        bad = int(rows[off_level][0])
+        raise DataError(f"node {bad} is not at taxonomy level {level}")
+    return positions
 
 
 #: plane word: little-endian, so a plane's bytes are the image's
@@ -163,20 +205,263 @@ def _first_foreign(items: np.ndarray, known: np.ndarray) -> int | None:
     return int(np.argmin(inside))
 
 
+#: The size rule of the prefix-grouped kernel and its block size.
+#: These are cost-model constants, not options.  Each was measured
+#: on the batches of one ``mine-batch`` mine (synthetic-50k: 782-word
+#: planes in memory, 196-word planes in four shards) and of one
+#: ``repro bench approx`` exact run, kernel calls timed alone on a
+#: 2-vCPU host (fastest of 11-41 runs).  The dense kernel spends most
+#: of a row on the popcount and row sum of every word, so the grouped
+#: kernel gains by popcounting fewer words.
+#:
+#: Narrowest plane, in words, that is grouped.  A narrow row costs too
+#: little for sorting and prefix ANDs to pay back: grouping every
+#: plane took one ``stream-e2e`` slide's 16 calls on 24-29-word shard
+#: planes from 2.2 to 5.1 ms.  At 196 words the level-3 triples still
+#: fall from 34 to 24 ms.
+_GROUP_MIN_WORDS = 128
+#: Fewest rows per distinct (k-1)-prefix that are grouped.  At four,
+#: the (2,4) batch (4.7 rows per prefix, nearly all sparse) went from
+#: 1.3 to 1.6 ms on 196-word planes; the triples (28.4) fall from 132
+#: to 55 ms on 782-word ones.
+_GROUP_MIN_ROWS = 8
+#: A sparse prefix's non-zero words are listed and gathered in chunks
+#: of this many words, the last chunk padded with zero words.  The
+#: triples' prefix ANDs hold 67 non-zero words on average; chunks of
+#: 8, 16 and 32 words counted them in 55, 53 and 53 ms.
+_CHUNK_WORDS = 16
+#: A prefix goes word-sparse when its chunks cover at most
+#: ``1 / _SPARSE_SHARE`` of the plane width (:func:`_sparse_limit`).
+#: A word gathered through a word list costs about 2.5 ns, a word
+#: ANDed against the prefix row about 0.7 ns.  Shares of 2, 3, 4 and
+#: 8 counted the triples in 52, 53, 53 and 58 ms, but 2 took the
+#: (2,3) batch, whose prefix ANDs are half non-zero, from 8.6 to
+#: 10.5 ms.
+_SPARSE_SHARE = 4
+#: Rows whose prefix ANDs are sampled to tell a batch of mostly
+#: sparse prefixes from one of mostly dense ones; only the first is
+#: grouped.  The batches measured are far apart: 0-15% of their
+#: prefixes sparse (level-1 and level-2 batches, the prefix screen)
+#: or 83-100% (the level-3 and level-4 triples, the (2,4) batch).  On
+#: dense prefixes the grouped kernel saves only a row gather and an
+#: AND per row, which its sort and prefix ANDs cost back: ungated,
+#: the (2,3) batch took 2.35 -> 2.76 ms on 196-word planes and the
+#: approx bench's level-2 triples 1.27 -> 1.55 ms.
+_SAMPLE_ROWS = 32
+#: Bytes of prefix ANDs one block of the grouped kernel holds (at
+#: least one prefix).  Blocks of 256 KiB, 1 MiB and 4 MiB counted the
+#: triples in 58, 53 and 54 ms.
+_GROUP_BLOCK_BYTES = 1 << 20
+
+
 def _and_popcount(plane: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """Support of every row of ``matrix`` (plane row indexes, one
-    itemset per row): gather the itemset's word rows, AND them and
-    popcount, ``_BLOCK_BYTES`` of gathered words at a time."""
+    itemset per row).
+
+    The size rule picks the kernel from the batch.  A batch of
+    itemsets of three or more items on a plane at least
+    ``_GROUP_MIN_WORDS`` wide, whose sampled prefix ANDs are mostly
+    word-sparse (:func:`_mostly_sparse`) and which has at least
+    ``_GROUP_MIN_ROWS`` rows per distinct (k-1)-prefix, is counted
+    prefix by prefix (:func:`_grouped_and_popcount`); every other
+    batch by the dense kernel (:func:`_dense_and_popcount`).
+    Prefixes are grouped by their :class:`~repro.core.rowkeys.RowKeys`
+    keys, which stay exact past one int64 word.
+    """
     n, k = matrix.shape
-    step = max(1, _BLOCK_BYTES // (plane.shape[1] * _WORD.itemsize))
+    if (
+        k >= 3
+        and plane.shape[1] >= _GROUP_MIN_WORDS
+        and _mostly_sparse(plane, matrix)
+    ):
+        keys = RowKeys(len(plane)).pack(matrix[:, :-1])
+        order = np.argsort(keys)
+        keys = keys[order]
+        heads = np.flatnonzero(
+            np.concatenate(([True], keys[1:] != keys[:-1]))
+        )
+        if n >= _GROUP_MIN_ROWS * len(heads):
+            return _grouped_and_popcount(plane, matrix, order, heads)
+    return _dense_and_popcount([(plane, column) for column in matrix.T])
+
+
+def _sparse_limit(width: int) -> int:
+    """The most non-zero words a prefix AND on a ``width``-word plane
+    may have and go word-sparse: its ``_CHUNK_WORDS``-word chunks fill
+    at most a ``_SPARSE_SHARE``-th of the plane."""
+    return width // (_CHUNK_WORDS * _SPARSE_SHARE) * _CHUNK_WORDS
+
+
+def _mostly_sparse(plane: np.ndarray, matrix: np.ndarray) -> bool:
+    """Are at least half of the prefix ANDs of ``_SAMPLE_ROWS``
+    evenly spaced rows of the batch word-sparse?"""
+    sample = matrix[:: -(-len(matrix) // _SAMPLE_ROWS), :-1]
+    prefixes = plane.take(sample[:, 0], axis=0)
+    for column in sample.T[1:]:
+        prefixes &= plane.take(column, axis=0)
+    nnz = np.count_nonzero(prefixes, axis=1)
+    sparse = np.count_nonzero(nnz <= _sparse_limit(plane.shape[1]))
+    return 2 * sparse >= len(sample)
+
+
+def _dense_and_popcount(
+    columns: list[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """The dense kernel: per row ``i``, the popcount of the AND of
+    ``words[index[i]]`` over the ``(words, index)`` columns, all of
+    one width.  It gathers, ANDs and popcounts ``_BLOCK_BYTES`` of
+    gathered words at a time."""
+    (first, first_index), *rest = columns
+    n = len(first_index)
+    step = max(1, _BLOCK_BYTES // (first.shape[1] * _WORD.itemsize))
     counts = np.empty(n, dtype=np.int64)
     for start in range(0, n, step):
-        block = matrix[start : start + step]
-        acc = plane.take(block[:, 0], axis=0)
-        for j in range(1, k):
-            acc &= plane.take(block[:, j], axis=0)
+        block = slice(start, start + step)
+        acc = first.take(first_index[block], axis=0)
+        for words, index in rest:
+            acc &= words.take(index[block], axis=0)
         pops = np.bitwise_count(acc)
-        counts[start : start + step] = pops.sum(axis=1, dtype=np.uint32)
+        counts[block] = pops.sum(axis=1, dtype=np.uint32)
+    return counts
+
+
+def _grouped_and_popcount(
+    plane: np.ndarray,
+    matrix: np.ndarray,
+    order: np.ndarray,
+    heads: np.ndarray,
+) -> np.ndarray:
+    """The prefix-grouped kernel.  ``order`` sorts the rows by their
+    (k-1)-prefix and ``heads`` are the sorted positions where a new
+    prefix starts.
+
+    Each distinct prefix is ANDed once, ``_GROUP_BLOCK_BYTES`` of
+    prefix ANDs at a time, and extended by the last item of each of
+    its rows (:func:`_extend`)."""
+    n = len(matrix)
+    width = plane.shape[1]
+    rows = matrix[order]
+    bounds = np.append(heads, n)
+    step = max(1, _GROUP_BLOCK_BYTES // (width * _WORD.itemsize))
+    # the prefix block and a gather buffer, reused by every block
+    buffers = np.empty((2, min(step, len(heads)), width), dtype=_WORD)
+    counts = np.empty(n, dtype=np.int64)
+    for first in range(0, len(heads), step):
+        prefix_rows = rows[heads[first : first + step], :-1]
+        prefixes, gathered = buffers[:, : len(prefix_rows)]
+        # mode="clip" writes to ``out`` unbuffered; no index clips
+        np.take(plane, prefix_rows[:, 0], 0, prefixes, mode="clip")
+        for column in prefix_rows.T[1:]:
+            np.take(plane, column, 0, gathered, mode="clip")
+            prefixes &= gathered
+        sizes = np.diff(bounds[first : first + len(prefix_rows) + 1])
+        block = slice(bounds[first], bounds[first + len(prefix_rows)])
+        counts[block] = _extend(
+            plane,
+            prefixes,
+            np.repeat(np.arange(len(sizes)), sizes),
+            rows[block, -1],
+        )
+    result = np.empty(n, dtype=np.int64)
+    result[order] = counts
+    return result
+
+
+def _extend(
+    plane: np.ndarray,
+    prefixes: np.ndarray,
+    group: np.ndarray,
+    items: np.ndarray,
+) -> np.ndarray:
+    """Per row, the popcount of ``prefixes[group] & plane[items]``.
+
+    A prefix with at most :func:`_sparse_limit` non-zero words is
+    counted over those words only (:func:`_sparse_and_popcount`; a
+    prefix without any counts 0).  The others are ANDed densely
+    against their shared prefix row."""
+    nnz = np.count_nonzero(prefixes, axis=1)
+    sparse = nnz <= _sparse_limit(plane.shape[1])
+    if not sparse.any():
+        return _dense_and_popcount([(prefixes, group), (plane, items)])
+    counts = np.zeros(len(items), dtype=np.int64)
+    dense = ~sparse[group]
+    if dense.any():
+        counts[dense] = _dense_and_popcount(
+            [(prefixes, group[dense]), (plane, items[dense])]
+        )
+    live = np.flatnonzero(sparse & (nnz > 0))
+    if len(live):
+        local = np.full(len(prefixes), -1)
+        local[live] = np.arange(len(live))
+        rows = np.flatnonzero(local[group] >= 0)
+        if len(live) < len(prefixes):
+            prefixes = prefixes.take(live, axis=0)
+        counts[rows] = _sparse_and_popcount(
+            plane, prefixes, nnz[live], local[group[rows]], items[rows]
+        )
+    return counts
+
+
+def _sparse_and_popcount(
+    plane: np.ndarray,
+    prefixes: np.ndarray,
+    nnz: np.ndarray,
+    group: np.ndarray,
+    items: np.ndarray,
+) -> np.ndarray:
+    """Per row, the popcount of ``prefixes[group] & plane[items]``,
+    read only at the prefix's ``nnz`` non-zero words (at least one).
+
+    Each prefix's non-zero words are listed with their values and
+    padded with zero-valued words to whole ``_CHUNK_WORDS``-word
+    chunks.  A row gathers its item's plane words at its prefix's
+    chunks, ANDs them with the prefix's values and popcounts them,
+    ``_BLOCK_BYTES`` of gathered words at a time; a row never
+    splits."""
+    width = plane.shape[1]
+    where = np.flatnonzero(prefixes != 0)
+    owner = where // width
+    padded = -(-nnz // _CHUNK_WORDS) * _CHUNK_WORDS
+    padded_start = np.cumsum(padded) - padded
+    # each non-zero word's place in its prefix's padded list
+    shift = padded_start - (np.cumsum(nnz) - nnz)
+    slot = np.arange(len(where)) + shift[owner]
+    words = np.zeros(padded.sum(), dtype=np.int64)
+    values = np.zeros(padded.sum(), dtype=_WORD)
+    words[slot] = where - owner * width
+    values[slot] = prefixes.reshape(-1)[where]
+    words = words.reshape(-1, _CHUNK_WORDS)
+    values = values.reshape(-1, _CHUNK_WORDS)
+    row_chunks = padded[group] // _CHUNK_WORDS
+    row_first = padded_start[group] // _CHUNK_WORDS
+    row_base = items * width
+    flat = plane.reshape(-1)
+    budget = max(1, _BLOCK_BYTES // (_CHUNK_WORDS * _WORD.itemsize))
+    ends = np.cumsum(row_chunks)
+    counts = np.empty(len(items), dtype=np.int64)
+    start = 0
+    while start < len(items):
+        done = ends[start - 1] if start else 0
+        stop = max(
+            start + 1,
+            int(np.searchsorted(ends, done + budget, side="right")),
+        )
+        block = slice(start, stop)
+        chunks = row_chunks[block]
+        offsets = np.cumsum(chunks) - chunks
+        pair_row = np.repeat(np.arange(len(chunks)), chunks)
+        pair_chunk = np.arange(len(pair_row)) + np.repeat(
+            row_first[block] - offsets, chunks
+        )
+        index = words.take(pair_chunk, axis=0)
+        index += row_base[block].take(pair_row)[:, None]
+        gathered = flat.take(index)
+        gathered &= values.take(pair_chunk, axis=0)
+        pops = np.bitwise_count(gathered).reshape(-1)
+        counts[block] = np.add.reduceat(
+            pops, offsets * _CHUNK_WORDS, dtype=np.uint32
+        )
+        start = stop
     return counts
 
 
@@ -321,25 +606,27 @@ class BitmapBackend:
         return self._node_supports[level]
 
     def supports(self, level: int, rows: np.ndarray) -> np.ndarray:
-        n, k = _check_rows(rows).shape
-        if not n:
+        if not len(_check_rows(rows)):
             return np.zeros(0, dtype=np.int64)
         plane = self._plane(level)
-        if not k:
-            raise DataError("support of an empty itemset is undefined")
         row_of = self._row_of.get(level)
         if row_of is None:
             row_of = self._row_of[level] = index_of(self._nodes[level])
-        low, high = int(rows.min()), int(rows.max())
-        if low < 0 or high >= len(row_of):
-            bad = low if low < 0 else high
-            raise DataError(f"node {bad} is not at taxonomy level {level}")
-        plane_rows = row_of[rows]
-        off_level = plane_rows < 0
-        if off_level.any():
-            bad = int(rows[off_level][0])
-            raise DataError(f"node {bad} is not at taxonomy level {level}")
-        return _and_popcount(plane, plane_rows)
+        return _and_popcount(plane, _level_positions(row_of, level, rows))
+
+    def width_at_level(self, level: int) -> int:
+        """Per row, the number of the level's nodes whose bit is set,
+        maximized; the plane's bits are unpacked ``_BLOCK_BYTES`` at a
+        time, never the whole plane."""
+        plane = self._plane(level)
+        n_nodes, n_words = plane.shape
+        step = max(1, _BLOCK_BYTES // (max(1, n_nodes) * 64))
+        widest = 0
+        for start in range(0, n_words, step):
+            words = plane[:, start : start + step]
+            bits = np.unpackbits(words.view(np.uint8), axis=1)
+            widest = max(widest, int(bits.sum(axis=0).max(initial=0)))
+        return widest
 
 
 class HorizontalBackend:
@@ -379,8 +666,16 @@ class HorizontalBackend:
         self._node_supports[level] = counts
         return counts
 
+    def width_at_level(self, level: int) -> int:
+        return max(map(len, self._projection(level)), default=0)
+
     def supports(self, level: int, rows: np.ndarray) -> np.ndarray:
-        _check_rows(rows)
+        if len(_check_rows(rows)):
+            compiled = self._database.taxonomy.compiled
+            if not 1 <= level <= compiled.height:
+                raise DataError(f"no taxonomy level {level} in this index")
+            nodes = compiled.nodes_at_level(level)
+            _level_positions(index_of(nodes), level, rows)
         self._scans += 1
         itemsets = list(map(tuple, rows.tolist()))
         counts: dict[tuple[int, ...], int] = dict.fromkeys(itemsets, 0)
@@ -1021,6 +1316,12 @@ class DeltaCounter:
                         counts[node_id] += count
             self._node_supports.update(merged)
         return self._node_supports[level]
+
+    def width_at_level(self, level: int) -> int:
+        """The store's width: a max over the live shards' widths,
+        which the store keeps per shard (see
+        :meth:`~repro.data.shards.ShardedTransactionStore.width_at_level`)."""
+        return self._pool.store.width_at_level(level)
 
     def supports(self, level: int, rows: np.ndarray) -> np.ndarray:
         """Refresh, then the SON sum: every non-empty shard counts the

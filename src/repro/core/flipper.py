@@ -563,10 +563,17 @@ class FlipperMiner(ShardDirOwner):
 
     def _k_bound(self) -> int:
         """Upper bound on itemset size (paper Section 4.1): number of
-        level-1 categories, capped by the widest level-1 projection."""
+        level-1 categories, capped by the widest level-1 projection.
+
+        The counting substrate reads that width from what it already
+        holds, without a walk over the transactions: the bitmap
+        backend from its level-1 plane, the horizontal backend from
+        its level-1 projection and a :class:`DeltaCounter` from the
+        store's per-shard widths.
+        """
         bound = min(
             len(self._taxonomy.nodes_at_level(1)),
-            self._database.width_at_level(1),
+            self._backend.width_at_level(1),
         )
         if self._max_k is not None:
             bound = min(bound, self._max_k)

@@ -8,7 +8,8 @@ database, built from a columnar shard, admitted from a persisted
 image — must count exactly like the reference, at row counts on both
 sides of a word boundary and with batches that span several kernel
 blocks.  The image bytes themselves are pinned: stores written before
-the word planes existed keep their images.
+the word planes existed keep their images.  The ``supports`` contract
+(malformed batches raise) holds on every backend.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import counting
-from repro.core.counting import BitmapBackend, ShardBackendPool
+from repro.core.counting import (
+    BitmapBackend,
+    DeltaCounter,
+    HorizontalBackend,
+    ShardBackendPool,
+)
 from repro.data.database import TransactionDatabase
 from repro.data.shards import ShardedTransactionStore
 from repro.data.vertical import VerticalIndex
@@ -189,6 +195,12 @@ def test_batch_spanning_several_real_blocks(grocery_taxonomy, tmp_path):
 
 
 class TestSupportsContract:
+    """ARCHITECTURE.md's "Counting" contract: an empty itemset, an
+    unknown level, a node off the level or unknown, and a batch that
+    is not an integer matrix raise :class:`DataError`.  Here on the
+    bitmap backend; :class:`TestSupportsContractOnEveryBackend` runs
+    the same tests on the other three."""
+
     @pytest.fixture
     def backend(self, example3_db):
         return BitmapBackend(example3_db)
@@ -227,14 +239,29 @@ class TestSupportsContract:
         with pytest.raises(DataError, match="integer matrix"):
             backend.supports(1, rows)
 
-    def test_foreign_item_id_rejected(self, example3_db):
-        bogus = max(example3_db.item_ids) + 999
-        example3_db._transactions[3] = example3_db._transactions[3] + (
-            bogus,
+
+class TestSupportsContractOnEveryBackend(TestSupportsContract):
+    """The horizontal backend, and a :class:`DeltaCounter` over two
+    shards with either inner, keep the contract too: the horizontal
+    backend is the oracle of the bitmap arithmetic, so a malformed
+    batch must not come back from it as a plausible count."""
+
+    @pytest.fixture(params=["horizontal", "delta-bitmap", "delta-horizontal"])
+    def backend(self, request, example3_db, tmp_path):
+        if request.param == "horizontal":
+            return HorizontalBackend(example3_db)
+        store = ShardedTransactionStore.partition_database(
+            example3_db, tmp_path, 2
         )
-        message = f"transaction 3: item id {bogus}"
-        with pytest.raises(DataError, match=message):
-            BitmapBackend(example3_db)
+        return DeltaCounter(store, inner=request.param.split("-")[1])
+
+
+def test_foreign_item_id_rejected(example3_db):
+    bogus = max(example3_db.item_ids) + 999
+    example3_db._transactions[3] = example3_db._transactions[3] + (bogus,)
+    message = f"transaction 3: item id {bogus}"
+    with pytest.raises(DataError, match=message):
+        BitmapBackend(example3_db)
 
 
 # ---------------------------------------------------------------------------
