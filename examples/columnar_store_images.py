@@ -5,8 +5,7 @@ Walks the on-disk mining path end to end: partition a dataset into
 binary columnar shards, mine it out-of-core, persist the built
 counting backends as memory-mappable images, and show that a warm
 re-mine serves every shard from its image (zero rebuilds) with
-byte-identical patterns.  Also demonstrates `migrate` between the
-columnar and legacy jsonl encodings.
+byte-identical patterns.
 
 Run:  python examples/columnar_store_images.py
 """
@@ -35,9 +34,9 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp) / "store"
 
-        # 1. Partition into binary columnar shards (the default
-        #    format).  Each shard-NNNNN.col is a CSR block: int64 row
-        #    offsets + int32 item ids, mmap-served without parsing.
+        # 1. Partition into binary columnar shards.  Each
+        #    shard-NNNNN.col is a CSR block: int64 row offsets + int32
+        #    item ids, mmap-served without parsing.
         store = ShardedTransactionStore.partition_database(
             database, directory, 4
         )
@@ -80,17 +79,6 @@ def main() -> None:
         assert warm_pool.rebuilds == 0
         assert fingerprint(cold) == fingerprint(warm)
         print("warm patterns byte-identical to cold: yes")
-        print()
-
-        # 5. Migration: rewrite the store to the legacy jsonl encoding
-        #    and back.  Each migrate stages the new files and commits
-        #    via a single manifest replace; mining parity holds in
-        #    every encoding.
-        print(f"migrate -> jsonl: {store.migrate('jsonl')} shard(s)")
-        jsonl_result = FlipperMiner(store, GROCERIES_THRESHOLDS).mine()
-        assert fingerprint(cold) == fingerprint(jsonl_result)
-        print(f"migrate -> columnar: {store.migrate('columnar')} shard(s)")
-        print("mining parity across encodings: yes")
 
 
 if __name__ == "__main__":

@@ -147,7 +147,7 @@ def main() -> None:
     #    exactly what a brute-force scan returns.  On the command
     #    line: `flipper-mine query --store DIR --items a11`, or
     #    `flipper-mine serve ... --port 8787` to put the same store
-    #    behind a JSON HTTP API (GET /patterns, POST /update).
+    #    behind a JSON HTTP API (GET /v1/patterns, POST /v1/update).
     from repro.serve import PatternStore, Query, QueryEngine, linear_scan
 
     store = PatternStore.build(result)
@@ -189,9 +189,8 @@ def main() -> None:
     #       POST /v1/update          {"transactions": [[item, ...]]}
     #
     #     Every 4xx/5xx is {"error": {"code", "message", "detail"}};
-    #     unknown query params and body fields are loud 400s.  The
-    #     unprefixed legacy routes still answer, with a
-    #     `Deprecation: true` header.  Responses carry an ETag keyed
+    #     unknown query params and body fields are loud 400s, and a
+    #     path outside /v1 is a 404.  Responses carry an ETag keyed
     #     on the snapshot version (If-None-Match => 304), and page
     #     cursors pin the version: a mid-walk update answers 409
     #     stale_cursor rather than silently skipping patterns.

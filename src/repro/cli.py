@@ -22,7 +22,7 @@ rewriting existing ones) and optionally re-mines the grown store.
 ``serve`` puts an indexed :class:`~repro.serve.store.PatternStore`
 behind the JSON HTTP API (read-only from a ``save_result`` archive
 via ``--result``, or live — mining at startup and accepting ``POST
-/update`` deltas — from a shard store via ``--store``); ``query``
+/v1/update`` deltas — from a shard store via ``--store``); ``query``
 answers one-shot queries against a saved store or archive without a
 server.  ``rules`` runs the related-work Cumulate pipeline
 (generalized association rules with optional R-interesting pruning
@@ -52,7 +52,7 @@ from repro.core.measures import MEASURES, get_measure
 from repro.core.thresholds import Thresholds
 from repro.core.topk import top_k_most_flipping
 from repro.data.io import load_database, load_transactions, save_transactions
-from repro.data.shards import SHARD_FORMATS, ShardedTransactionStore
+from repro.data.shards import ShardedTransactionStore
 from repro.datasets.census import generate_census
 from repro.datasets.groceries import generate_groceries
 from repro.datasets.medline import generate_medline
@@ -227,11 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard-cut size for --init-from and appended deltas",
     )
     update.add_argument(
-        "--format", default="columnar", choices=sorted(SHARD_FORMATS),
-        help="shard format for --init-from and appended deltas "
-             "(default: columnar)",
-    )
-    update.add_argument(
         "--append", action="append", default=None, metavar="FILE",
         help="delta transactions file to append (repeatable)",
     )
@@ -270,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store", default=None, metavar="DIR",
         help="shard-store directory: mine it at startup and serve "
-             "with live POST /update deltas (needs --taxonomy, "
+             "with live POST /v1/update deltas (needs --taxonomy, "
              "--gamma, --epsilon, --min-support)",
     )
     serve.add_argument("--taxonomy", default=None, help="edge-text/json file")
@@ -394,27 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     store = sub.add_parser(
         "store",
-        help="inspect or migrate an on-disk shard store",
+        help="inspect or garbage-collect an on-disk shard store",
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
-    store_migrate = store_sub.add_parser(
-        "migrate",
-        help="rewrite every shard into a target format (atomic: the "
-             "store stays readable in its old format until the new "
-             "manifest is committed)",
-    )
-    store_migrate.add_argument(
-        "--store", required=True, metavar="DIR",
-        help="shard-store directory",
-    )
-    store_migrate.add_argument(
-        "--taxonomy", required=True, help="edge-text/json file"
-    )
-    store_migrate.add_argument(
-        "--to", required=True, choices=sorted(SHARD_FORMATS),
-        help="target shard format (columnar is the binary "
-             "memory-mapped default; jsonl is the legacy text form)",
-    )
     store_gc = store_sub.add_parser(
         "gc",
         help="remove orphaned shard files left behind by a crash "
@@ -434,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_describe = store_sub.add_parser(
         "describe",
-        help="per-shard format, row counts, on-disk bytes and "
-             "persisted backend images",
+        help="per-shard row counts, on-disk bytes and persisted "
+             "backend images",
     )
     store_describe.add_argument(
         "--store", required=True, metavar="DIR",
@@ -701,14 +678,13 @@ def _cmd_update(args: argparse.Namespace) -> int:
             taxonomy,
             store_dir,
             rows_per_shard=args.rows_per_shard,
-            format=args.format,
         )
         print(f"created {store.describe()}")
     appended: list[dict[str, object]] = []
     for path in args.append or []:
         rows = load_transactions(path)
         new_shards = store.append_batch(
-            rows, rows_per_shard=args.rows_per_shard, format=args.format
+            rows, rows_per_shard=args.rows_per_shard
         )
         appended.append(
             {
@@ -919,8 +895,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             "endpoints: GET /v1/patterns  GET /v1/patterns/{id}  "
             "GET /v1/stats  POST /v1/update  GET /v1/events  "
-            "GET /v1/healthz  "
-            "(legacy unprefixed aliases answer with a Deprecation header)",
+            "GET /v1/healthz  GET /v1/metrics",
             flush=True,
         )
         threading.Event().wait()
@@ -1138,11 +1113,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     taxonomy = load_taxonomy(args.taxonomy)
     store = ShardedTransactionStore.open(args.store, taxonomy)
-    if args.store_command == "migrate":
-        rewritten = store.migrate(args.to)
-        print(f"rewrote {rewritten} shard(s) to {args.to}")
-        print(store.describe())
-        return 0
     if args.store_command == "gc":
         orphans = store.gc_orphans(dry_run=args.dry_run)
         verb = "would remove" if args.dry_run else "removed"
@@ -1159,7 +1129,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 {
                     "index": index,
                     "file": store.shard_path(index).name,
-                    "format": store.shard_format(index),
                     "rows": store.shard_sizes[index],
                     "bytes": store.shard_bytes(index),
                     "image_bytes": store.image_bytes(index),

@@ -111,6 +111,14 @@ class CountingBackend(Protocol):
         ...
 
 
+def _check_level(level: int, height: int) -> None:
+    """The level check of every counting entry point: a taxonomy's
+    levels are ``1..height``.  Callers run it before any work, so a
+    bad level counts no scan and admits no shard."""
+    if not 1 <= level <= height:
+        raise DataError(f"no taxonomy level {level} in this index")
+
+
 def _check_rows(rows: np.ndarray) -> np.ndarray:
     """A batch must be a 2-D integer matrix, one itemset per row."""
     if (
@@ -653,6 +661,7 @@ class HorizontalBackend:
         return self._projections[level]
 
     def node_supports(self, level: int) -> dict[int, int]:
+        _check_level(level, self._database.taxonomy.height)
         if level in self._node_supports:
             return self._node_supports[level]
         self._scans += 1
@@ -667,13 +676,13 @@ class HorizontalBackend:
         return counts
 
     def width_at_level(self, level: int) -> int:
+        _check_level(level, self._database.taxonomy.height)
         return max(map(len, self._projection(level)), default=0)
 
     def supports(self, level: int, rows: np.ndarray) -> np.ndarray:
         if len(_check_rows(rows)):
             compiled = self._database.taxonomy.compiled
-            if not 1 <= level <= compiled.height:
-                raise DataError(f"no taxonomy level {level} in this index")
+            _check_level(level, compiled.height)
             nodes = compiled.nodes_at_level(level)
             _level_positions(index_of(nodes), level, rows)
         self._scans += 1
@@ -719,10 +728,10 @@ class ShardBackendPool:
     first build; ``image_admits`` counts zero-parse admits from a
     persisted image.
 
-    Per-shard resident cost: columnar shards are charged their actual
-    mapped bytes (shard file plus image file, or an analytic size of
-    the built structure when no image exists yet); legacy jsonl
-    shards keep the historical on-disk-size-times-expansion-factor
+    Per-shard resident cost: with the bitmap inner a shard is charged
+    its actual mapped bytes (shard file plus image file, or an
+    analytic size of the built structure when no image exists yet);
+    the horizontal inner keeps an on-disk-size-times-expansion-factor
     heuristic.
 
     Two residency guarantees hold for *any* budget, including one
@@ -737,9 +746,9 @@ class ShardBackendPool:
       cannot evict and silently rebuild the backend in use.
     """
 
-    #: estimated resident bytes per on-disk shard byte for the legacy
-    #: jsonl parse-and-build path (index structures, python object
-    #: overhead); columnar shards are charged actual mapped sizes
+    #: estimated resident bytes per on-disk shard byte for the
+    #: horizontal inner, whose parsed row tuples and projections no
+    #: file size reflects; the bitmap inner is charged mapped sizes
     RESIDENCY_FACTOR = 16
 
     def __init__(
@@ -833,19 +842,15 @@ class ShardBackendPool:
     def _estimate_bytes(self, index: int) -> int:
         """Resident cost of one shard's backend.
 
-        Columnar shards counted by the bitmap inner are charged
-        truthfully: the mapped shard file plus either the mapped image
-        file (when one exists) or the size of the word planes a build
-        would materialize.  Jsonl shards and the horizontal inner
-        keep the expansion-factor heuristic — their resident cost is
-        dominated by parsed Python objects, which no file size
-        reflects.
+        A shard counted by the bitmap inner is charged truthfully: the
+        mapped shard file plus either the mapped image file (when one
+        exists) or the size of the word planes a build would
+        materialize.  The horizontal inner keeps the expansion-factor
+        heuristic — its resident cost is dominated by parsed Python
+        objects, which no file size reflects.
         """
         size = self._store.shard_bytes(index)
-        if (
-            self._store.shard_format(index) != "columnar"
-            or self._inner != IMAGE_BACKEND
-        ):
+        if self._inner != IMAGE_BACKEND:
             return max(1, size) * self.RESIDENCY_FACTOR
         image_path = self._store.image_path(index, self._inner)
         try:
@@ -954,14 +959,11 @@ class ShardBackendPool:
             return None
 
     def _build(self, index: int) -> CountingBackend:
-        """Parse-and-build one shard's backend.  A columnar shard
-        feeds the bitmap inner's vectorized ``from_columnar``; jsonl
-        shards and the horizontal inner go through a per-shard
+        """Parse-and-build one shard's backend.  The bitmap inner is
+        built by the vectorized ``from_columnar`` from the shard's
+        mapped arrays; the horizontal inner goes through a per-shard
         database."""
-        if (
-            self._inner == "bitmap"
-            and self._store.shard_format(index) == "columnar"
-        ):
+        if self._inner == "bitmap":
             return BitmapBackend.from_columnar(
                 self._store.columnar_reader(index), self._store.taxonomy
             )
@@ -1288,27 +1290,21 @@ class DeltaCounter:
     # ------------------------------------------------------------------
 
     def node_supports(self, level: int) -> dict[int, int]:
+        _check_level(level, self._taxonomy.height)
         self.refresh()
         if level not in self._node_supports:
             # One residency pass over the shards computes *every*
-            # mining level's node supports: the miner's preparation
-            # asks for all of them anyway, and under a tight memory
-            # budget a per-level pass would evict and re-read each
-            # shard once per taxonomy level (height x n_shards I/O
-            # instead of n_shards).  Out-of-range / level-0 requests
-            # fall back to a single-level pass (and the taxonomy's
-            # own error for invalid levels).
-            levels = (
-                range(1, self._taxonomy.height + 1)
-                if 1 <= level <= self._taxonomy.height
-                else [level]
-            )
+            # level's node supports: the miner's preparation asks for
+            # all of them anyway, and under a tight memory budget a
+            # per-level pass would evict and re-read each shard once
+            # per taxonomy level (height x n_shards I/O instead of
+            # n_shards).
             merged = {
                 lvl: {
                     node_id: 0
                     for node_id in self._taxonomy.nodes_at_level(lvl)
                 }
-                for lvl in levels
+                for lvl in range(1, self._taxonomy.height + 1)
             }
             for _index, backend in self._pool.iter_backends():
                 for lvl, counts in merged.items():
@@ -1321,6 +1317,7 @@ class DeltaCounter:
         """The store's width: a max over the live shards' widths,
         which the store keeps per shard (see
         :meth:`~repro.data.shards.ShardedTransactionStore.width_at_level`)."""
+        _check_level(level, self._taxonomy.height)
         return self._pool.store.width_at_level(level)
 
     def supports(self, level: int, rows: np.ndarray) -> np.ndarray:
@@ -1331,6 +1328,7 @@ class DeltaCounter:
         self.refresh()
         counts = np.zeros(len(_check_rows(rows)), dtype=np.int64)
         if len(rows):
+            _check_level(level, self._taxonomy.height)
             for _index, backend in self._pool.iter_backends():
                 counts += backend.supports(level, rows)
         return counts

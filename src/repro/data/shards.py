@@ -44,31 +44,27 @@ crash leaves at worst unreferenced orphan files (reclaimed by
 :meth:`gc_orphans`), never a manifest naming a torn or missing
 shard.
 
-On disk a store is a directory of shard files plus a ``manifest.json``
-recording the shard layout.  Shards come in two formats, inferred
-from the file suffix:
-
-* ``columnar`` (``.col``, the default) — the binary CSR layout of
-  :mod:`repro.data.columnar`, memory-mapped on read so counting
-  backends are built from the raw arrays without parsing.  Built
-  backends may be persisted next to the shard as ``.img`` files and
-  re-admitted by the shard pool with an mmap + header check.
-* ``jsonl`` (``.jsonl``) — the legacy line-per-transaction JSON
-  format, kept read-compatible; :meth:`migrate` rewrites a store
-  between the formats in place.
+On disk a store is a directory of columnar shard files
+(``shard-NNNNN.col``, the binary CSR layout of
+:mod:`repro.data.columnar`) plus a ``manifest.json`` recording the
+shard layout.  Shards are memory-mapped on read, so counting backends
+are built from the raw arrays without parsing; built backends may be
+persisted next to the shard as ``.img`` files and re-admitted by the
+shard pool with an mmap + header check.  A manifest naming any other
+kind of shard file is refused when the store is opened.
 
 The taxonomy is bound at construction/open time (exactly like
 ``TransactionDatabase``), so a reopened store resolves item names
 through the identical balanced tree and mining results cannot drift
 between open sessions.
 
-Writes go through one encoder and one writer: ``append_batch`` maps a
-delta's names to item ids in one pass through the taxonomy's compiled
-name map, rejecting a malformed row or an unknown item before any
-file is written, and ``partition_database`` and ``migrate`` produce
-the same CSR arrays over item ids.  The writer renumbers them into
-the shard's local name table, and the arrays also give the shard's
-width at every taxonomy level, which the store keeps per generation:
+Every shard is written the same way: as CSR arrays over item ids
+(``ingest`` and ``append_batch`` map names to ids in one pass through
+the taxonomy's compiled name map, rejecting a malformed row or an
+unknown item before the shard is written; ``partition_database``
+reads the database's ids), renumbered into the shard's local name
+table.  The arrays also give the shard's width at every taxonomy
+level, which the store keeps per generation:
 :meth:`ShardedTransactionStore.width_at_level` is a max over the live
 shards, and a retirement drops only the retired shards' widths.
 """
@@ -76,8 +72,6 @@ shards, and a retirement drops only the retired shards' widths.
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import tempfile
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from itertools import chain
@@ -90,7 +84,6 @@ from repro.core.atomicio import atomic_write_text
 from repro.data.columnar import (
     IMAGE_BACKEND,
     ColumnarShard,
-    encode_names,
     localize,
     write_columnar_arrays,
 )
@@ -100,7 +93,6 @@ from repro.taxonomy.rebalance import rebalance_with_copies
 from repro.taxonomy.tree import CompiledTaxonomy, Taxonomy
 
 __all__ = [
-    "SHARD_FORMATS",
     "ShardDirOwner",
     "ShardedTransactionStore",
     "estimate_transaction_bytes",
@@ -110,11 +102,7 @@ __all__ = [
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_VERSION = 1
 
-#: shard formats and their file suffixes (format is inferred from the
-#: suffix, so a store may legitimately mix them after append_batch
-#: grows a legacy store with columnar delta shards)
-SHARD_FORMATS = {"columnar": ".col", "jsonl": ".jsonl"}
-_FORMAT_BY_SUFFIX = {suffix: name for name, suffix in SHARD_FORMATS.items()}
+_SHARD_SUFFIX = ".col"
 
 #: Rough per-item cost (in bytes) of one buffered transaction entry:
 #: a short Python string plus list/pointer overhead.  Only used to
@@ -130,13 +118,6 @@ def estimate_transaction_bytes(transaction: Iterable[str]) -> int:
     return _BYTES_PER_TRANSACTION + _BYTES_PER_ITEM * n_items
 
 
-def _check_format(format: str) -> str:
-    if format not in SHARD_FORMATS:
-        known = ", ".join(sorted(SHARD_FORMATS))
-        raise DataError(f"unknown shard format {format!r}; known: {known}")
-    return format
-
-
 class ShardedTransactionStore:
     """Contiguous on-disk shards of one logical transaction set.
 
@@ -149,18 +130,9 @@ class ShardedTransactionStore:
         are rebalanced with leaf copies exactly as
         :class:`TransactionDatabase` does, so per-shard databases and
         a monolithic database see the same item universe.
-    format:
-        When set (``"columnar"`` or ``"jsonl"``), require every shard
-        to be stored in that format; ``None`` accepts any mix.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        taxonomy: Taxonomy,
-        *,
-        format: str | None = None,
-    ) -> None:
+    def __init__(self, directory: str | Path, taxonomy: Taxonomy) -> None:
         self._directory = Path(directory)
         if not taxonomy.is_balanced:
             taxonomy = rebalance_with_copies(taxonomy)
@@ -222,21 +194,23 @@ class ShardedTransactionStore:
         ):
             raise DataError("shard store is empty")
         for name in self._shard_files:
+            if not name.endswith(_SHARD_SUFFIX):
+                raise DataError(
+                    f"shard file {name} is not a columnar "
+                    f"({_SHARD_SUFFIX}) shard: the jsonl shard encoding is "
+                    "no longer read; `repro store migrate --to columnar` "
+                    "from an earlier version converts the store"
+                )
             if not (self._directory / name).is_file():
                 raise DataError(f"missing shard file {name}")
-            if format is not None and _format_of(name) != format:
-                raise DataError(
-                    f"shard file {name} is not in the requested "
-                    f"{format!r} format"
-                )
         #: generation -> the shard's width at every level (index 0 is
         #: level 1); stamped when a shard is written, measured once
         #: for a shard opened from disk, dropped when it retires
         self._widths: dict[int, tuple[int, ...]] = {}
         #: columnar readers are cached (they hold mmaps)
         self._columnar_readers: dict[int, ColumnarShard] = {}
-        #: shard files are immutable once written (appends and
-        #: migrations introduce *new* names), so resolved paths and
+        #: shard files are immutable once written (appends introduce
+        #: *new* names), so resolved paths and
         #: stat sizes are cached by file name — the budgeted admit
         #: path asks for both on every access
         self._path_cache: dict[str, Path] = {}
@@ -252,8 +226,6 @@ class ShardedTransactionStore:
         database: TransactionDatabase,
         directory: str | Path,
         n_shards: int,
-        *,
-        format: str = "columnar",
     ) -> "ShardedTransactionStore":
         """Split an in-memory database into ``n_shards`` contiguous
         shards of near-equal size (first shards get the remainder).
@@ -261,7 +233,6 @@ class ShardedTransactionStore:
         ``n_shards`` may exceed the transaction count; the surplus
         shards are empty and contribute zero to every merged count.
         """
-        _check_format(format)
         if n_shards < 1:
             raise DataError(f"n_shards must be >= 1, got {n_shards}")
         n = database.n_transactions
@@ -284,9 +255,8 @@ class ShardedTransactionStore:
         shard_files: list[str] = []
         widths: list[tuple[int, ...]] = []
         for index, chunk in enumerate(_split(offsets, items, sizes)):
-            name = _shard_file_name(index, format)
-            _write_encoded(directory / name, *chunk, taxonomy, format)
-            widths.append(_row_widths(*chunk, taxonomy.compiled))
+            name = _shard_file_name(index)
+            widths.append(_write_encoded(directory / name, *chunk, taxonomy))
             shard_files.append(name)
         _write_manifest(directory, shard_files, sizes)
         store = cls(directory, taxonomy)
@@ -302,7 +272,6 @@ class ShardedTransactionStore:
         *,
         rows_per_shard: int | None = None,
         memory_budget_mb: float | None = None,
-        format: str = "columnar",
     ) -> "ShardedTransactionStore":
         """Stream transactions into shard files.
 
@@ -311,8 +280,11 @@ class ShardedTransactionStore:
         ``memory_budget_mb`` (whichever is configured and hits first);
         only one shard's worth of rows is ever held in memory.  With
         neither bound set, everything lands in a single shard.
+
+        Rows are checked as :meth:`append_batch` checks a delta: a
+        malformed row or an unknown item raises :class:`DataError`
+        naming its position in the stream, and no manifest is written.
         """
-        _check_format(format)
         if rows_per_shard is not None and rows_per_shard < 1:
             raise DataError(
                 f"rows_per_shard must be >= 1, got {rows_per_shard}"
@@ -328,26 +300,33 @@ class ShardedTransactionStore:
         )
         if not taxonomy.is_balanced:
             taxonomy = rebalance_with_copies(taxonomy)
+        id_by_name = taxonomy.compiled.item_id_by_name
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         shard_files: list[str] = []
         shard_sizes: list[int] = []
-        buffer: list[tuple[str, ...]] = []
+        widths: list[tuple[int, ...]] = []
+        buffer: list[Sequence[str]] = []
         buffered_bytes = 0
 
         def flush() -> None:
             nonlocal buffered_bytes
             if not buffer:
                 return
-            name = _shard_file_name(len(shard_files), format)
-            _write_shard_file(directory / name, *encode_names(buffer), format)
+            offsets, items = _encode_rows(
+                buffer, id_by_name, "transaction", start=sum(shard_sizes)
+            )
+            name = _shard_file_name(len(shard_files))
+            widths.append(
+                _write_encoded(directory / name, offsets, items, taxonomy)
+            )
             shard_files.append(name)
             shard_sizes.append(len(buffer))
             buffer.clear()
             buffered_bytes = 0
 
-        for raw in transactions:
-            row = tuple(str(item) for item in raw)
+        for index, raw in enumerate(transactions):
+            row = _as_row(raw, "transaction", index)
             buffer.append(row)
             buffered_bytes += estimate_transaction_bytes(row)
             full = (
@@ -359,20 +338,16 @@ class ShardedTransactionStore:
         if not shard_sizes:
             raise DataError("transaction stream is empty")
         _write_manifest(directory, shard_files, shard_sizes)
-        return cls(directory, taxonomy)
+        store = cls(directory, taxonomy)
+        store._widths.update(enumerate(widths))
+        return store
 
     @classmethod
     def open(
-        cls,
-        directory: str | Path,
-        taxonomy: Taxonomy,
-        *,
-        format: str | None = None,
+        cls, directory: str | Path, taxonomy: Taxonomy
     ) -> "ShardedTransactionStore":
         """Open an existing store (alias of the constructor)."""
-        if format is not None:
-            _check_format(format)
-        return cls(directory, taxonomy, format=format)
+        return cls(directory, taxonomy)
 
     # ------------------------------------------------------------------
     # delta ingestion
@@ -383,7 +358,6 @@ class ShardedTransactionStore:
         transactions: Iterable[Iterable[str]],
         *,
         rows_per_shard: int | None = None,
-        format: str = "columnar",
     ) -> list[int]:
         """Append a delta batch as new shard(s); never rewrites data.
 
@@ -403,7 +377,6 @@ class ShardedTransactionStore:
         other continuation leaves orphans that :meth:`gc_orphans`
         reclaims.
         """
-        _check_format(format)
         if rows_per_shard is not None and rows_per_shard < 1:
             raise DataError(
                 f"rows_per_shard must be >= 1, got {rows_per_shard}"
@@ -430,14 +403,13 @@ class ShardedTransactionStore:
             # Names come from the generation counter, not the list
             # position, so a name retired earlier is never reused.
             generation = self._next_generation + len(new_files)
-            name = _shard_file_name(generation, format)
+            name = _shard_file_name(generation)
             # An existing file at a brand-new generation is an orphan
             # from a crashed earlier append (written, never committed
             # to the manifest); replacing it is the recovery path.
-            _write_encoded(
-                self._directory / name, *chunk, self._taxonomy, format
+            new_widths.append(
+                _write_encoded(self._directory / name, *chunk, self._taxonomy)
             )
-            new_widths.append(_row_widths(*chunk, self._taxonomy.compiled))
             new_files.append(name)
             new_gens.append(generation)
         _write_manifest(
@@ -457,72 +429,6 @@ class ShardedTransactionStore:
         self._n_transactions += n_rows
         self._widths.update(zip(new_gens, new_widths))
         return list(range(first_new, len(self._shard_files)))
-
-    # ------------------------------------------------------------------
-    # format migration
-    # ------------------------------------------------------------------
-
-    def migrate(self, to: str) -> int:
-        """Rewrite every shard in ``to`` format, in place, atomically.
-
-        Shard boundaries (and therefore all mining results) are
-        preserved exactly; only the encoding changes.  New shard files
-        are staged in a temporary subdirectory, renamed into the store
-        directory, and the manifest replace is the commit point — a
-        crash before it leaves the old store fully intact, a crash
-        after it leaves the new store fully intact (plus harmless
-        orphan files).  Persisted backend images of rewritten shards
-        are dropped (they are keyed to shard file names) and will be
-        regenerated by the pool on demand.
-
-        Returns the number of shard files rewritten (0 when the store
-        already is entirely in the target format).
-        """
-        _check_format(to)
-        old_files = list(self._shard_files)
-        if all(_format_of(name) == to for name in old_files):
-            return 0
-        staging = Path(
-            tempfile.mkdtemp(prefix=".migrate-", dir=self._directory)
-        )
-        try:
-            new_files = [
-                _shard_file_name(generation, to)
-                for generation in self._generations
-            ]
-            for index, name in enumerate(new_files):
-                _write_encoded(
-                    staging / name,
-                    *self._shard_arrays(index),
-                    self._taxonomy,
-                    to,
-                )
-            # Release mmaps over the old files before unlinking them.
-            self._columnar_readers.clear()
-            for name in new_files:
-                os.replace(staging / name, self._directory / name)
-            _write_manifest(
-                self._directory,
-                new_files,
-                self._shard_sizes,
-                generations=self._generations,
-                next_generation=self._next_generation,
-            )
-        finally:
-            shutil.rmtree(staging, ignore_errors=True)
-        # Committed: retire the old encodings and their images.
-        rewritten = 0
-        for name in old_files:
-            if name in new_files:
-                continue
-            rewritten += 1
-            _unlink_quietly(self._directory / name)
-            for image in self._directory.glob(f"{name}.*.img"):
-                _unlink_quietly(image)
-            self._drop_cached_paths(name)
-        self._shard_files = new_files
-        self.gc_orphans()
-        return rewritten
 
     # ------------------------------------------------------------------
     # shard retirement (the windowed-mining expiry path)
@@ -607,14 +513,13 @@ class ShardedTransactionStore:
         """Sweep shard/image files the manifest does not reference.
 
         Orphans arise from crashes in the commit windows of
-        :meth:`append_batch`, :meth:`retire_shards` and
-        :meth:`migrate` (a file fully written or left behind, but the
-        manifest replace naming it never happened / already dropped
-        it).  A backend image of a referenced shard is kept only when
-        the shard pool can admit it (an ``IMAGE_BACKEND`` image);
-        images of any other backend are orphans too.  Returns the
-        orphan file names, sorted; with ``dry_run=True`` nothing is
-        unlinked.
+        :meth:`append_batch` and :meth:`retire_shards` (a file fully
+        written or left behind, but the manifest replace naming it
+        never happened / already dropped it).  A backend image of a
+        referenced shard is kept only when the shard pool can admit it
+        (an ``IMAGE_BACKEND`` image); images of any other backend are
+        orphans too.  Returns the orphan file names, sorted; with
+        ``dry_run=True`` nothing is unlinked.
         """
         referenced = set(self._shard_files)
         orphans: list[str] = []
@@ -691,15 +596,11 @@ class ShardedTransactionStore:
             self._path_cache[name] = path
         return path
 
-    def shard_format(self, index: int) -> str:
-        """Storage format of one shard (``columnar`` or ``jsonl``)."""
-        return _format_of(self._shard_files[index])
-
     def shard_bytes(self, index: int) -> int:
         """On-disk size of one shard file (0 if unreadable).
 
         Cached per file name — shard files never change in place
-        (appends and migrations write new names).
+        (appends write new names).
         """
         name = self._shard_files[index]
         size = self._size_cache.get(name)
@@ -747,17 +648,7 @@ class ShardedTransactionStore:
     # ------------------------------------------------------------------
 
     def columnar_reader(self, index: int) -> ColumnarShard:
-        """The memory-mapped reader of one columnar shard (cached).
-
-        Raises :class:`DataError` for a jsonl shard — callers decide
-        per shard via :meth:`shard_format` whether the zero-parse path
-        applies.
-        """
-        if self.shard_format(index) != "columnar":
-            raise DataError(
-                f"shard {index} ({self._shard_files[index]}) is not "
-                "columnar"
-            )
+        """The memory-mapped reader of one shard (cached)."""
         reader = self._columnar_readers.get(index)
         if reader is None:
             reader = ColumnarShard(self.shard_path(index))
@@ -773,32 +664,20 @@ class ShardedTransactionStore:
         """The raw item-name rows of one shard."""
         if self._shard_sizes[index] == 0:
             return []
-        if self.shard_format(index) == "columnar":
-            return self.columnar_reader(index).rows()
-        rows = _read_jsonl_shard(self.shard_path(index))
-        if len(rows) != self._shard_sizes[index]:
-            raise DataError(
-                f"shard {index} holds {len(rows)} transactions, "
-                f"manifest says {self._shard_sizes[index]}"
-            )
-        return rows
+        return self.columnar_reader(index).rows()
 
     def shard_transactions_at(
         self, index: int, row_indices: list[int]
     ) -> list[tuple[str, ...]]:
         """Selected rows of one shard, in the given order.
 
-        Columnar shards decode only the requested rows (CSR random
-        access); jsonl shards fall back to a full parse.  Samplers
-        use this so a k-row draw over a columnar store never
-        materializes the other ``n - k`` rows.
+        Only the requested rows are decoded (CSR random access), so a
+        sampler's k-row draw never materializes the other ``n - k``
+        rows.
         """
         if not row_indices:
             return []
-        if self.shard_format(index) == "columnar":
-            return self.columnar_reader(index).rows_at(row_indices)
-        rows = self.shard_transactions(index)
-        return [rows[row] for row in row_indices]
+        return self.columnar_reader(index).rows_at(row_indices)
 
     def shard_database(self, index: int) -> TransactionDatabase | None:
         """One shard materialized as a :class:`TransactionDatabase`
@@ -825,22 +704,15 @@ class ShardedTransactionStore:
     # ------------------------------------------------------------------
 
     def _shard_arrays(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """One shard as CSR arrays over item ids: ``int64`` row
-        offsets and the item id of every value.  A columnar shard maps
-        its arrays; a jsonl shard is parsed and encoded."""
+        """One shard as CSR arrays over item ids, mapped from its
+        file: ``int64`` row offsets and the item id of every value."""
         if self._shard_sizes[index] == 0:
             return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        reader = self.columnar_reader(index)
         id_by_name = self._taxonomy.compiled.item_id_by_name
-        if self.shard_format(index) == "columnar":
-            reader = self.columnar_reader(index)
-            return (
-                np.asarray(reader.offsets),
-                reader.item_ids(id_by_name)[reader.items],
-            )
-        return _encode_rows(
-            self.shard_transactions(index),
-            id_by_name,
-            f"shard {index} transaction",
+        return (
+            np.asarray(reader.offsets),
+            reader.item_ids(id_by_name)[reader.items],
         )
 
     def width_at_level(self, level: int) -> int:
@@ -848,10 +720,10 @@ class ShardedTransactionStore:
         the largest width of a live shard.
 
         A shard's widths at every level are stamped from its encoded
-        arrays when :meth:`append_batch` or :meth:`partition_database`
-        writes it; a shard opened from disk is measured once, on the
-        first query.  :meth:`retire_shards` drops only the retired
-        shards' widths, so a retirement reads no surviving shard.
+        arrays when the store writes it; a shard opened from disk is
+        measured once, on the first query.  :meth:`retire_shards` drops
+        only the retired shards' widths, so a retirement reads no
+        surviving shard.
         """
         compiled = self._taxonomy.compiled
         # the taxonomy's own error for a level out of range
@@ -875,8 +747,8 @@ class ShardedTransactionStore:
 
     def describe(self) -> str:
         """Store summary used by the CLI and examples: one header
-        line, then one line per shard with format, on-disk bytes and
-        persisted backend images."""
+        line, then one line per shard with its rows, on-disk bytes
+        and persisted backend images."""
         sizes = self._shard_sizes
         size_note = f"(sizes {min(sizes)}..{max(sizes)}) " if sizes else ""
         lines = [
@@ -890,7 +762,7 @@ class ShardedTransactionStore:
                 f"images: {', '.join(images)}" if images else "images: none"
             )
             lines.append(
-                f"  shard {index}: {name} [{self.shard_format(index)}] "
+                f"  shard {index}: {name} "
                 f"{sizes[index]} row(s), {self.shard_bytes(index)} bytes, "
                 f"{image_note}"
             )
@@ -974,36 +846,30 @@ def open_or_partition_store(
 # ----------------------------------------------------------------------
 
 
-def _shard_file_name(index: int, format: str = "columnar") -> str:
-    return f"shard-{index:05d}{SHARD_FORMATS[format]}"
-
-
-def _format_of(name: str) -> str:
-    suffix = Path(name).suffix
-    try:
-        return _FORMAT_BY_SUFFIX[suffix]
-    except KeyError:
-        raise DataError(
-            f"shard file {name!r} has an unknown format suffix"
-        ) from None
+def _shard_file_name(generation: int) -> str:
+    return f"shard-{generation:05d}{_SHARD_SUFFIX}"
 
 
 def _encode_rows(
     transactions: Iterable[Iterable[str]],
     id_by_name: Mapping[str, int],
     label: str,
+    *,
+    start: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rows of item names as CSR arrays over item ids (``int64`` row
     offsets, the item id of every value), in one pass over the names.
 
     A row must be an iterable of names other than a string, bytes or
     a mapping, and every name a known item's name; the first bad row
-    raises :class:`DataError` naming ``label`` and its index.
+    raises :class:`DataError` naming ``label`` and its index, counted
+    from ``start``.
     """
     rows = cast("list[Sequence[str]]", list(transactions))
     if not {type(row) for row in rows} <= {list, tuple}:
         rows = [
-            _as_row(row, f"{label} {index}") for index, row in enumerate(rows)
+            _as_row(row, label, index)
+            for index, row in enumerate(rows, start=start)
         ]
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(list(map(len, rows)), out=offsets[1:])
@@ -1014,16 +880,16 @@ def _encode_rows(
             count=int(offsets[-1]),
         )
     except (KeyError, TypeError):
-        for index, row in enumerate(rows):
+        for index, row in enumerate(rows, start=start):
             _check_names(row, id_by_name, f"{label} {index}")
         raise
     return offsets, items
 
 
-def _as_row(row: object, where: str) -> Sequence[str]:
+def _as_row(row: object, label: str, index: int) -> Sequence[str]:
     if not isinstance(row, Iterable) or isinstance(row, (str, bytes, Mapping)):
         raise DataError(
-            f"{where}: expected a list of item names, got "
+            f"{label} {index}: expected a list of item names, got "
             f"{type(row).__name__}"
         )
     return tuple(row)
@@ -1077,49 +943,15 @@ def _write_encoded(
     offsets: np.ndarray,
     items: np.ndarray,
     taxonomy: Taxonomy,
-    format: str,
-) -> None:
-    """Write one shard from CSR arrays over item ids.  The name table
-    is in first-occurrence order, so the bytes equal
+) -> tuple[int, ...]:
+    """Write one shard from CSR arrays over item ids and return its
+    widths (see :func:`_row_widths`).  The name table is in
+    first-occurrence order, so the bytes equal
     :func:`write_columnar_shard` of the rows."""
     local, distinct = localize(items)
     names = [taxonomy.name_of(item) for item in distinct.tolist()]
-    _write_shard_file(path, offsets, local, names, format)
-
-
-def _write_shard_file(
-    path: Path,
-    offsets: np.ndarray,
-    local: np.ndarray,
-    names: list[str],
-    format: str,
-) -> None:
-    """Write one shard from its CSR arrays over a local name table."""
-    if format == "columnar":
-        write_columnar_arrays(path, offsets, local, names)
-        return
-    bounds = offsets.tolist()
-    values = [names[item] for item in local.tolist()]
-    atomic_write_text(
-        path,
-        "".join(
-            json.dumps(values[start:stop]) + "\n"
-            for start, stop in zip(bounds, bounds[1:])
-        ),
-    )
-
-
-def _read_jsonl_shard(path: Path) -> list[tuple[str, ...]]:
-    rows: list[tuple[str, ...]] = []
-    with path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if not isinstance(row, list):
-                raise DataError(f"{path}:{lineno}: expected a JSON array")
-            rows.append(tuple(str(item) for item in row))
-    return rows
+    write_columnar_arrays(path, offsets, local, names)
+    return _row_widths(offsets, items, taxonomy.compiled)
 
 
 def _unlink_quietly(path: Path) -> None:

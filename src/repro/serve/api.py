@@ -1,4 +1,4 @@
-"""The versioned HTTP route/wire layer of the pattern server.
+"""The ``/v1`` HTTP route/wire layer of the pattern server.
 
 :class:`PatternAPI` is the transport-agnostic core of the serving
 tier: it turns a parsed HTTP request (method, target, body, a few
@@ -9,7 +9,8 @@ dispatches every request through one instance, and tests and
 benchmarks drive the same instance without a socket, so the wire
 contract is testable on its own.
 
-**Routes.**  The current surface lives under ``/v1``:
+**Routes.**  Every route lives under ``/v1``; any other path answers
+the 404 ``not_found`` envelope:
 
 * ``GET /v1/healthz`` — liveness, snapshot version, uptime, update
   queue depth, drain state;
@@ -27,14 +28,11 @@ contract is testable on its own.
   ``timeout`` seconds for something to happen;
 * ``POST /v1/update`` — feed a delta batch to the attached miner.
 
-The legacy unprefixed routes (``/healthz``, ``/patterns``, …) remain
-as deprecated aliases: same answers, plus a ``Deprecation: true``
-response header.  Legacy ``/patterns`` keeps its volatile ``cached``
-flag; ``/v1/patterns`` drops it so every ``/v1`` response body is a
-pure function of ``(snapshot version, request target)`` — which is
-what makes whole-response byte caching sound.
+Every response body is a pure function of ``(snapshot version,
+request target)`` — which is what makes whole-response byte caching
+sound.
 
-**Errors.**  Every 4xx/5xx, on both surfaces, is one uniform envelope::
+**Errors.**  Every 4xx/5xx is one uniform envelope::
 
     {"error": {"code": "...", "message": "...", "detail": {...}}}
 
@@ -213,7 +211,6 @@ class UpdateIntent:
     """
 
     transactions: list[Any]
-    versioned: bool  #: arrived via /v1 (vs. a legacy alias)
 
 
 #: hard ceiling on one events long-poll (seconds)
@@ -234,7 +231,6 @@ class EventsIntent:
     since_version: int
     timeout: float
     limit: int | None
-    versioned: bool
 
 
 def encode_cursor(version: int, offset: int) -> str:
@@ -370,15 +366,14 @@ class PatternAPI:
     def route_template(self, target: str) -> str:
         """The bounded route label of one request target.
 
-        Concrete pattern ids are folded into ``/patterns/{id}`` and
-        unroutable paths into ``other`` — every label value is one of
-        a small closed set, never a client-controlled string.
+        The label is the route below ``/v1``; concrete pattern ids are
+        folded into ``/patterns/{id}`` and unroutable paths (any path
+        outside ``/v1`` among them) into ``other`` — every label value
+        is one of a small closed set, never a client-controlled string.
         """
-        path = urlsplit(target).path.rstrip("/") or "/"
-        if path == API_VERSION_PREFIX or path.startswith(
-            API_VERSION_PREFIX + "/"
-        ):
-            path = path[len(API_VERSION_PREFIX) :] or "/"
+        path = _route_path(urlsplit(target).path)
+        if path is None:
+            return "other"
         if path.startswith("/patterns/"):
             return "/patterns/{id}"
         if path in ("/healthz", "/stats", "/patterns", "/update",
@@ -448,17 +443,17 @@ class PatternAPI:
         with self._counter_lock:
             self._requests += 1
         split = urlsplit(target)
-        path = split.path.rstrip("/") or "/"
-        versioned = path == API_VERSION_PREFIX or path.startswith(
-            API_VERSION_PREFIX + "/"
-        )
-        if versioned:
-            path = path[len(API_VERSION_PREFIX) :] or "/"
         try:
+            path = _route_path(split.path)
+            if path is None:
+                raise ApiError(
+                    404,
+                    "not_found",
+                    f"no route {method} {split.path}",
+                    {"method": method, "path": split.path},
+                )
             params = _single_valued(split.query)
-            answer = self._route(
-                method, path, params, body, headers or {}, versioned
-            )
+            answer = self._route(method, path, params, body, headers or {})
         except ApiError as exc:
             answer = ApiResponse(
                 exc.status,
@@ -474,8 +469,6 @@ class PatternAPI:
                 500,
                 error_payload("internal", f"internal error: {exc}"),
             )
-        if isinstance(answer, ApiResponse) and not versioned:
-            answer.headers.setdefault("Deprecation", "true")
         return answer
 
     def _route(
@@ -485,7 +478,6 @@ class PatternAPI:
         params: dict[str, str],
         body: bytes,
         headers: Mapping[str, str],
-        versioned: bool,
     ) -> ApiResponse | UpdateIntent | EventsIntent:
         snap = self.store.snapshot()
         if method == "GET" and path == "/healthz":
@@ -497,15 +489,15 @@ class PatternAPI:
         if method == "GET" and path == "/metrics":
             return self._metrics(snap, params)
         if method == "GET" and path == "/patterns":
-            return self._patterns(snap, params, headers, versioned)
+            return self._patterns(snap, params, headers)
         if method == "GET" and path.startswith("/patterns/"):
             _forbid_params(params)
             return self._one(snap, path[len("/patterns/") :])
         if method == "GET" and path == "/events":
-            return self._events_intent(params, versioned)
+            return self._events_intent(params)
         if method == "POST" and path == "/update":
             _forbid_params(params)
-            return self._update_intent(body, versioned)
+            return self._update_intent(body)
         raise ApiError(
             404,
             "not_found",
@@ -591,10 +583,9 @@ class PatternAPI:
         snap: StoreSnapshot,
         params: dict[str, str],
         headers: Mapping[str, str],
-        versioned: bool,
     ) -> ApiResponse:
         expect_version = _pop_expect_version(params)
-        cursor = params.pop("cursor", None) if versioned else None
+        cursor = params.pop("cursor", None)
         if cursor is not None:
             if "offset" in params:
                 raise ApiError(
@@ -617,25 +608,20 @@ class PatternAPI:
             params["offset"] = str(offset)
         query = query_from_params(params)
         etag = f'"patterns-v{snap.version}"'
-        response_headers = {"ETag": etag} if versioned else {}
-        if versioned and headers.get("if-none-match") == etag:
+        response_headers = {"ETag": etag}
+        if headers.get("if-none-match") == etag:
             return ApiResponse(304, None, response_headers)
         result = self._engine.execute(
             query, expect_version=expect_version, snapshot=snap
         )
         payload = result.to_dict()
-        if versioned:
-            if (
-                query.limit is not None
-                and query.offset + len(result.ids) < result.total
-            ):
-                payload["next_cursor"] = encode_cursor(
-                    snap.version, query.offset + len(result.ids)
-                )
-        else:
-            # the legacy surface predates byte caching and exposes
-            # whether the query cache answered
-            payload["cached"] = result.cached
+        if (
+            query.limit is not None
+            and query.offset + len(result.ids) < result.total
+        ):
+            payload["next_cursor"] = encode_cursor(
+                snap.version, query.offset + len(result.ids)
+            )
         return ApiResponse(200, payload, response_headers)
 
     def _one(self, snap: StoreSnapshot, pid: str) -> ApiResponse:
@@ -659,9 +645,7 @@ class PatternAPI:
     # lifecycle events (the long-poll path)
     # ------------------------------------------------------------------
 
-    def _events_intent(
-        self, params: dict[str, str], versioned: bool
-    ) -> EventsIntent:
+    def _events_intent(self, params: dict[str, str]) -> EventsIntent:
         since_version = 0
         raw = params.pop("since_version", None)
         if raw is not None:
@@ -715,7 +699,7 @@ class PatternAPI:
                     f"limit must be >= 1, got {limit}",
                 )
         _forbid_params(params)
-        return EventsIntent(since_version, timeout, limit, versioned)
+        return EventsIntent(since_version, timeout, limit)
 
     def run_events(self, intent: EventsIntent) -> ApiResponse:
         """Serve one events long-poll (may block up to the intent's
@@ -740,7 +724,7 @@ class PatternAPI:
         next_since = (
             events[-1].version if events else intent.since_version
         )
-        response = ApiResponse(
+        return ApiResponse(
             200,
             {
                 "store_version": store.version,
@@ -750,15 +734,12 @@ class PatternAPI:
                 "events": [event.to_dict() for event in events],
             },
         )
-        if not intent.versioned:
-            response.headers.setdefault("Deprecation", "true")
-        return response
 
     # ------------------------------------------------------------------
     # the write path
     # ------------------------------------------------------------------
 
-    def _update_intent(self, raw: bytes, versioned: bool) -> UpdateIntent:
+    def _update_intent(self, raw: bytes) -> UpdateIntent:
         if self._miner is None:
             raise ApiError(
                 409,
@@ -795,7 +776,7 @@ class PatternAPI:
                 "bad_request",
                 'update body must be {"transactions": [[item, ...], ...]}',
             )
-        return UpdateIntent(transactions, versioned)
+        return UpdateIntent(transactions)
 
     def run_update(self, intent: UpdateIntent) -> ApiResponse:
         """Mine the delta, publish the next snapshot, persist it.
@@ -827,7 +808,7 @@ class PatternAPI:
                 error_payload("internal", f"internal error: {exc}"),
             )
         info = result.config.get("incremental", {})
-        response = ApiResponse(
+        return ApiResponse(
             200,
             {
                 "store_version": diff["version"],
@@ -842,9 +823,17 @@ class PatternAPI:
                 },
             },
         )
-        if not intent.versioned:
-            response.headers.setdefault("Deprecation", "true")
-        return response
+
+
+def _route_path(path: str) -> str | None:
+    """A request path below ``/v1`` (``/`` for ``/v1`` itself), or
+    ``None`` for a path outside ``/v1``."""
+    path = path.rstrip("/") or "/"
+    if path == API_VERSION_PREFIX:
+        return "/"
+    if path.startswith(API_VERSION_PREFIX + "/"):
+        return path[len(API_VERSION_PREFIX) :]
+    return None
 
 
 def _single_valued(query_string: str) -> dict[str, str]:

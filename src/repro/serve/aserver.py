@@ -48,6 +48,7 @@ from repro.errors import ServeError
 from repro.obs import catalog
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.api import (
+    API_VERSION_PREFIX,
     ApiResponse,
     EventsIntent,
     PatternAPI,
@@ -63,6 +64,9 @@ logger = logging.getLogger("repro.serve")
 
 _MAX_HEADER_BYTES = 32768
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: targets the byte cache may answer: the pattern reads
+_CACHEABLE_PREFIX = API_VERSION_PREFIX + "/patterns"
 
 
 class _RequestError(Exception):
@@ -82,7 +86,7 @@ class AsyncPatternServer:
         The indexed patterns to serve.
     miner:
         Anything with ``update(transactions) -> MiningResult``;
-        ``None`` serves read-only (``POST /update`` answers 409).
+        ``None`` serves read-only (``POST /v1/update`` answers 409).
     store_path:
         When set, the store is re-saved here after every successful
         update.
@@ -367,10 +371,7 @@ class AsyncPatternServer:
                     {"queue_depth": self._queue.qsize()},
                 ),
             )
-        answer = await future
-        if not intent.versioned:
-            answer.headers.setdefault("Deprecation", "true")
-        return answer
+        return await future
 
     # ------------------------------------------------------------------
     # connection handling
@@ -476,7 +477,7 @@ class AsyncPatternServer:
             self._response_cache_size > 0
             and method == "GET"
             and keep_alive
-            and target.startswith("/v1/patterns")
+            and target.startswith(_CACHEABLE_PREFIX)
             and "if-none-match" not in headers
         )
         if cacheable:

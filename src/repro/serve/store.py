@@ -513,7 +513,7 @@ class StoreSnapshot:
             )
 
     def stats(self) -> dict[str, Any]:
-        """Index shape summary (the ``/stats`` endpoint payload)."""
+        """Index shape summary (the ``/v1/stats`` endpoint payload)."""
         return {
             "version": self._version,
             "n_patterns": len(self._patterns),
@@ -736,7 +736,7 @@ class PatternStore:
         Returns ``(events, truncated)``; ``truncated`` is ``True``
         when events the cursor should have seen already fell off the
         ring (the consumer must resynchronize from a full
-        ``/patterns`` read).  ``limit`` caps the answer but never
+        ``/v1/patterns`` read).  ``limit`` caps the answer but never
         splits one generation's events across polls — resuming with
         ``since_version=<last event's version>`` is always lossless.
         """
@@ -854,7 +854,7 @@ class PatternStore:
         self._snap.require_version(expected)
 
     def stats(self) -> dict[str, Any]:
-        """Index shape summary (the ``/stats`` endpoint payload)."""
+        """Index shape summary (the ``/v1/stats`` endpoint payload)."""
         return self._snap.stats()
 
     def save(self, path: str | Path) -> Path:

@@ -435,16 +435,10 @@ class TestBudgetRespected:
                 store.shard_bytes(index) + planes
             )
 
-    def test_jsonl_estimate_keeps_expansion_heuristic(
-        self, random_db, tmp_path
-    ):
+    def test_horizontal_estimate_keeps_expansion_heuristic(self, store):
         from repro.core.counting import ShardBackendPool
-        from repro.data.shards import ShardedTransactionStore
 
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 2, format="jsonl"
-        )
-        pool = ShardBackendPool(store)
+        pool = ShardBackendPool(store, inner="horizontal")
         assert pool._estimate_bytes(0) == (
             store.shard_bytes(0) * ShardBackendPool.RESIDENCY_FACTOR
         )

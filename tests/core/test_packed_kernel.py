@@ -222,8 +222,26 @@ class TestSupportsContract:
 
     def test_unknown_level_rejected(self, backend, example3_db):
         top = tuple(example3_db.taxonomy.nodes_at_level(1))
+        scans = backend.scans
         with pytest.raises(DataError, match="no taxonomy level 9"):
             backend.supports(9, np.array([top]))
+        assert backend.scans == scans
+
+    @pytest.mark.parametrize("method", ["node_supports", "width_at_level"])
+    @pytest.mark.parametrize(
+        "level", [0, -1, None], ids=["0", "-1", "height+1"]
+    )
+    def test_level_out_of_range_rejected_before_any_scan(
+        self, backend, example3_db, method, level
+    ):
+        if level is None:
+            level = example3_db.taxonomy.height + 1
+        scans = backend.scans
+        with pytest.raises(
+            DataError, match=f"^no taxonomy level {level} in this index$"
+        ):
+            getattr(backend, method)(level)
+        assert backend.scans == scans
 
     @pytest.mark.parametrize(
         "rows",

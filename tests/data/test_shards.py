@@ -50,7 +50,36 @@ def _reference_columnar(rows):
     return padded(head) + padded(offsets.tobytes()) + items.tobytes()
 
 
+def _hand_written_manifest(directory, shards, sizes):
+    """A version-1 manifest naming ``shards``, written by hand."""
+    (directory / "manifest.json").write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "shards": shards,
+                "shard_sizes": sizes,
+                "n_transactions": sum(sizes),
+            }
+        ),
+        encoding="utf-8",
+    )
+
+
 NOT_A_ROW = "expected a list of item names, got"
+
+#: malformed rows and the message naming the first bad one (after
+#: "delta transaction " from append_batch, "transaction " from ingest)
+MALFORMED = [
+    ([("milk",), None], f"1: {NOT_A_ROW} NoneType"),
+    ([("milk",), "milk"], f"1: {NOT_A_ROW} str"),
+    ([b"milk"], f"0: {NOT_A_ROW} bytes"),
+    ([{"milk": 1}], f"0: {NOT_A_ROW} dict"),
+    ([("milk",), 7], f"1: {NOT_A_ROW} int"),
+    ([("milk", 1)], "0: item 1 is not a string"),
+    ([("cola",), ("milk", None)], "1: item None is not a string"),
+    ([("milk", b"cola")], "0: item b'cola' is not a string"),
+    ([("milk", ["cola"])], "0: item ['cola'] is not a string"),
+]
 
 #: a delta with repeated names and empty rows
 DELTA = [
@@ -166,6 +195,72 @@ class TestIngest:
                 [["cola"]], grocery_taxonomy, tmp_path, memory_budget_mb=0
             )
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            *MALFORMED,
+            (
+                [("milk",), ("milk", "no-such-item")],
+                "1: unknown item 'no-such-item'",
+            ),
+        ],
+    )
+    def test_malformed_rows_rejected(
+        self, grocery_taxonomy, tmp_path, rows, message
+    ):
+        with pytest.raises(DataError) as raised:
+            ShardedTransactionStore.ingest(rows, grocery_taxonomy, tmp_path)
+        assert str(raised.value) == f"transaction {message}"
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_rows_of_any_iterable_are_accepted(
+        self, grocery_taxonomy, tmp_path
+    ):
+        store = ShardedTransactionStore.ingest(
+            iter([iter(["milk", "cola"]), ("apples",), ["milk"]]),
+            grocery_taxonomy,
+            tmp_path,
+            rows_per_shard=2,
+        )
+        assert store.shard_transactions(0) == [("milk", "cola"), ("apples",)]
+        assert store.shard_transactions(1) == [("milk",)]
+
+    def test_writes_what_partition_database_writes(self, random_db, tmp_path):
+        """The same rows cut the same way give byte-identical shards,
+        manifest and widths, whichever writer wrote them."""
+        partitioned = ShardedTransactionStore.partition_database(
+            random_db, tmp_path / "partitioned", 4
+        )
+        rows = [random_db.transaction_names(i) for i in range(len(random_db))]
+        ingested = ShardedTransactionStore.ingest(
+            rows,
+            random_db.taxonomy,
+            tmp_path / "ingested",
+            rows_per_shard=partitioned.shard_sizes[0],
+        )
+        assert ingested.shard_sizes == partitioned.shard_sizes
+        for name in ["manifest.json"] + [
+            partitioned.shard_path(index).name
+            for index in range(partitioned.n_shards)
+        ]:
+            assert (tmp_path / "ingested" / name).read_bytes() == (
+                tmp_path / "partitioned" / name
+            ).read_bytes(), name
+        levels = range(1, random_db.taxonomy.height + 1)
+        assert [ingested.width_at_level(level) for level in levels] == [
+            partitioned.width_at_level(level) for level in levels
+        ]
+
+    def test_bad_row_named_by_stream_position(
+        self, grocery_taxonomy, tmp_path
+    ):
+        rows = [("milk",), ("cola",), ("apples",), ("milk", "no-such-item")]
+        with pytest.raises(DataError, match="^transaction 3: unknown item"):
+            ShardedTransactionStore.ingest(
+                rows, grocery_taxonomy, tmp_path, rows_per_shard=2
+            )
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestOpenAndManifest:
     def test_reopen_sees_same_data(self, random_db, tmp_path):
@@ -238,68 +333,52 @@ class TestFormats:
             random_db, tmp_path, 3
         )
         assert all(
-            store.shard_format(index) == "columnar"
+            store.shard_path(index).suffix == ".col"
             for index in range(store.n_shards)
         )
-        assert store.shard_path(0).suffix == ".col"
 
-    def test_jsonl_format_still_writable(self, random_db, tmp_path):
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 3, format="jsonl"
-        )
-        assert all(
-            store.shard_format(index) == "jsonl"
-            for index in range(store.n_shards)
-        )
-        assert list(store.to_database()) == list(random_db)
-
-    def test_formats_round_trip_identically(self, random_db, tmp_path):
-        columnar = ShardedTransactionStore.partition_database(
-            random_db, tmp_path / "col", 3, format="columnar"
-        )
-        jsonl = ShardedTransactionStore.partition_database(
-            random_db, tmp_path / "jsonl", 3, format="jsonl"
-        )
-        for index in range(3):
-            assert columnar.shard_transactions(
-                index
-            ) == jsonl.shard_transactions(index)
-
-    def test_transactions_at_matches_full_read_in_both_formats(
-        self, random_db, tmp_path
-    ):
+    def test_transactions_at_matches_full_read(self, random_db, tmp_path):
         """Random row access (the sampler's path) agrees with the
-        full decode for columnar shards and the jsonl fallback."""
-        for format in ("columnar", "jsonl"):
-            store = ShardedTransactionStore.partition_database(
-                random_db, tmp_path / format, 3, format=format
-            )
-            for index in range(store.n_shards):
-                rows = store.shard_transactions(index)
-                picks = list(range(0, len(rows), 2))
-                assert store.shard_transactions_at(index, picks) == [
-                    rows[row] for row in picks
-                ]
-            assert store.shard_transactions_at(0, []) == []
-
-    def test_unknown_format_rejected(self, random_db, tmp_path):
-        with pytest.raises(DataError, match="format"):
-            ShardedTransactionStore.partition_database(
-                random_db, tmp_path, 2, format="parquet"
-            )
-
-    def test_open_with_format_filter(self, random_db, tmp_path):
-        ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 2, format="jsonl"
+        full decode."""
+        store = ShardedTransactionStore.partition_database(
+            random_db, tmp_path, 3
         )
-        with pytest.raises(DataError, match="columnar"):
-            ShardedTransactionStore.open(
-                tmp_path, random_db.taxonomy, format="columnar"
-            )
+        for index in range(store.n_shards):
+            rows = store.shard_transactions(index)
+            picks = list(range(0, len(rows), 2))
+            assert store.shard_transactions_at(index, picks) == [
+                rows[row] for row in picks
+            ]
+        assert store.shard_transactions_at(0, []) == []
 
-    def test_describe_reports_format_bytes_and_images(
-        self, random_db, tmp_path
-    ):
+    def test_unknown_format_rejected(self, grocery_taxonomy, tmp_path):
+        (tmp_path / "shard-00000.parquet").write_bytes(b"PAR1")
+        _hand_written_manifest(tmp_path, ["shard-00000.parquet"], [1])
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        with pytest.raises(DataError) as raised:
+            ShardedTransactionStore.open(tmp_path, grocery_taxonomy)
+        assert str(raised.value).startswith(
+            "shard file shard-00000.parquet is not a columnar (.col) shard"
+        )
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
+
+    def test_open_with_format_filter(self, grocery_taxonomy, tmp_path):
+        """One jsonl shard among columnar ones (a legacy store grown by
+        columnar delta shards) refuses the whole store, naming only the
+        jsonl shard."""
+        (tmp_path / "shard-00000.jsonl").write_text(
+            '["milk", "cola"]\n', encoding="utf-8"
+        )
+        write_columnar_shard(tmp_path / "shard-00001.col", [("apples",)])
+        _hand_written_manifest(
+            tmp_path, ["shard-00000.jsonl", "shard-00001.col"], [1, 1]
+        )
+        with pytest.raises(DataError, match="columnar") as raised:
+            ShardedTransactionStore.open(tmp_path, grocery_taxonomy)
+        assert "shard-00000.jsonl" in str(raised.value)
+        assert "shard-00001.col" not in str(raised.value)
+
+    def test_describe_reports_bytes_and_images(self, random_db, tmp_path):
         from repro.core.counting import ShardBackendPool
 
         store = ShardedTransactionStore.partition_database(
@@ -311,63 +390,35 @@ class TestFormats:
         pool.save_images()
         text = store.describe()
         assert "2 shard(s)" in text
-        assert "[columnar]" in text
         assert "bytes" in text
         assert "images: bitmap" in text
         assert store.image_bytes(0) > 0
         assert store.shard_images(0) == ["bitmap"]
 
 
-class TestMigrate:
-    def test_columnar_to_jsonl_and_back(self, random_db, tmp_path):
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 3
-        )
-        before = [store.shard_transactions(index) for index in range(3)]
-        assert store.migrate("jsonl") == 3
-        assert all(store.shard_format(index) == "jsonl" for index in range(3))
-        assert store.migrate("columnar") == 3
-        after = [store.shard_transactions(index) for index in range(3)]
-        assert before == after
-        assert store.shard_sizes == [len(chunk) for chunk in before]
+class TestLegacyStore:
+    """A manifest naming a jsonl shard is refused, and nothing on disk
+    changes."""
 
-    def test_migrate_is_idempotent(self, random_db, tmp_path):
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 2
+    @pytest.fixture
+    def legacy(self, grocery_taxonomy, tmp_path):
+        (tmp_path / "shard-00000.jsonl").write_text(
+            '["milk", "cola"]\n["apples"]\n', encoding="utf-8"
         )
-        assert store.migrate("columnar") == 0
+        _hand_written_manifest(tmp_path, ["shard-00000.jsonl"], [2])
+        return tmp_path
 
-    def test_migrate_commits_via_manifest(self, random_db, tmp_path):
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 2
-        )
-        store.migrate("jsonl")
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert all(name.endswith(".jsonl") for name in manifest["shards"])
-        reopened = ShardedTransactionStore.open(tmp_path, random_db.taxonomy)
-        assert list(reopened.to_database()) == list(random_db)
-
-    def test_migrate_drops_stale_images(self, random_db, tmp_path):
-        from repro.core.counting import ShardBackendPool
-
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 2
-        )
-        pool = ShardBackendPool(store)
-        for index in range(store.n_shards):
-            pool.backend(index)
-        assert pool.save_images() == 2
-        assert store.shard_images(0) == ["bitmap"]
-        store.migrate("jsonl")
-        assert store.shard_images(0) == []
-        assert not list(tmp_path.glob("*.img"))
-
-    def test_migrate_rejects_unknown_format(self, random_db, tmp_path):
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 2
-        )
-        with pytest.raises(DataError, match="format"):
-            store.migrate("parquet")
+    def test_open_refuses_and_names_the_file(self, legacy, grocery_taxonomy):
+        manifest = (legacy / "manifest.json").read_bytes()
+        files = sorted(path.name for path in legacy.iterdir())
+        with pytest.raises(DataError) as raised:
+            ShardedTransactionStore.open(legacy, grocery_taxonomy)
+        message = str(raised.value)
+        assert "shard-00000.jsonl" in message
+        assert "jsonl shard encoding is no longer read" in message
+        assert "repro store migrate --to columnar" in message
+        assert (legacy / "manifest.json").read_bytes() == manifest
+        assert sorted(path.name for path in legacy.iterdir()) == files
 
 
 class TestAppendBatch:
@@ -454,20 +505,7 @@ class TestAppendBatch:
         with pytest.raises(DataError, match="rows_per_shard"):
             store.append_batch([("milk",)], rows_per_shard=0)
 
-    @pytest.mark.parametrize(
-        "delta, message",
-        [
-            ([("milk",), None], f"1: {NOT_A_ROW} NoneType"),
-            ([("milk",), "milk"], f"1: {NOT_A_ROW} str"),
-            ([b"milk"], f"0: {NOT_A_ROW} bytes"),
-            ([{"milk": 1}], f"0: {NOT_A_ROW} dict"),
-            ([("milk",), 7], f"1: {NOT_A_ROW} int"),
-            ([("milk", 1)], "0: item 1 is not a string"),
-            ([("cola",), ("milk", None)], "1: item None is not a string"),
-            ([("milk", b"cola")], "0: item b'cola' is not a string"),
-            ([("milk", ["cola"])], "0: item ['cola'] is not a string"),
-        ],
-    )
+    @pytest.mark.parametrize("delta, message", MALFORMED)
     def test_malformed_delta_rejected_before_writing(
         self, random_db, tmp_path, delta, message
     ):
@@ -545,13 +583,23 @@ class TestWidths:
             store.width_at_level(level) for level in self._levels(store)
         ]
 
-    def test_jsonl_shards_are_measured_too(self, random_db, tmp_path):
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 3, format="jsonl"
+    def test_ingested_store_reads_no_shard(
+        self, random_db, tmp_path, monkeypatch
+    ):
+        rows = [random_db.transaction_names(i) for i in range(len(random_db))]
+        store = ShardedTransactionStore.ingest(
+            rows, random_db.taxonomy, tmp_path, rows_per_shard=40
         )
-        reopened = ShardedTransactionStore.open(tmp_path, random_db.taxonomy)
+        assert store.n_shards > 1
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("a width query read a shard")
+
+        monkeypatch.setattr(store, "columnar_reader", no_read)
+        monkeypatch.setattr(store, "shard_transactions", no_read)
         levels = self._levels(store)
-        widths = [reopened.width_at_level(level) for level in levels]
+        widths = [store.width_at_level(level) for level in levels]
+        monkeypatch.undo()
         assert widths == [random_db.width_at_level(level) for level in levels]
 
 
@@ -569,15 +617,17 @@ class TestDeltaShardBytes:
             _reference_columnar(DELTA[4:]),
         ]
 
-    def test_jsonl_delta_with_splits(self, random_db, tmp_path):
-        store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 2, format="jsonl"
+    def test_ingested_shards_with_splits(self, grocery_taxonomy, tmp_path):
+        store = ShardedTransactionStore.ingest(
+            DELTA, grocery_taxonomy, tmp_path, rows_per_shard=4
         )
-        new = store.append_batch(DELTA, rows_per_shard=4, format="jsonl")
-        written = [store.shard_path(index).read_text() for index in new]
+        written = [
+            store.shard_path(index).read_bytes()
+            for index in range(store.n_shards)
+        ]
         assert written == [
-            "".join(json.dumps(list(row)) + "\n" for row in chunk)
-            for chunk in (DELTA[:4], DELTA[4:])
+            _reference_columnar(DELTA[:4]),
+            _reference_columnar(DELTA[4:]),
         ]
 
     def test_partitioned_shards(self, random_db, tmp_path):

@@ -91,41 +91,8 @@ class TestCountingParity:
 
 
 class TestFormatParity:
-    """Byte-parity across shard encodings — the columnar contract.
-
-    The binary columnar format, the legacy jsonl format, a store
-    migrated between the two, and a warm store serving persisted
-    backend images must all mine byte-identical pattern sets.
-    """
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_columnar_equals_jsonl_equals_monolithic(
-        self, planted_db, tmp_path, backend_name
-    ):
-        base = _mine(planted_db, backend=backend_name)
-        results = {}
-        for format in ("columnar", "jsonl"):
-            store = ShardedTransactionStore.partition_database(
-                planted_db, tmp_path / format, 4, format=format
-            )
-            results[format] = _mine(store, backend=backend_name)
-        assert len(base.patterns) > 0
-        assert _fingerprint(base) == _fingerprint(results["columnar"])
-        assert _fingerprint(base) == _fingerprint(results["jsonl"])
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_migrated_store_parity(self, planted_db, tmp_path, backend_name):
-        base = _mine(planted_db, backend=backend_name)
-        store = ShardedTransactionStore.partition_database(
-            planted_db, tmp_path, 4, format="jsonl"
-        )
-        assert store.migrate("columnar") == 4
-        migrated = _mine(store, backend=backend_name)
-        assert _fingerprint(base) == _fingerprint(migrated)
-        # and back again: the round trip changes nothing
-        assert store.migrate("jsonl") == 4
-        back = _mine(store, backend=backend_name)
-        assert _fingerprint(base) == _fingerprint(back)
+    """Byte-parity of the columnar store's warm path: a store serving
+    persisted backend images mines what the monolithic path mines."""
 
     def test_warm_image_serving_parity(self, planted_db, tmp_path):
         """Mining a store whose backends come entirely from persisted
@@ -148,6 +115,24 @@ class TestFormatParity:
         pool = warm_miner.context.backend.pool
         assert pool.image_admits == store.n_shards
         assert pool.rebuilds == 0
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_ingested_store_parity(self, planted_db, tmp_path, backend_name):
+        """A store streamed in by ``ingest`` (names encoded through the
+        taxonomy, widths stamped as each shard is written) mines what
+        the monolithic database mines."""
+        n = planted_db.n_transactions
+        store = ShardedTransactionStore.ingest(
+            (planted_db.transaction_names(row) for row in range(n)),
+            planted_db.taxonomy,
+            tmp_path,
+            rows_per_shard=-(-n // 4),
+        )
+        assert store.n_shards == 4
+        base = _mine(planted_db, backend=backend_name)
+        assert len(base.patterns) > 0
+        ingested = _mine(store, backend=backend_name)
+        assert _fingerprint(base) == _fingerprint(ingested)
 
 
 class TestMiningParity:

@@ -28,6 +28,7 @@ EXPECTED_OUTPUT = {
     "related_work_pipelines.py": "[Flipper]",
     "archive_and_compare_runs.py": "round-trip check",
     "pruning_ladder.py": "BASIC",
+    "columnar_store_images.py": "warm patterns byte-identical to cold: yes",
 }
 
 

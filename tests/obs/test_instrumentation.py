@@ -100,7 +100,7 @@ class TestColumnarMetrics:
         mapped0 = registry.value(catalog.COLUMNAR_MAPPED_BYTES)
         decoded0 = registry.value(catalog.COLUMNAR_SHARDS_DECODED)
         store = ShardedTransactionStore.partition_database(
-            random_db, tmp_path, 2, format="columnar"
+            random_db, tmp_path, 2
         )
         shard = ColumnarShard(store.shard_path(0))
         assert shard.rows()

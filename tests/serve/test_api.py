@@ -9,10 +9,15 @@ over real HTTP through :class:`~repro.serve.aserver.AsyncPatternServer`.
 from __future__ import annotations
 
 import json
+import time
+from urllib.parse import urlsplit
 
 import pytest
 
+from repro.obs import catalog
+from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
+    ApiResponse,
     PatternAPI,
     PatternStore,
     Query,
@@ -137,12 +142,54 @@ class TestErrorEnvelope:
             assert response.status in (200, 400, 404)
 
 
+#: every request the unprefixed aliases used to answer
+UNPREFIXED = [
+    ("GET", "/healthz"),
+    ("GET", "/stats"),
+    ("GET", "/patterns?limit=1"),
+    ("GET", "/patterns/{id}"),
+    ("GET", "/metrics"),
+    ("GET", "/events"),
+    ("POST", "/update"),
+]
+
+
 class TestDeprecationPolicy:
-    def test_legacy_routes_carry_deprecation_header(self, api):
-        for target in ("/healthz", "/stats", "/patterns?limit=1"):
-            response = api.dispatch("GET", target)
-            assert response.status in (200, 304)
-            assert response.headers.get("Deprecation") == "true"
+    """Only ``/v1`` routes answer: a path the unprefixed aliases
+    served is an enveloped 404, and no response is deprecated."""
+
+    @pytest.mark.parametrize("method, target", UNPREFIXED)
+    def test_unprefixed_paths_are_not_found(self, writable, method, target):
+        target = target.format(id=writable.store.ids()[0])
+        response = writable.dispatch(method, target, b'{"transactions": []}')
+        assert isinstance(response, ApiResponse)
+        assert response.status == 404
+        error = _envelope(response, "not_found")
+        assert error["detail"] == {
+            "method": method,
+            "path": urlsplit(target).path,
+        }
+        assert "Deprecation" not in response.headers
+        assert writable.route_template(target) == "other"
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "/v1healthz",
+            "/v10/healthz",
+            "/V1/healthz",
+            "/v2/healthz",
+            "/api/v1/healthz",
+            "/healthz/v1",
+        ],
+    )
+    def test_prefix_lookalikes_are_not_found(self, api, target):
+        """Only a first path segment of exactly ``v1`` routes."""
+        response = api.dispatch("GET", target)
+        assert response.status == 404
+        error = _envelope(response, "not_found")
+        assert error["detail"] == {"method": "GET", "path": target}
+        assert api.route_template(target) == "other"
 
     def test_v1_routes_do_not(self, api):
         for target in (
@@ -153,26 +200,11 @@ class TestDeprecationPolicy:
             response = api.dispatch("GET", target)
             assert "Deprecation" not in response.headers
 
-    def test_legacy_errors_are_deprecated_and_enveloped(self, api):
-        response = api.dispatch("GET", "/patterns/999-999")
-        assert response.status == 404
-        assert response.headers.get("Deprecation") == "true"
-        _envelope(response, "not_found")
-
-    def test_legacy_update_response_is_deprecated(self, writable):
-        intent = writable.dispatch("POST", "/update", b'{"transactions": []}')
-        assert isinstance(intent, UpdateIntent)
-        assert intent.versioned is False
-        response = writable.run_update(intent)
-        assert response.status == 200
-        assert response.headers.get("Deprecation") == "true"
-
     def test_v1_update_response_is_not(self, writable):
         intent = writable.dispatch(
             "POST", "/v1/update", b'{"transactions": []}'
         )
         assert isinstance(intent, UpdateIntent)
-        assert intent.versioned is True
         response = writable.run_update(intent)
         assert response.status == 200
         assert "Deprecation" not in response.headers
@@ -180,14 +212,9 @@ class TestDeprecationPolicy:
 
 class TestSurfaceParity:
     def test_v1_drops_the_volatile_cached_flag(self, api):
-        target = "patterns?sort=support&limit=5"
-        legacy = _json(api.dispatch("GET", "/" + target))
-        v1 = _json(api.dispatch("GET", "/v1/" + target))
-        assert "cached" in legacy
-        assert "cached" not in v1
-        legacy.pop("cached")
-        v1.pop("next_cursor", None)
-        assert v1 == legacy
+        target = "/v1/patterns?sort=support&limit=5"
+        for _ in range(2):  # a query-cache miss, then a hit
+            assert "cached" not in _json(api.dispatch("GET", target))
 
     def test_v1_patterns_is_a_pure_function_of_the_snapshot(self, api):
         target = "/v1/patterns?sort=support&limit=5"
@@ -268,11 +295,13 @@ class TestCursorPagination:
         assert error["detail"]["store_version"] > payload["store_version"]
 
     def test_cursor_is_rejected_on_the_legacy_surface(self, api):
-        cursor = encode_cursor(1, 0)
-        response = api.dispatch("GET", f"/patterns?cursor={cursor}")
-        assert response.status == 400
-        error = _envelope(response, "bad_request")
-        assert "cursor" in error["message"]
+        cursor = _json(api.dispatch("GET", "/v1/patterns?limit=5"))[
+            "next_cursor"
+        ]
+        response = api.dispatch("GET", f"/patterns?limit=5&cursor={cursor}")
+        assert response.status == 404
+        error = _envelope(response, "not_found")
+        assert error["detail"]["path"] == "/patterns"
 
     def test_no_cursor_without_limit_or_on_last_page(self, api):
         everything = _json(api.dispatch("GET", "/v1/patterns"))
@@ -328,8 +357,14 @@ class TestEtagRevalidation:
         assert after.headers["ETag"] != before
 
     def test_legacy_surface_has_no_etag(self, api):
-        response = api.dispatch("GET", "/patterns?limit=1")
+        """An unprefixed conditional request is a 404, never a 304."""
+        etag = api.dispatch("GET", "/v1/patterns?limit=1").headers["ETag"]
+        response = api.dispatch(
+            "GET", "/patterns?limit=1", headers={"if-none-match": etag}
+        )
+        assert response.status == 404
         assert "ETag" not in response.headers
+        _envelope(response, "not_found")
 
 
 class TestOverHttp:
@@ -364,12 +399,45 @@ class TestOverHttp:
                 conn.request("GET", f"{target}&cursor={cursor}")
                 page = json.loads(conn.getresponse().read())
                 assert page["offset"] == 25
-                # enveloped errors with the legacy deprecation signal
+                # an unprefixed path is an enveloped 404, not deprecated
                 conn.request("GET", "/patterns/999-999")
                 response = conn.getresponse()
                 assert response.status == 404
-                assert response.headers["Deprecation"] == "true"
+                assert "Deprecation" not in response.headers
                 error = json.loads(response.read())["error"]
                 assert error["code"] == "not_found"
             finally:
                 conn.close()
+
+    def test_unprefixed_paths_404_under_route_other(self, corpus_store):
+        import http.client
+
+        from repro.serve import AsyncPatternServer
+
+        registry = MetricsRegistry()
+        with AsyncPatternServer(corpus_store, registry=registry) as server:
+            conn = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            try:
+                for method, target in UNPREFIXED:
+                    target = target.format(id=corpus_store.ids()[0])
+                    conn.request(method, target, body=b"{}")
+                    response = conn.getresponse()
+                    assert response.status == 404, target
+                    assert "Deprecation" not in response.headers
+                    error = json.loads(response.read())["error"]
+                    assert error["code"] == "not_found"
+            finally:
+                conn.close()
+
+            def metered():
+                return registry.value(
+                    catalog.HTTP_REQUESTS, route="other", status="404"
+                )
+
+            # each request is metered after its bytes are out
+            deadline = time.monotonic() + 5.0
+            while metered() < len(UNPREFIXED) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert metered() == len(UNPREFIXED)

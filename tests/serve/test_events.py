@@ -254,7 +254,6 @@ class TestEventsApi:
         assert intent.since_version == 0
         assert intent.timeout == 0.0
         assert intent.limit is None
-        assert intent.versioned
 
     def test_payload_shape_names_real_generations(self, api):
         api_obj, store = api
@@ -312,14 +311,6 @@ class TestEventsApi:
         assert json.loads(response.encode())["error"]["code"] == (
             "bad_request"
         )
-
-    def test_legacy_route_is_deprecated(self, api):
-        api_obj, _ = api
-        intent = api_obj.dispatch("GET", "/events")
-        assert isinstance(intent, EventsIntent)
-        assert not intent.versioned
-        response = api_obj.run_events(intent)
-        assert response.headers.get("Deprecation") == "true"
 
 
 class TestOverHttp:

@@ -41,6 +41,20 @@ def _wait_until(predicate, timeout: float = 5.0) -> None:
     raise AssertionError("condition not met within timeout")
 
 
+#: every /v1 route, the status a read-only toy server answers it
+#: with, and the route label its requests are metered under (the
+#: label values CI smokes and dashboards scrape)
+ROUTE_LABELS = [
+    ("GET", "/v1/healthz", 200, "/healthz"),
+    ("GET", "/v1/stats", 200, "/stats"),
+    ("GET", "/v1/patterns?limit=1", 200, "/patterns"),
+    ("GET", "/v1/patterns/999-999", 404, "/patterns/{id}"),
+    ("POST", "/v1/update", 409, "/update"),
+    ("GET", "/v1/metrics?format=json", 200, "/metrics"),
+    ("GET", "/v1/events?since_version=0", 200, "/events"),
+]
+
+
 @pytest.fixture
 def server(toy_store):
     with AsyncPatternServer(toy_store, registry=MetricsRegistry()) as running:
@@ -99,11 +113,6 @@ class TestMetricsEndpoint:
         info.value.close()
         assert info.value.code == 400
 
-    def test_legacy_alias_carries_deprecation_header(self, server):
-        status, headers, _body = _get(server.url + "/metrics")
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-
     def test_latency_histogram_accumulates(self, server):
         for _ in range(3):
             _get(server.url + "/v1/patterns?limit=1")
@@ -119,12 +128,43 @@ class TestMetricsEndpoint:
         assert api.route_template("/v1/patterns/abc123") == (
             "/patterns/{id}"
         )
-        assert api.route_template("/patterns/abc123") == (
-            "/patterns/{id}"
-        )
+        assert api.route_template("/patterns/abc123") == "other"
         assert api.route_template("/v1/metrics?format=json") == "/metrics"
         assert api.route_template("/v1/wat") == "other"
         assert api.route_template("/") == "other"
+
+
+    @pytest.mark.parametrize(
+        "method, target, status, label",
+        ROUTE_LABELS,
+        ids=[label for *_, label in ROUTE_LABELS],
+    )
+    def test_route_label_values_are_kept(
+        self, server, method, target, status, label
+    ):
+        import http.client
+
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            body = b'{"transactions": []}' if method == "POST" else None
+            conn.request(method, target, body=body)
+            response = conn.getresponse()
+            response.read()
+            assert response.status == status
+        finally:
+            conn.close()
+        registry = server.api.registry
+        _wait_until(
+            lambda: registry.value(
+                catalog.HTTP_REQUESTS, route=label, status=str(status)
+            )
+            == 1
+        )
+        _status, _headers, body = _get(server.url + "/v1/metrics")
+        assert (
+            f'{catalog.HTTP_REQUESTS}{{route="{label}",status="{status}"}} 1'
+            in body.decode("utf-8")
+        )
 
 
 class TestHealthzConsistency:

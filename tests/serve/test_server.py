@@ -96,7 +96,7 @@ class TestParams:
 
 class TestReadEndpoints:
     def test_healthz(self, server, corpus_store):
-        status, payload = _get(server.url + "/healthz")
+        status, payload = _get(server.url + "/v1/healthz")
         assert status == 200
         assert payload["status"] == "ok"
         assert payload["store_version"] == corpus_store.version
@@ -107,7 +107,7 @@ class TestReadEndpoints:
 
     def test_patterns_matches_linear_scan(self, server, corpus_store):
         status, payload = _get(
-            server.url + "/patterns?under=cat01&sort=support&limit=10"
+            server.url + "/v1/patterns?under=cat01&sort=support&limit=10"
         )
         assert status == 200
         expected = linear_scan(
@@ -118,17 +118,9 @@ class TestReadEndpoints:
         assert payload["total"] == expected.total
         assert payload["store_version"] == corpus_store.version
 
-    def test_patterns_cached_flag(self, server):
-        url = server.url + "/patterns?signature=%2B-%2B&limit=2"
-        _, first = _get(url)
-        _, second = _get(url)
-        assert first["cached"] is False
-        assert second["cached"] is True
-        assert first["patterns"] == second["patterns"]
-
     def test_single_pattern(self, server, corpus_store):
         pid = corpus_store.ids()[0]
-        status, payload = _get(server.url + f"/patterns/{pid}")
+        status, payload = _get(server.url + f"/v1/patterns/{pid}")
         assert status == 200
         assert payload["pattern"]["id"] == pid
         assert payload["pattern"]["chain"]
@@ -136,7 +128,7 @@ class TestReadEndpoints:
     def test_single_pattern_missing(self, server):
         code, payload = _error(
             lambda: urllib.request.urlopen(
-                server.url + "/patterns/999-999"
+                server.url + "/v1/patterns/999-999"
             )
         )
         assert code == 404
@@ -152,7 +144,7 @@ class TestReadEndpoints:
     def test_bad_query_param_is_400(self, server):
         code, payload = _error(
             lambda: urllib.request.urlopen(
-                server.url + "/patterns?colour=red"
+                server.url + "/v1/patterns?colour=red"
             )
         )
         assert code == 400
@@ -162,14 +154,14 @@ class TestReadEndpoints:
     def test_stale_version_is_409(self, server):
         code, payload = _error(
             lambda: urllib.request.urlopen(
-                server.url + "/patterns?expect_version=999"
+                server.url + "/v1/patterns?expect_version=999"
             )
         )
         assert code == 409
         assert "stale store version" in payload["error"]["message"]
 
     def test_stats_shape(self, server, corpus_store):
-        status, payload = _get(server.url + "/stats")
+        status, payload = _get(server.url + "/v1/stats")
         assert status == 200
         assert payload["store"]["n_patterns"] == len(corpus_store)
         assert payload["server"]["read_only"] is True
@@ -180,7 +172,7 @@ class TestReadEndpoints:
 class TestUpdates:
     def test_read_only_update_is_409(self, server):
         code, payload = _error(
-            lambda: _post(server.url + "/update", {"transactions": []})
+            lambda: _post(server.url + "/v1/update", {"transactions": []})
         )
         assert code == 409
         assert payload["error"]["code"] == "read_only"
@@ -197,7 +189,7 @@ class TestUpdates:
         ) as server:
             before = store.version
             status, payload = _post(
-                server.url + "/update", {"transactions": delta}
+                server.url + "/v1/update", {"transactions": delta}
             )
             assert status == 200
             assert payload["mode"] in ("incremental", "full")
@@ -219,14 +211,14 @@ class TestUpdates:
                 toy_thresholds,
             )
             expected = PatternStore.build(full)
-            _, page = _get(server.url + "/patterns")
+            _, page = _get(server.url + "/v1/patterns")
             assert [p["id"] for p in page["patterns"]] == (
                 linear_scan(expected, Query()).ids
             )
             assert page["store_version"] >= before
             # ...and the on-disk copy is in lockstep
             assert PatternStore.open(store_path).version == store.version
-            _, stats = _get(server.url + "/stats")
+            _, stats = _get(server.url + "/v1/stats")
             assert stats["server"]["updates"] == 1
             assert stats["server"]["read_only"] is False
 
@@ -235,13 +227,15 @@ class TestUpdates:
         with AsyncPatternServer(store, miner=live_miner) as server:
             # unknown body fields are a loud 400...
             code, payload = _error(
-                lambda: _post(server.url + "/update", {"rows": []})
+                lambda: _post(server.url + "/v1/update", {"rows": []})
             )
             assert code == 400
             assert "rows" in payload["error"]["message"]
             assert payload["error"]["detail"]["known"] == ["transactions"]
             # ...and so is a missing/mistyped transactions list
-            code, payload = _error(lambda: _post(server.url + "/update", {}))
+            code, payload = _error(
+                lambda: _post(server.url + "/v1/update", {})
+            )
             assert code == 400
             assert "transactions" in payload["error"]["message"]
 
@@ -264,7 +258,7 @@ class TestLifecycle:
         rebound = AsyncPatternServer(corpus_store, port=port)
         try:
             rebound.start()
-            _, payload = _get(rebound.url + "/healthz")
+            _, payload = _get(rebound.url + "/v1/healthz")
             assert payload["status"] == "ok"
         finally:
             rebound.close()
@@ -286,7 +280,7 @@ class TestKeepAlive:
                 body = json.dumps({"transactions": [["x"] * 50] * 20})
                 conn.request(
                     "POST",
-                    "/update",
+                    "/v1/update",
                     body=body,
                     headers={"Content-Type": "application/json"},
                 )
@@ -294,7 +288,7 @@ class TestKeepAlive:
                 assert response.status == 409
                 response.read()
                 # same socket, next request: must parse cleanly
-                conn.request("GET", "/healthz")
+                conn.request("GET", "/v1/healthz")
                 response = conn.getresponse()
                 assert response.status == 200
                 payload = json.loads(response.read())
@@ -304,7 +298,7 @@ class TestKeepAlive:
                 response = conn.getresponse()
                 assert response.status == 404
                 response.read()
-                conn.request("GET", "/healthz")
+                conn.request("GET", "/v1/healthz")
                 assert conn.getresponse().status == 200
             finally:
                 conn.close()
@@ -312,7 +306,7 @@ class TestKeepAlive:
     def test_duplicate_query_parameter_is_400(self, server):
         code, payload = _error(
             lambda: urllib.request.urlopen(
-                server.url + "/patterns?items=i1&items=i2"
+                server.url + "/v1/patterns?items=i1&items=i2"
             )
         )
         assert code == 400
@@ -333,7 +327,7 @@ class TestConcurrency:
             try:
                 for _ in range(25):
                     with urllib.request.urlopen(
-                        url + "/patterns?sort=support"
+                        url + "/v1/patterns?sort=support"
                     ) as resp:
                         page = json.loads(resp.read())
                     assert page["count"] == page["total"]
@@ -349,7 +343,7 @@ class TestConcurrency:
             for thread in readers:
                 thread.start()
             _post(
-                server.url + "/update",
+                server.url + "/v1/update",
                 {"transactions": [["a11", "b11"], ["a12", "b12"]]},
             )
             for thread in readers:

@@ -88,7 +88,7 @@ def test_readers_never_observe_torn_state(generations):
                 if stop.is_set():
                     return
                 try:
-                    status, page = _get(server.url + "/patterns")
+                    status, page = _get(server.url + "/v1/patterns")
                 except urllib.error.HTTPError as error:  # pragma: no cover
                     failures.append(f"GET /patterns -> {error.code}")
                     stop.set()
@@ -128,7 +128,7 @@ def test_readers_never_observe_torn_state(generations):
         last_version = store.version
         for _ in updates:
             request = urllib.request.Request(
-                server.url + "/update",
+                server.url + "/v1/update",
                 data=json.dumps({"transactions": []}).encode(),
                 method="POST",
             )
@@ -142,7 +142,7 @@ def test_readers_never_observe_torn_state(generations):
 
         assert not failures, failures
         # after the dust settles the store serves the final generation
-        _status, page = _get(server.url + "/patterns")
+        _status, page = _get(server.url + "/v1/patterns")
         assert page["store_version"] == last_version
         assert set(p["id"] for p in page["patterns"]) == expected[last_version]
 
@@ -153,10 +153,12 @@ def test_stale_version_pins_conflict_cleanly(generations):
     pinned = store.version
     with AsyncPatternServer(store, miner=_ScriptedMiner(updates)) as server:
         # a pin on the current generation succeeds
-        status, _page = _get(server.url + f"/patterns?expect_version={pinned}")
+        status, _page = _get(
+            server.url + f"/v1/patterns?expect_version={pinned}"
+        )
         assert status == 200
         request = urllib.request.Request(
-            server.url + "/update",
+            server.url + "/v1/update",
             data=json.dumps({"transactions": []}).encode(),
             method="POST",
         )
@@ -164,7 +166,7 @@ def test_stale_version_pins_conflict_cleanly(generations):
             pass
         # ...and fails loudly (409, not mixed results) once it moved
         with pytest.raises(urllib.error.HTTPError) as info:
-            _get(server.url + f"/patterns?expect_version={pinned}")
+            _get(server.url + f"/v1/patterns?expect_version={pinned}")
         assert info.value.code == 409
         payload = json.loads(info.value.read().decode("utf-8"))
         assert "version" in payload["error"]["message"]

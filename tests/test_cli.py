@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import _parse_min_support, build_parser, main
 from repro.data.io import save_transactions
 from repro.datasets import example3_taxonomy, example3_transactions
+from repro.errors import DataError
 from repro.taxonomy.io import save_taxonomy
 
 
@@ -486,6 +488,60 @@ class TestUpdateCommand:
         ]) == 2
         assert "--min-support" in capsys.readouterr().err
 
+    def test_format_option_is_gone(self, example_files, tmp_path, capsys):
+        transactions, taxonomy = example_files
+        store_dir = tmp_path / "store"
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "update",
+                "--store",
+                str(store_dir),
+                "--taxonomy",
+                taxonomy,
+                "--init-from",
+                transactions,
+                "--format",
+                "jsonl",
+            ])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --format jsonl" in err
+        assert not store_dir.exists()
+
+    def test_init_from_unknown_item_leaves_no_store(
+        self, example_files, tmp_path, capsys
+    ):
+        transactions, taxonomy = example_files
+        bad = tmp_path / "bad.basket"
+        save_transactions([["a11", "b11"], ["nosuchitem"]], bad)
+        store_dir = tmp_path / "store"
+        command = ["update", "--store", str(store_dir), "--taxonomy", taxonomy]
+        assert main([*command, "--init-from", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "transaction 1: unknown item 'nosuchitem'" in err
+        assert not (store_dir / "manifest.json").exists()
+        # nothing was committed, so a corrected retry creates the store
+        assert main([*command, "--init-from", transactions]) == 0
+
+
+def _write_legacy_store(directory):
+    """A store as written before the jsonl encoding was removed."""
+    directory.mkdir()
+    (directory / "shard-00000.jsonl").write_text(
+        '["a11", "b11"]\n["a12"]\n', encoding="utf-8"
+    )
+    (directory / "manifest.json").write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "shards": ["shard-00000.jsonl"],
+                "shard_sizes": [2],
+                "n_transactions": 2,
+            }
+        ),
+        encoding="utf-8",
+    )
+
 
 class TestStoreCommand:
     @pytest.fixture
@@ -516,7 +572,7 @@ class TestStoreCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "ShardedTransactionStore" in out
-        assert "[columnar]" in out
+        assert "shard-00000.col" in out
 
     def test_describe_json(self, store_dir, example_files, capsys):
         _, taxonomy = example_files
@@ -533,82 +589,87 @@ class TestStoreCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_shards"] == len(payload["shards"])
         shard = payload["shards"][0]
-        assert shard["format"] == "columnar"
+        assert shard["file"] == "shard-00000.col"
+        assert "format" not in shard
         assert shard["bytes"] > 0
         assert shard["rows"] > 0
         assert shard["images"] == []
 
-    def test_migrate_round_trip(self, store_dir, example_files, capsys):
+    def test_migrate_subcommand_is_gone(
+        self, store_dir, example_files, capsys
+    ):
         _, taxonomy = example_files
+        manifest = (Path(store_dir) / "manifest.json").read_bytes()
         capsys.readouterr()
-        assert main([
-            "store",
-            "migrate",
-            "--store",
-            store_dir,
-            "--taxonomy",
-            taxonomy,
-            "--to",
-            "jsonl",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "rewrote 1 shard(s) to jsonl" in out
-        assert "[jsonl]" in out
-        assert main([
-            "store",
-            "migrate",
-            "--store",
-            store_dir,
-            "--taxonomy",
-            taxonomy,
-            "--to",
-            "columnar",
-        ]) == 0
-        assert "[columnar]" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "store",
+                "migrate",
+                "--store",
+                store_dir,
+                "--taxonomy",
+                taxonomy,
+                "--to",
+                "jsonl",
+            ])
+        assert exited.value.code == 2
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
+        assert (Path(store_dir) / "manifest.json").read_bytes() == manifest
 
-    def test_migrate_noop_reports_zero(self, store_dir, example_files, capsys):
-        _, taxonomy = example_files
-        capsys.readouterr()
-        assert main([
-            "store",
-            "migrate",
-            "--store",
-            store_dir,
-            "--taxonomy",
-            taxonomy,
-            "--to",
-            "columnar",
-        ]) == 0
-        assert "rewrote 0 shard(s)" in capsys.readouterr().out
-
-    def test_update_format_flag_writes_jsonl(
-        self, example_files, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "head, tail",
+        [
+            (["store", "gc"], []),
+            (["store", "describe"], ["--json"]),
+            (["update"], ["--append", "{transactions}"]),
+            (
+                ["update"],
+                ["--gamma", "0.6", "--epsilon", "0.35", "--min-support", "1"],
+            ),
+        ],
+        ids=["store-gc", "store-describe", "update-append", "update-mine"],
+    )
+    def test_legacy_store_is_refused(
+        self, example_files, tmp_path, capsys, head, tail
     ):
         transactions, taxonomy = example_files
-        directory = str(tmp_path / "legacy")
-        assert main([
-            "update",
+        directory = tmp_path / "legacy"
+        _write_legacy_store(directory)
+        manifest = (directory / "manifest.json").read_bytes()
+        files = sorted(path.name for path in directory.iterdir())
+        tail = [arg.format(transactions=transactions) for arg in tail]
+        store = ["--store", str(directory), "--taxonomy", taxonomy]
+        assert main([*head, *store, *tail]) == 2
+        err = capsys.readouterr().err
+        assert "shard-00000.jsonl" in err
+        assert "repro store migrate --to columnar" in err
+        assert (directory / "manifest.json").read_bytes() == manifest
+        assert sorted(path.name for path in directory.iterdir()) == files
+
+    def test_legacy_store_is_not_served(self, example_files, tmp_path):
+        from repro.cli import _build_server
+
+        _, taxonomy = example_files
+        directory = tmp_path / "legacy"
+        _write_legacy_store(directory)
+        args = build_parser().parse_args([
+            "serve",
             "--store",
-            directory,
+            str(directory),
             "--taxonomy",
             taxonomy,
-            "--init-from",
-            transactions,
-            "--format",
-            "jsonl",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "store",
-            "describe",
-            "--store",
-            directory,
-            "--taxonomy",
-            taxonomy,
-            "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert all(shard["format"] == "jsonl" for shard in payload["shards"])
+            "--gamma",
+            "0.6",
+            "--epsilon",
+            "0.35",
+            "--min-support",
+            "1",
+            "--port",
+            "0",
+        ])
+        with pytest.raises(DataError, match="shard-00000.jsonl"):
+            _build_server(args)
+        assert not (directory / "pattern_store.json").exists()
 
 
 class TestMineAppend:
@@ -714,12 +775,12 @@ class TestServe:
         store_dir, server = served_store
         assert (store_dir / "pattern_store.json").is_file()
         with server:
-            with urllib.request.urlopen(server.url + "/healthz") as resp:
+            with urllib.request.urlopen(server.url + "/v1/healthz") as resp:
                 health = jsonlib.load(resp)
             assert health["status"] == "ok"
             assert health["n_patterns"] == 1
             with urllib.request.urlopen(
-                server.url + "/patterns?items=a11"
+                server.url + "/v1/patterns?items=a11"
             ) as resp:
                 page = jsonlib.load(resp)
             assert page["total"] == 1
