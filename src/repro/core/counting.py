@@ -1216,19 +1216,27 @@ class DeltaCounter:
                     counts[node_id] += count
         return new_indices
 
-    def retire(self, indexes: Iterable[int]) -> int:
-        """Retire shards with exact count subtraction; returns the
-        rows removed.
+    def retire(
+        self,
+        indexes: Iterable[int],
+        delta: Iterable[Iterable[str]] = (),
+    ) -> int:
+        """Retire shards with exact count subtraction, in the one
+        store commit that appends ``delta``; returns the rows removed.
 
         Every index and the pin set are checked before anything
         changes.  The retiring shards' node supports are then counted
         (through the pool, so an evicted backend is readmitted or
-        rebuilt), the store commits the retirement, and only then are
-        those supports *subtracted* from the global tallies — the SON
-        merge run in reverse — and the shards dropped from the pool.
-        A failure therefore leaves the counter and the store as they
-        were.  The surviving tallies stay exact, as if the retired
-        rows had never been appended.
+        rebuilt), the store commits the delta and the retirement in
+        one manifest replace (``append_batch(delta, retire=...)``),
+        and only then are those supports *subtracted* from the global
+        tallies — the SON merge run in reverse — and the shards
+        dropped from the pool.  A failure (a bad index, a pinned
+        shard, a malformed delta row, a failed write) therefore leaves
+        the counter and the store as they were.  The surviving tallies
+        stay exact, as if the retired rows had never been appended;
+        the delta shards are folded in by the next :meth:`refresh`.
+        With no index to retire this is a plain append of ``delta``.
 
         Shards appended but never folded in by :meth:`refresh` are
         simply dropped (there is nothing counted to subtract).
@@ -1237,9 +1245,10 @@ class DeltaCounter:
         :class:`~repro.errors.DataError`.
         """
         retired = sorted(set(int(index) for index in indexes))
-        if not retired:
-            return 0
         store = self._pool.store
+        if not retired:
+            store.append_batch(delta)
+            return 0
         generations = store.shard_generations
         for index in retired:
             if not 0 <= index < len(generations):
@@ -1270,7 +1279,9 @@ class DeltaCounter:
                         shard_nodes = backend.node_supports(level)
                         for node_id, count in shard_nodes.items():
                             totals[node_id] += count
-            rows = store.retire_shards(retired)
+            sizes = store.shard_sizes
+            rows = sum(sizes[index] for index in retired)
+            store.append_batch(delta, retire=retired)
             for level, totals in removed.items():
                 counts = self._node_supports[level]
                 for node_id, count in totals.items():

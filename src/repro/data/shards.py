@@ -32,17 +32,25 @@ only has to look at the delta shards (see
 :meth:`ShardedTransactionStore.retire_shards` /
 :meth:`ShardedTransactionStore.retire_before`: whole shards are
 dropped from the manifest and their files (plus persisted backend
-images) unlinked — the windowed-mining expiry path.  Every shard
+images) unlinked — the windowed-mining expiry path.  A window *slides*
+through ``append_batch(delta, retire=indexes)``: one manifest commit
+adds the delta shards and drops the retired ones, so no crash can
+leave the delta in without the retirement, and a slide pays for one
+manifest replace, not two.  Every shard
 carries a monotonically increasing *generation* stamp in the
 manifest; shard file names are derived from the generation, never
 from the list position, so a retired shard's name is never reused by
 a later append.  The manifest is the commit point both ways: new
 shard files are fully written (via same-directory temp files and
-``os.replace``) *before* the manifest is atomically replaced, and
-retired shard files are unlinked only *after* it, so a mid-write
-crash leaves at worst unreferenced orphan files (reclaimed by
-:meth:`gc_orphans`), never a manifest naming a torn or missing
-shard.
+``os.replace``, each rename made durable by a directory ``fsync``)
+*before* the manifest is atomically replaced, and retired shard files
+are unlinked only *after* it, so a mid-write crash leaves at worst
+unreferenced orphan files (reclaimed by :meth:`gc_orphans`), never a
+manifest naming a torn or missing shard.  A retired name goes at once,
+but its blocks, like the replaced manifest's, are freed off the
+committing thread (:func:`repro.core.atomicio.unlink_deferred`): on a
+filesystem that discards freed blocks, a free costs tens of
+milliseconds, many times the commit itself.
 
 On disk a store is a directory of columnar shard files
 (``shard-NNNNN.col``, the binary CSR layout of
@@ -80,7 +88,7 @@ from typing import Self, cast
 
 import numpy as np
 
-from repro.core.atomicio import atomic_write_text
+from repro.core.atomicio import atomic_write_text, unlink_deferred
 from repro.data.columnar import (
     IMAGE_BACKEND,
     ColumnarShard,
@@ -284,6 +292,8 @@ class ShardedTransactionStore:
         Rows are checked as :meth:`append_batch` checks a delta: a
         malformed row or an unknown item raises :class:`DataError`
         naming its position in the stream, and no manifest is written.
+        A failed ingest removes the shard files it wrote before it
+        re-raises and leaves every other file alone.
         """
         if rows_per_shard is not None and rows_per_shard < 1:
             raise DataError(
@@ -325,19 +335,27 @@ class ShardedTransactionStore:
             buffer.clear()
             buffered_bytes = 0
 
-        for index, raw in enumerate(transactions):
-            row = _as_row(raw, "transaction", index)
-            buffer.append(row)
-            buffered_bytes += estimate_transaction_bytes(row)
-            full = (
+        def full() -> bool:
+            return (
                 rows_per_shard is not None and len(buffer) >= rows_per_shard
             ) or (budget_bytes is not None and buffered_bytes >= budget_bytes)
-            if full:
-                flush()
-        flush()
-        if not shard_sizes:
-            raise DataError("transaction stream is empty")
-        _write_manifest(directory, shard_files, shard_sizes)
+
+        try:
+            for index, raw in enumerate(transactions):
+                row = _as_row(raw, "transaction", index)
+                buffer.append(row)
+                buffered_bytes += estimate_transaction_bytes(row)
+                if full():
+                    flush()
+            flush()
+            if not shard_sizes:
+                raise DataError("transaction stream is empty")
+            _write_manifest(directory, shard_files, shard_sizes)
+        except BaseException:
+            # No manifest names them: remove the shards this call wrote.
+            for name in shard_files:
+                _unlink_quietly(directory / name)
+            raise
         store = cls(directory, taxonomy)
         store._widths.update(enumerate(widths))
         return store
@@ -358,19 +376,25 @@ class ShardedTransactionStore:
         transactions: Iterable[Iterable[str]],
         *,
         rows_per_shard: int | None = None,
+        retire: Iterable[int] = (),
     ) -> list[int]:
-        """Append a delta batch as new shard(s); never rewrites data.
+        """Append a delta batch as new shard(s) and drop the shards at
+        the ``retire`` indexes, in one manifest commit; never rewrites
+        data.
 
         The batch is written to fresh shard files (split every
-        ``rows_per_shard`` rows when set, one shard otherwise) and the
-        manifest is extended with them.  Returns the indexes of the
-        new shards — the exact set an incremental consumer has to
-        count.  An empty batch is a no-op returning ``[]``.
+        ``rows_per_shard`` rows when set, one shard otherwise), then
+        one manifest replace adds them and drops the retired shards
+        (see :meth:`retire_shards`).  Returns the indexes of the new
+        shards in the committed store — the exact set an incremental
+        consumer has to count.  An empty batch that retires nothing
+        is a no-op returning ``[]``.
 
-        Crash safety: every new shard file is fully written (temp +
-        ``os.replace``) *before* the manifest is atomically replaced,
-        and the in-memory state only advances after the manifest
-        commit.  A crash anywhere in between leaves the previous
+        Crash safety: every retire index is checked and every row
+        encoded before the first write, and every new shard file is
+        fully written (temp + ``os.replace``) *before* the manifest is
+        atomically replaced; the in-memory state only advances after
+        the manifest commit.  A failure anywhere leaves the previous
         manifest intact and at worst some unreferenced shard files: a
         retried append of the same batch overwrites them (the
         generation counter only advances at the commit), and any
@@ -381,6 +405,7 @@ class ShardedTransactionStore:
             raise DataError(
                 f"rows_per_shard must be >= 1, got {rows_per_shard}"
             )
+        retired = self._checked_indexes(retire)
         # One pass maps every name to its item id and rejects a bad
         # row before the first write: a bad delta must not leave the
         # on-disk store half-extended.
@@ -390,20 +415,18 @@ class ShardedTransactionStore:
             "delta transaction",
         )
         n_rows = len(offsets) - 1
-        if not n_rows:
+        if not n_rows and not retired:
             return []
-        step = rows_per_shard or n_rows
+        step = rows_per_shard or max(n_rows, 1)
         sizes = [
             min(step, n_rows - start) for start in range(0, n_rows, step)
         ]
         new_files: list[str] = []
-        new_gens: list[int] = []
         new_widths: list[tuple[int, ...]] = []
         for chunk in _split(offsets, items, sizes):
             # Names come from the generation counter, not the list
             # position, so a name retired earlier is never reused.
-            generation = self._next_generation + len(new_files)
-            name = _shard_file_name(generation)
+            name = _shard_file_name(self._next_generation + len(new_files))
             # An existing file at a brand-new generation is an orphan
             # from a crashed earlier append (written, never committed
             # to the manifest); replacing it is the recovery path.
@@ -411,24 +434,9 @@ class ShardedTransactionStore:
                 _write_encoded(self._directory / name, *chunk, self._taxonomy)
             )
             new_files.append(name)
-            new_gens.append(generation)
-        _write_manifest(
-            self._directory,
-            self._shard_files + new_files,
-            self._shard_sizes + sizes,
-            generations=self._generations + new_gens,
-            next_generation=self._next_generation + len(new_files),
-        )
-        # The manifest replace above is the commit point; only now is
-        # the in-memory view allowed to see the delta.
-        first_new = len(self._shard_files)
-        self._shard_files.extend(new_files)
-        self._shard_sizes.extend(sizes)
-        self._generations.extend(new_gens)
-        self._next_generation += len(new_files)
-        self._n_transactions += n_rows
-        self._widths.update(zip(new_gens, new_widths))
-        return list(range(first_new, len(self._shard_files)))
+        self._commit(retired, new_files, sizes, new_widths)
+        n_shards = len(self._shard_files)
+        return list(range(n_shards - len(new_files), n_shards))
 
     # ------------------------------------------------------------------
     # shard retirement (the windowed-mining expiry path)
@@ -438,63 +446,85 @@ class ShardedTransactionStore:
         """Drop whole shards from the store; returns the rows removed.
 
         The survivor manifest is atomically replaced first — that is
-        the commit point — and only then are the retired shard files
-        and their persisted backend images unlinked, so a crash
-        mid-retirement leaves at worst committed-out orphan files
-        (reclaimed by :meth:`gc_orphans`), never a manifest naming a
-        missing shard.  Remaining shards keep their generation stamps;
-        retired generations are never reissued.
+        the commit point, the one :meth:`append_batch` uses — and only
+        then are the retired shard files and their persisted backend
+        images unlinked, so a crash mid-retirement leaves at worst
+        committed-out orphan files (reclaimed by :meth:`gc_orphans`),
+        never a manifest naming a missing shard.  Remaining shards keep
+        their generation stamps; retired generations are never
+        reissued.
         """
-        retired = sorted(set(int(index) for index in indexes))
+        retired = self._checked_indexes(indexes)
         if not retired:
             return 0
+        rows = sum(self._shard_sizes[index] for index in retired)
+        self._commit(retired, [], [], [])
+        return rows
+
+    def _checked_indexes(self, indexes: Iterable[int]) -> list[int]:
+        """The sorted distinct shard indexes to retire; one outside
+        the store raises :class:`DataError`."""
+        retired = sorted(set(int(index) for index in indexes))
         for index in retired:
             if not 0 <= index < len(self._shard_files):
                 raise DataError(
                     f"cannot retire shard {index}: store has "
                     f"{len(self._shard_files)} shard(s)"
                 )
+        return retired
+
+    def _commit(
+        self,
+        retired: list[int],
+        new_files: list[str],
+        new_sizes: list[int],
+        new_widths: list[tuple[int, ...]],
+    ) -> None:
+        """The one commit of every store change: replace the manifest
+        with one that drops the ``retired`` indexes and appends the
+        already-written ``new_files``, then bring the in-memory view
+        up to it and unlink the retired shards and their images."""
         retired_set = set(retired)
         survivors = [
             index
             for index in range(len(self._shard_files))
             if index not in retired_set
         ]
-        new_index_of = {old: new for new, old in enumerate(survivors)}
-        new_files = [self._shard_files[old] for old in survivors]
-        new_sizes = [self._shard_sizes[old] for old in survivors]
-        new_gens = [self._generations[old] for old in survivors]
-        retired_names = [self._shard_files[old] for old in retired]
-        retired_gens = [self._generations[old] for old in retired]
-        rows = sum(self._shard_sizes[old] for old in retired)
+        next_generation = self._next_generation + len(new_files)
+        new_gens = list(range(self._next_generation, next_generation))
+        files = [self._shard_files[old] for old in survivors] + new_files
+        sizes = [self._shard_sizes[old] for old in survivors] + new_sizes
+        generations = [self._generations[old] for old in survivors] + new_gens
         _write_manifest(
             self._directory,
-            new_files,
-            new_sizes,
-            generations=new_gens,
-            next_generation=self._next_generation,
+            files,
+            sizes,
+            generations=generations,
+            next_generation=next_generation,
         )
-        # Committed.  Release mmaps over the retired shards, remap the
-        # survivors' cached readers to their new positions, then
-        # unlink the dead files and images.
+        # Committed.  Release mmaps over the retired shards and remap
+        # the survivors' cached readers to their new positions.
+        new_index_of = {old: new for new, old in enumerate(survivors)}
         self._columnar_readers = {
             new_index_of[old]: reader
             for old, reader in self._columnar_readers.items()
             if old not in retired_set
         }
+        retired_names = [self._shard_files[old] for old in retired]
+        # A survivor's widths stay exact: drop only the retired ones.
+        for old in retired:
+            self._widths.pop(self._generations[old], None)
+        self._widths.update(zip(new_gens, new_widths))
+        self._shard_files = files
+        self._shard_sizes = sizes
+        self._generations = generations
+        self._next_generation = next_generation
+        self._n_transactions = sum(sizes)
         for name in retired_names:
             _unlink_quietly(self._directory / name)
             for image in self._directory.glob(f"{name}.*.img"):
                 _unlink_quietly(image)
             self._drop_cached_paths(name)
-        self._shard_files = new_files
-        self._shard_sizes = new_sizes
-        self._generations = new_gens
-        self._n_transactions -= rows
-        # A survivor's widths stay exact: drop only the retired ones.
-        for generation in retired_gens:
-            self._widths.pop(generation, None)
-        return rows
 
     def retire_before(self, generation: int) -> list[int]:
         """Retire every shard with a generation stamp below
@@ -955,8 +985,9 @@ def _write_encoded(
 
 
 def _unlink_quietly(path: Path) -> None:
+    """Unlink a file now; its blocks are freed off this thread."""
     try:
-        path.unlink()
+        unlink_deferred(path)
     except OSError:
         pass
 

@@ -36,13 +36,14 @@ Two run modes are reported in ``result.config["incremental"]``:
   even this).
 
 With ``window_shards=`` / ``window_rows=`` the miner runs *windowed*:
-each :meth:`~IncrementalMiner.update` appends the delta, retires the
-oldest shards that fell out of the window (exact count subtraction
-through :meth:`~repro.core.counting.DeltaCounter.retire`), and
-re-mines — byte-identical to a cold mine of only the in-window
-shards, which the engine parity tests assert.  A step that retired
-shards reports mode ``"windowed"`` (or ``"full"`` when fractional
-thresholds shifted with the shrunken N).
+each :meth:`~IncrementalMiner.update` appends the delta and retires
+the oldest shards that fall out of the window in one manifest commit
+(exact count subtraction through
+:meth:`~repro.core.counting.DeltaCounter.retire`, which takes the
+delta it commits with), and re-mines — byte-identical to a cold mine
+of only the in-window shards, which the engine parity tests assert.
+A step that retired shards reports mode ``"windowed"`` (or ``"full"``
+when fractional thresholds shifted with the shrunken N).
 """
 
 from __future__ import annotations
@@ -209,14 +210,16 @@ class IncrementalMiner(ShardDirOwner):
         with trace_span(catalog.SPAN_UPDATE):
             return self._update(transactions)
 
-    def _retire_out_of_window(self) -> tuple[int, int]:
-        """Retire the oldest shards that fell out of the window;
-        returns ``(shards, rows)`` retired (``(0, 0)`` unwindowed)."""
+    def _window_drop(self, delta_rows: int) -> int:
+        """How many of the oldest shards fall out of the window once a
+        delta of ``delta_rows`` rows lands as one new shard (``0``
+        unwindowed), read from the sizes the store will hold after
+        the delta."""
         if self._window_shards is None and self._window_rows is None:
-            return 0, 0
-        sizes = self._store.shard_sizes
+            return 0
+        sizes = self._store.shard_sizes + ([delta_rows] if delta_rows else [])
         n_shards = len(sizes)
-        remaining = self._store.n_transactions
+        remaining = sum(sizes)
         drop = 0
         while drop < n_shards - 1:  # the newest shard always survives
             if (
@@ -234,24 +237,24 @@ class IncrementalMiner(ShardDirOwner):
                 drop += 1
                 continue
             break
-        if drop == 0:
-            return 0, 0
-        rows = self._counter.retire(range(drop))
-        return drop, rows
+        return drop
 
     def _update(
         self, transactions: Iterable[Iterable[str]]
     ) -> MiningResult:
         scans_before = self._counter.scans
-        new_shards = self._store.append_batch(transactions)
-        delta_rows = sum(
-            self._store.shard_sizes[index] for index in new_shards
-        )
-        retired_shards, retired_rows = self._retire_out_of_window()
+        delta = list(transactions)
+        retired_shards = self._window_drop(len(delta))
+        # One manifest commit appends the delta as one shard and
+        # retires the shards that fall out of the window: a failure
+        # leaves the store, the counter and the last result as they
+        # were.
+        retired_rows = self._counter.retire(range(retired_shards), delta)
+        delta_shards = 1 if delta else 0
         self._counter.refresh()
         resolved = self._resolve()
         if (
-            not new_shards
+            not delta_shards
             and retired_shards == 0
             and self._last_result is not None
             and resolved == self._last_resolved
@@ -281,8 +284,8 @@ class IncrementalMiner(ShardDirOwner):
             mode = "full"
         result = self._run(
             mode=mode,
-            delta_shards=len(new_shards),
-            delta_rows=delta_rows,
+            delta_shards=delta_shards,
+            delta_rows=len(delta),
             resolved=resolved,
             retired_shards=retired_shards,
             retired_rows=retired_rows,

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+import repro.core.atomicio as atomicio
+import repro.data.shards as shards_module
 from repro.data.database import TransactionDatabase
 from repro.data.shards import ShardedTransactionStore
 from repro.errors import DataError
@@ -125,6 +128,75 @@ class TestRetireShards:
             store.shard_bytes(index)
         store.retire_shards([0])
         assert store.shard_bytes(0) == store.shard_path(0).stat().st_size
+
+
+class TestSlideCommit:
+    """``append_batch(delta, retire=...)``: one manifest replace adds
+    the delta shards and drops the retired ones."""
+
+    def test_one_manifest_write(self, random_db, tmp_path, monkeypatch):
+        store = _store(random_db, tmp_path, 3)
+        retired_name = store.shard_path(0).name
+        writes = []
+        real = shards_module._write_manifest
+
+        def counting(*args, **kwargs):
+            writes.append(args)
+            real(*args, **kwargs)
+
+        monkeypatch.setattr(shards_module, "_write_manifest", counting)
+        new = store.append_batch([["milk", "cola"], ["soap"]], retire=[0])
+        assert len(writes) == 1
+        assert new == [2]
+        assert store.shard_generations == [1, 2, 3]
+        assert store.next_generation == 4
+        assert store.shard_transactions(2) == [("milk", "cola"), ("soap",)]
+        assert not (tmp_path / retired_name).exists()
+        reopened = ShardedTransactionStore.open(tmp_path, random_db.taxonomy)
+        assert reopened.shard_generations == [1, 2, 3]
+        expected = [store.shard_transactions(i) for i in range(3)]
+        assert [reopened.shard_transactions(i) for i in range(3)] == expected
+
+    def test_retire_only_commit(self, random_db, tmp_path):
+        store = _store(random_db, tmp_path, 3)
+        sizes = store.shard_sizes
+        assert store.append_batch([], retire=[0, 1]) == []
+        assert store.shard_generations == [2]
+        assert store.n_transactions == sizes[2]
+
+    def test_bad_retire_index_writes_nothing(self, random_db, tmp_path):
+        store = _store(random_db, tmp_path, 3)
+        listing = sorted(os.listdir(tmp_path))
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        with pytest.raises(DataError, match="cannot retire shard 5"):
+            store.append_batch([["milk"]], retire=[0, 5])
+        assert sorted(os.listdir(tmp_path)) == listing
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
+        assert store.shard_generations == [0, 1, 2]
+
+    @pytest.mark.skipif(os.name != "posix", reason="pinning is POSIX-only")
+    def test_frees_are_handed_off_after_the_names_go(
+        self, random_db, tmp_path, monkeypatch
+    ):
+        store = _store(random_db, tmp_path, 3)
+        old_manifest = (tmp_path / "manifest.json").read_bytes()
+        retired_bytes = store.shard_path(0).read_bytes()
+        handed: list[int] = []
+        monkeypatch.setattr(atomicio, "_release", handed.append)
+        try:
+            store.append_batch([["milk", "cola"]], retire=[0])
+            # the old manifest and the retired shard, both nameless
+            assert len(handed) == 2
+            assert [os.fstat(fd).st_nlink for fd in handed] == [0, 0]
+            contents = sorted(
+                os.pread(fd, os.fstat(fd).st_size, 0) for fd in handed
+            )
+            assert contents == sorted([old_manifest, retired_bytes])
+            live = {store.shard_path(i).name for i in range(store.n_shards)}
+            assert set(os.listdir(tmp_path)) == {"manifest.json"} | live
+        finally:
+            for fd in handed:
+                os.close(fd)
 
 
 class TestGcOrphans:

@@ -261,6 +261,20 @@ class TestIngest:
             )
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_failed_ingest_removes_the_shards_it_wrote(
+        self, example3_tax, tmp_path
+    ):
+        # the first shard is cut before the bad row is read
+        (tmp_path / "notes.txt").write_text("not ours")
+        rows = [["a11"], ["b11"], ["a12"], ["nope"]]
+        with pytest.raises(
+            DataError, match="^transaction 3: unknown item 'nope'$"
+        ):
+            ShardedTransactionStore.ingest(
+                rows, example3_tax, tmp_path, rows_per_shard=2
+            )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
+
 
 class TestOpenAndManifest:
     def test_reopen_sees_same_data(self, random_db, tmp_path):

@@ -9,14 +9,19 @@ patterns, not set overlap.
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.atomicio as atomicio
+import repro.data.shards as shards_module
 from repro import Taxonomy
+from repro.core.atomicio import drain_releases
 from repro.core.flipper import mine_flipping_patterns
 from repro.core.thresholds import Thresholds
 from repro.data.database import TransactionDatabase
@@ -256,6 +261,122 @@ class TestWindowedEdges:
         store = seed_store(segments, grocery_taxonomy, tmp_path)
         with pytest.raises(ConfigError, match=">= 1"):
             IncrementalMiner(store, thresholds, **kwargs)
+
+
+class TestOneCommitSlide:
+    """A slide appends the delta and retires the oldest shard in one
+    manifest commit, so a failure anywhere changes nothing and a retry
+    lands the delta exactly once."""
+
+    @pytest.fixture
+    def miner(self, grocery_taxonomy, segments, thresholds, tmp_path):
+        store = seed_store(segments, grocery_taxonomy, tmp_path)
+        miner = IncrementalMiner(store, thresholds, window_shards=3)
+        miner.mine()
+        return miner
+
+    @staticmethod
+    def fail_the_retiring_commit(miner, monkeypatch):
+        """Fail the manifest write that drops the oldest shard: the
+        one commit of a slide (a second commit, after the delta's own,
+        would leave the delta in and the window over-full)."""
+        oldest = miner.store.shard_path(0).name
+        real = shards_module._write_manifest
+
+        def write(directory, shard_files, *args, **kwargs):
+            if oldest not in shard_files:
+                raise OSError("disk full")
+            real(directory, shard_files, *args, **kwargs)
+
+        monkeypatch.setattr(shards_module, "_write_manifest", write)
+
+    def test_a_slide_writes_the_manifest_once(
+        self, miner, segments, monkeypatch
+    ):
+        writes = []
+        real = shards_module._write_manifest
+
+        def counting(*args, **kwargs):
+            writes.append(args)
+            real(*args, **kwargs)
+
+        monkeypatch.setattr(shards_module, "_write_manifest", counting)
+        result = miner.update(segments[3])
+        assert result.config["incremental"]["mode"] == "windowed"
+        assert len(writes) == 1
+
+    def test_manifest_failure_changes_nothing(
+        self, miner, segments, tmp_path, monkeypatch
+    ):
+        store, counter = miner.store, miner.counter
+        height = store.taxonomy.height
+        manifest = (tmp_path / "manifest.json").read_bytes()
+        shards = [store.shard_path(i).name for i in range(store.n_shards)]
+        nodes = {
+            level: dict(counter.node_supports(level))
+            for level in range(1, height + 1)
+        }
+        last = miner.last_result
+
+        self.fail_the_retiring_commit(miner, monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            miner.update(segments[3])
+        monkeypatch.undo()
+
+        assert (tmp_path / "manifest.json").read_bytes() == manifest
+        names = [store.shard_path(i).name for i in range(store.n_shards)]
+        assert names == shards
+        for name in shards:
+            assert (tmp_path / name).is_file()
+        for level in range(1, height + 1):
+            assert counter.node_supports(level) == nodes[level]
+        assert miner.last_result is last
+
+    def test_retry_after_a_failure_lands_the_delta_once(
+        self, miner, segments, grocery_taxonomy, thresholds, monkeypatch
+    ):
+        self.fail_the_retiring_commit(miner, monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            miner.update(segments[3])
+        monkeypatch.undo()
+
+        result = miner.update(segments[3])
+        store = miner.store
+        assert store.n_shards == 3
+        window = [row for segment in segments[1:4] for row in segment]
+        rows = [row for i in range(3) for row in store.shard_transactions(i)]
+        assert rows == [tuple(row) for row in window]
+        fresh = mine_flipping_patterns(
+            TransactionDatabase(window, grocery_taxonomy), thresholds
+        )
+        assert fingerprint(result) == fingerprint(fresh)
+        # the retry overwrote the uncommitted delta file
+        assert store.gc_orphans(dry_run=True) == []
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    @pytest.mark.parametrize("bound", [None, 0])
+    def test_slides_leave_no_descriptor_and_no_orphan(
+        self, miner, segments, tmp_path, monkeypatch, bound
+    ):
+        if bound is not None:
+            # every free happens inline: the same end state
+            monkeypatch.setattr(atomicio, "_RELEASE_BOUND", bound)
+        drain_releases()
+        gc.collect()  # mmaps other tests left to the collector
+        before = len(os.listdir("/proc/self/fd"))
+        for step in range(10):
+            result = miner.update(segments[step % len(segments)])
+            assert result.config["incremental"]["mode"] == "windowed"
+        drain_releases()
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+        store = miner.store
+        assert store.gc_orphans(dry_run=True) == []
+        live = {store.shard_path(i).name for i in range(store.n_shards)}
+        assert set(os.listdir(tmp_path)) == {"manifest.json"} | live
+        assert store.n_shards == 3
 
 
 class TestWindowedProperty:

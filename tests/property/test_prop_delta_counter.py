@@ -1,16 +1,17 @@
 """Stateful property test: the shard-store counter under churn.
 
 A hypothesis state machine appends random batches to a shard store,
-retires its oldest shards through the :class:`DeltaCounter` and asks
-the counter for node supports and for the supports of random pairs
-and triples at random levels, as ``(n, k)`` row matrices with
-repeated rows and, now and then, an empty ``(0, k)`` batch.  After
-every step the answers must equal a monolithic :class:`BitmapBackend`
-over the store's current rows, row for row — an oracle that shares
-no SON or pool code with the counter — every shard must be counted,
-and the pool may hold no shard the store no longer has.  The store's
-per-level widths (kept per shard across retirements) must equal a
-row walk over the same rows.
+retires its oldest shards through the :class:`DeltaCounter`, alone
+or in one commit with a delta batch, and asks the counter for node
+supports and for the supports of random pairs and triples at random
+levels, as ``(n, k)`` row matrices with repeated rows and, now and
+then, an empty ``(0, k)`` batch.  After every step the answers must
+equal a monolithic :class:`BitmapBackend` over the store's current
+rows, row for row — an oracle that shares no SON or pool code with
+the counter — every shard must be counted, and the pool may hold no
+shard the store no longer has.  The store's per-level widths (kept
+per shard across retirements) must equal a row walk over the same
+rows.
 """
 
 from __future__ import annotations
@@ -93,6 +94,25 @@ class DeltaCounterMachine(RuleBasedStateMachine):
         k = min(k, self.store.n_shards - 1)
         rows = sum(self.store.shard_sizes[:k])
         assert self.counter.retire(range(k)) == rows
+
+    @rule(
+        n_rows=st.integers(min_value=0, max_value=40),
+        seed=st.integers(min_value=0, max_value=9999),
+        k=st.integers(min_value=0, max_value=3),
+    )
+    def append_and_retire(self, n_rows, seed, k):
+        """One commit: the delta in, the oldest ``k`` shards out (all
+        of them when the delta brings a shard to keep)."""
+        delta = _random_rows(self.leaves, seed, n_rows)
+        k = min(k, self.store.n_shards - (0 if delta else 1))
+        rows = sum(self.store.shard_sizes[:k])
+        survivors = self.store.shard_generations[k:]
+        first_new = self.store.next_generation
+        assert self.counter.retire(range(k), delta) == rows
+        expected = survivors + ([first_new] if delta else [])
+        assert self.store.shard_generations == expected
+        if delta:
+            assert self.store.shard_sizes[-1] == len(delta)
 
     @rule(data=st.data())
     def query(self, data):

@@ -258,6 +258,39 @@ class TestCrashSafeRetire:
         reopened = ShardedTransactionStore.open(tmp_path, example3_tax)
         assert reopened.n_transactions == before_rows
 
+    def test_slide_crash_leaves_old_state(
+        self, store, example3_tax, tmp_path, monkeypatch
+    ):
+        """A slide (``append_batch(delta, retire=...)``) commits once:
+        a failed manifest write keeps every old shard and leaves the
+        delta out, and a retry lands it exactly once."""
+        import repro.data.shards as shards_module
+        from repro.data.shards import ShardedTransactionStore
+
+        names = [store.shard_path(i).name for i in range(store.n_shards)]
+        manifest_before = (tmp_path / "manifest.json").read_bytes()
+
+        def explode(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(shards_module, "_write_manifest", explode)
+        with pytest.raises(OSError, match="disk full"):
+            store.append_batch([("a11", "b12")], retire=[0])
+        monkeypatch.undo()
+
+        assert store.shard_generations == [0, 1]
+        assert (tmp_path / "manifest.json").read_bytes() == manifest_before
+        for name in names:
+            assert (tmp_path / name).exists()
+        reopened = ShardedTransactionStore.open(tmp_path, example3_tax)
+        assert reopened.shard_generations == [0, 1]
+
+        assert store.append_batch([("a11", "b12")], retire=[0]) == [1]
+        retried = ShardedTransactionStore.open(tmp_path, example3_tax)
+        assert retried.shard_generations == [1, 2]
+        assert retried.shard_transactions(1) == [("a11", "b12")]
+        assert retried.gc_orphans(dry_run=True) == []
+
     def test_leaked_append_orphan_is_reclaimed_by_gc(
         self, store, example3_tax, tmp_path, monkeypatch
     ):
