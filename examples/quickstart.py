@@ -160,9 +160,10 @@ def main() -> None:
         f"pattern store v{store.version} serves {answer.total} "
         f"match(es) for items=a11 via plan: {answer.plan.describe()}"
     )
-    # updates re-feed the store; only changed patterns reindex (the
-    # next immutable snapshot is built copy-on-write and published
-    # by one atomic reference swap), the version bumps, and
+    # updates re-feed the store; only added and changed patterns are
+    # reindexed (the next immutable snapshot gathers the rest from
+    # the previous one's arrays and is published by one atomic
+    # reference swap), the version bumps, and
     # cached/paginating readers fail loudly instead of seeing a mix
     # of two generations
     diff = store.apply_result(updated)

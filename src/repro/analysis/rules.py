@@ -170,8 +170,8 @@ class _RuleVisitor(ast.NodeVisitor):
 def _chain_attrs(node: ast.expr) -> list[str]:
     """Attribute names along a dotted chain, outermost first,
     looking through subscripts and calls: for
-    ``self._snap._by_item[k].update`` this is
-    ``["update", "_by_item", "_snap"]``."""
+    ``self._snap._postings[k].fill`` this is
+    ``["fill", "_postings", "_snap"]``."""
     attrs: list[str] = []
     current: ast.expr = node
     while True:
@@ -228,17 +228,17 @@ def _basename(path: str) -> str:
 # FLIP001 — snapshot immutability
 # ---------------------------------------------------------------------------
 
-#: the index fields of StoreSnapshot.__slots__ (serve/store.py)
+#: the fields of StoreSnapshot.__slots__ (serve/store.py)
 SNAPSHOT_FIELDS = frozenset(
     {
-        "_patterns",
-        "_fingerprints",
-        "_by_item",
-        "_by_node",
-        "_by_signature",
-        "_by_height",
-        "_sorted",
         "_ids",
+        "_rows",
+        "_ordinals",
+        "_measures",
+        "_heights",
+        "_orders",
+        "_ranks",
+        "_postings",
         "_version",
         "_config",
     }
@@ -260,6 +260,13 @@ MUTATING_METHODS = frozenset(
         "setdefault",
         "sort",
         "reverse",
+        # ndarray in-place methods (the snapshot's index arrays)
+        "fill",
+        "put",
+        "itemset",
+        "partition",
+        "resize",
+        "setflags",
     }
 )
 
@@ -294,7 +301,7 @@ class _Flip001Visitor(_RuleVisitor):
         if isinstance(current, ast.Attribute):
             if current.attr in SNAPSHOT_FIELDS:
                 return current.attr
-            # item assignment one level deeper, e.g. x._sorted[m][0]
+            # item assignment one level deeper, e.g. x._postings[k][0]
             inner = _chain_attrs(current.value)
             for attr in inner:
                 if attr in SNAPSHOT_FIELDS:

@@ -6,35 +6,39 @@ and support bounds, label signature — plus ordering (sort-by measure,
 ascending/descending) and pagination (offset, limit).  Being frozen
 and normalized it doubles as a cache key.
 
-:class:`QueryEngine` compiles a query against the store's indexes
-with a *cost-ordered* plan: every filter contributes a candidate
-source with a size estimate (posting-list length, bisect range
-width), the smallest source seeds the candidate set, other cheap
-sources intersect into it, expensive ones are left to the final
-per-pattern verification.  Verification re-checks **all** predicates
-via :func:`matches`, so plan choices affect speed only — the answer
-is always exactly what :func:`linear_scan`, the index-free reference
-used by the parity tests and the ``serve-read`` benchmark, returns.
+:class:`QueryEngine` answers a query with NumPy operations over the
+snapshot's columnar index.  Every filter is a candidate source with a
+size: a posting array (item, node, signature) or a mask over all
+ordinals (height and measure bounds).  The smallest source seeds the
+candidate ordinals; every other filter tests the candidates, posting
+membership by ``searchsorted`` and bounds by column compares.  Each
+source realizes its filter exactly, so the answer is always what
+:func:`linear_scan`, the index-free reference used by the parity
+tests and the ``serve-read`` benchmark, returns.  The page is the
+measure's order at the first sorted ranks of the matches:
+``order[np.sort(rank[matched])[offset:offset + limit]]``.
 
 Every execution *pins* one immutable
 :class:`~repro.serve.store.StoreSnapshot` up front and compiles,
-verifies, orders and paginates entirely against it, so a concurrent
-snapshot swap mid-query can never mix two generations into one
-answer.  Results are stamped with the pinned snapshot's version, and
-an LRU cache keyed by ``(snapshot version, query)`` makes repeated
-queries free until the next content change (a new version changes
-every key, so invalidation is structural).  Readers that pinned a
-version — e.g. a paginating HTTP client — pass ``expect_version`` and
-fail loudly on mismatch instead of silently mixing generations.
+orders and paginates entirely against it, so a concurrent snapshot
+swap mid-query can never mix two generations into one answer.
+Results are stamped with the pinned snapshot's version, and an LRU
+cache keyed by ``(snapshot version, query)`` makes repeated queries
+free until the next content change (a new version changes every key,
+so invalidation is structural).  Readers that pinned a version — e.g.
+a paginating HTTP client — pass ``expect_version`` and fail loudly on
+mismatch instead of silently mixing generations.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Any
+
+import numpy as np
 
 from repro.core.patterns import FlippingPattern
 from repro.errors import ConfigError
@@ -54,11 +58,6 @@ __all__ = [
 
 #: label symbols that may appear in a signature filter
 _SIGNATURE_SYMBOLS = set("+-.x")
-
-#: a source at most this many times larger than the current candidate
-#: set is still worth a set intersection; anything bigger is left to
-#: the final verification pass
-_INTERSECT_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -108,6 +107,10 @@ class Query:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        for name in ("min_correlation", "max_correlation"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.offset < 0:
             raise ConfigError(f"offset must be >= 0, got {self.offset}")
         if self.limit is not None and self.limit < 0:
@@ -177,8 +180,8 @@ class PlanStep:
     """One candidate source and how the plan used it."""
 
     source: str  #: e.g. ``item:milk``, ``range:correlation``
-    estimate: int  #: posting-list length / range width at plan time
-    action: str  #: ``seed`` | ``intersect`` | ``verify``
+    estimate: int  #: how many patterns the filter alone matches
+    action: str  #: ``seed`` | ``intersect``
 
 
 @dataclass(frozen=True)
@@ -227,55 +230,89 @@ def _pin(source: PatternStore | StoreSnapshot) -> StoreSnapshot:
     return source
 
 
-def _order_and_paginate(
-    store: StoreSnapshot, candidates: list[str], query: Query
-) -> tuple[int, list[str]]:
-    """Shared ordering/pagination of matched ids (engine and scan)."""
-    getter = MEASURE_GETTERS[query.sort_by]
-    if query.descending:
-        # value descending, pattern id ascending on ties (measure
-        # values are all finite floats, so negation is order-exact)
-        def key(pid: str) -> tuple[float, str]:
-            return (-getter(store.get(pid)), pid)  # type: ignore[arg-type]
-    else:
-        def key(pid: str) -> tuple[float, str]:
-            return (getter(store.get(pid)), pid)  # type: ignore[arg-type]
-
-    total = len(candidates)
-    if query.limit is None:
-        page = sorted(candidates, key=key)[query.offset :]
-    else:
-        # top-k selection: O(n log k) instead of a full O(n log n)
-        # sort; heapq.nsmallest on the same key yields exactly
-        # sorted(...)[:k]
-        wanted = query.offset + query.limit
-        if wanted < total:
-            page = heapq.nsmallest(wanted, candidates, key=key)[query.offset :]
-        else:
-            page = sorted(candidates, key=key)[query.offset : wanted]
-    return total, page
-
-
 def linear_scan(
     store: PatternStore | StoreSnapshot, query: Query
 ) -> QueryResult:
     """Brute-force reference: test every pattern, no indexes.
 
     The parity oracle for the query engine and the baseline the serve
-    bench measures the indexes against.
+    bench measures the indexes against.  Orders by the measure (value
+    descending or ascending), ties by pattern id.
     """
     snap = _pin(store)
-    candidates = [
-        pid for pid, pattern in snap.items() if matches(pattern, query)
-    ]
-    total, page = _order_and_paginate(snap, candidates, query)
+    getter = MEASURE_GETTERS[query.sort_by]
+    # negation is order-exact: measure values are finite floats
+    sign = -1.0 if query.descending else 1.0
+    ranked = sorted(
+        (sign * getter(pattern), pid)
+        for pid, pattern in snap.items()
+        if matches(pattern, query)
+    )
+    stop = None if query.limit is None else query.offset + query.limit
+    page = [pid for _, pid in ranked[query.offset : stop]]
     return QueryResult(
         store_version=snap.version,
         query=query,
-        total=total,
+        total=len(ranked),
         ids=page,
         patterns=[snap.get(pid) for pid in page],  # type: ignore[misc]
     )
+
+
+def _sources(
+    store: StoreSnapshot, query: Query
+) -> list[tuple[str, np.ndarray]]:
+    """Each filter as ``(name, rows)``: ascending ordinals for a
+    posting, a mask over every ordinal for a bound."""
+    sources = [
+        (f"item:{name}", store.item_ordinals(name))
+        for name in query.contains_items
+    ]
+    if query.under_node is not None:
+        sources.append(
+            (
+                f"node:{query.under_node}",
+                store.node_ordinals(query.under_node),
+            )
+        )
+    if query.signature is not None:
+        sources.append(
+            (
+                f"signature:{query.signature}",
+                store.signature_ordinals(query.signature),
+            )
+        )
+    if query.min_height is not None or query.max_height is not None:
+        sources.append(
+            (
+                f"height:{query.min_height}..{query.max_height}",
+                store.height_mask(query.min_height, query.max_height),
+            )
+        )
+    for measure, lo, hi in (
+        ("correlation", query.min_correlation, query.max_correlation),
+        ("support", query.min_support, query.max_support),
+    ):
+        if lo is not None or hi is not None:
+            sources.append(
+                (f"range:{measure}", store.measure_mask(measure, lo, hi))
+            )
+    return sources
+
+
+def _size(rows: np.ndarray) -> int:
+    if rows.dtype == np.bool_:
+        return int(np.count_nonzero(rows))
+    return len(rows)
+
+
+def _keep(rows: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Which ``candidates`` (ascending ordinals) the source ``rows``
+    holds; ``rows`` is never empty here."""
+    if rows.dtype == np.bool_:
+        return rows[candidates]
+    slots = np.searchsorted(rows, candidates).clip(max=len(rows) - 1)
+    return rows[slots] == candidates
 
 
 class QueryEngine:
@@ -319,56 +356,6 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
 
-    def _sources(
-        self, store: StoreSnapshot, query: Query
-    ) -> list[tuple[str, int, Any]]:
-        """Candidate sources: ``(name, size estimate, materializer)``."""
-        sources: list[tuple[str, int, Any]] = []
-        for name in query.contains_items:
-            postings = store.item_postings(name)
-            sources.append((f"item:{name}", len(postings), postings))
-        if query.under_node is not None:
-            postings = store.node_postings(query.under_node)
-            sources.append(
-                (f"node:{query.under_node}", len(postings), postings)
-            )
-        if query.signature is not None:
-            postings = store.signature_postings(query.signature)
-            sources.append(
-                (f"signature:{query.signature}", len(postings), postings)
-            )
-        if query.min_height is not None or query.max_height is not None:
-            estimate = store.height_estimate(
-                query.min_height, query.max_height
-            )
-            sources.append(
-                (
-                    f"height:{query.min_height}..{query.max_height}",
-                    estimate,
-                    lambda q=query: store.height_postings(
-                        q.min_height, q.max_height
-                    ),
-                )
-            )
-        for measure, lo, hi in (
-            ("correlation", query.min_correlation, query.max_correlation),
-            ("support", query.min_support, query.max_support),
-        ):
-            if lo is None and hi is None:
-                continue
-            left, right = store.range_bounds(measure, lo, hi)
-            sources.append(
-                (
-                    f"range:{measure}",
-                    right - left,
-                    lambda m=measure, a=lo, b=hi: store.range_postings(
-                        m, a, b
-                    ),
-                )
-            )
-        sources.sort(key=lambda source: (source[1], source[0]))
-        return sources
-
     def plan(
         self, query: Query, *, snapshot: StoreSnapshot | None = None
     ) -> QueryPlan:
@@ -377,40 +364,23 @@ class QueryEngine:
 
     def _compile(
         self, store: StoreSnapshot, query: Query
-    ) -> tuple[list[str], QueryPlan]:
-        sources = self._sources(store, query)
-        steps: list[PlanStep] = []
+    ) -> tuple[np.ndarray | None, QueryPlan]:
+        """Matched ordinals, ascending (``None``: every pattern), and
+        the plan that found them."""
+        sources = [
+            (_size(rows), name, rows) for name, rows in _sources(store, query)
+        ]
         if not sources:
-            candidates = set(store.ids())
-        else:
-            name, estimate, postings = sources[0]
-            candidates = _materialize(postings)
-            steps.append(PlanStep(name, estimate, "seed"))
-            for name, estimate, postings in sources[1:]:
-                if not candidates:
-                    break
-                if estimate <= _INTERSECT_FACTOR * len(candidates):
-                    candidates &= _materialize(postings)
-                    steps.append(PlanStep(name, estimate, "intersect"))
-                else:
-                    # cheaper to verify per candidate than to build
-                    # the big posting set
-                    steps.append(PlanStep(name, estimate, "verify"))
-        # Every source is an *exact* realization of its filter, so
-        # when all of them landed as seed/intersect the candidate set
-        # already is the answer; per-pattern verification is only
-        # needed for filters the plan chose not to materialize.
-        applied = sum(
-            1 for step in steps if step.action in ("seed", "intersect")
-        )
-        if applied == len(sources):
-            matched = list(candidates)
-        else:
-            matched = [
-                pid
-                for pid in candidates
-                if matches(store.get(pid), query)  # type: ignore[arg-type]
-            ]
+            return None, QueryPlan(())
+        sources.sort(key=lambda source: source[:2])
+        estimate, name, rows = sources[0]
+        matched = np.flatnonzero(rows) if rows.dtype == np.bool_ else rows
+        steps = [PlanStep(name, estimate, "seed")]
+        for estimate, name, rows in sources[1:]:
+            if not len(matched):
+                break
+            matched = matched[_keep(rows, matched)]
+            steps.append(PlanStep(name, estimate, "intersect"))
         return matched, QueryPlan(tuple(steps))
 
     def execute(
@@ -423,8 +393,8 @@ class QueryEngine:
     ) -> QueryResult:
         """Run ``query``; exactly :func:`linear_scan`'s answer, faster.
 
-        The whole execution — version check, compilation,
-        verification, ordering — runs against one pinned snapshot
+        The whole execution — version check, compilation, ordering,
+        pagination — runs against one pinned snapshot
         (``snapshot`` if given, else the store's current generation),
         so the answer is internally consistent no matter how many
         swaps land mid-flight.
@@ -456,13 +426,21 @@ class QueryEngine:
                     cached=True,
                 )
         matched, plan = self._compile(store, query)
-        total, page = _order_and_paginate(store, matched, query)
+        order, rank = store.order(query.sort_by, query.descending)
+        stop = None if query.limit is None else query.offset + query.limit
+        if matched is None:
+            total, page = len(order), order[query.offset : stop]
+        elif not len(matched):
+            total, page = 0, matched
+        else:
+            total = len(matched)
+            page = order[np.sort(rank[matched])[query.offset : stop]]
         result = QueryResult(
             store_version=store.version,
             query=query,
             total=total,
-            ids=page,
-            patterns=[store.get(pid) for pid in page],  # type: ignore[misc]
+            ids=store.ids_at(page),
+            patterns=store.patterns_at(page),
             plan=plan,
         )
         if use_cache and self._cache_size:
@@ -497,9 +475,3 @@ class QueryEngine:
     def clear_cache(self) -> None:
         with self._cache_lock:
             self._cache.clear()
-
-
-def _materialize(postings: Any) -> set[str]:
-    if callable(postings):
-        postings = postings()
-    return set(postings)

@@ -1,32 +1,33 @@
 """Indexed, persistent store of mined flipping patterns.
 
 The serving-side counterpart of a
-:class:`~repro.core.patterns.MiningResult`: the same patterns, but
-held behind inverted indexes so queries resolve through posting-list
-intersections instead of linear scans.  Four index families are
-maintained:
+:class:`~repro.core.patterns.MiningResult`: the same patterns, held in
+one columnar index so queries resolve through array operations
+instead of linear scans.  A pattern's **ordinal** is its position in
+the snapshot's sorted pattern ids; every array is indexed by, or
+holds, ordinals:
 
-* **item → patterns** — leaf (level-H) item names;
-* **node → patterns** — every taxonomy node appearing at *any* chain
-  level, which is exactly the descendant-or-self relation restricted
-  to the pattern's generalization path;
-* **signature → patterns** — the label trajectory (e.g. ``+-+``);
-* **height → patterns** — chain length, for level-range filters;
+* **postings** — ascending ``int32`` ordinal arrays per leaf item
+  name, per taxonomy node name (a node at *any* chain level, which is
+  exactly the descendant-or-self relation restricted to the pattern's
+  generalization path) and per label signature (e.g. ``+-+``);
+* **columns** — one ``float64`` column per serving measure (leaf
+  correlation/support and the three flip-sharpness gaps) and an
+  ``int32`` column of chain heights;
+* **orders** — per (measure, direction), a stable argsort of the
+  measure column (ties break by id, because ordinals follow ids) and
+  its inverse rank: a page of any matched set is the order at the
+  first sorted ranks.
 
-plus one sorted ``(value, pattern_id)`` array per serving measure
-(leaf correlation/support and the three flip-sharpness gaps), giving
-``O(log n)`` range scans through :mod:`bisect`.
-
-Since the lock-free serving redesign the indexes live in an
-**immutable** :class:`StoreSnapshot`.  A snapshot never changes after
-it is built; :meth:`StoreSnapshot.with_result` diffs an updated
-:class:`MiningResult` against what is indexed and builds the *next*
-snapshot copy-on-write — unchanged posting lists and measure arrays
-are shared structurally between generations, only touched entries are
-copied.  :class:`PatternStore` is the mutable facade the rest of the
-system holds on to: it keeps a reference to the current snapshot and
-:meth:`PatternStore.apply_result` publishes the next generation with
-a single atomic reference swap.  Readers pin one snapshot
+The index lives in an **immutable** :class:`StoreSnapshot`: every
+array is read-only, and a snapshot never changes after it is built.
+:class:`PatternStore` is the mutable facade the rest of the system
+holds on to: it keeps a reference to the current snapshot, and
+:meth:`PatternStore.apply_result` diffs an updated
+:class:`MiningResult` against it, builds the *next* snapshot
+(unchanged rows are gathered from the current arrays; only added and
+changed patterns are read) and publishes it with a single atomic
+reference swap.  Readers pin one snapshot
 (:meth:`PatternStore.snapshot`) and serve their whole request from
 it, so no read ever takes a lock, never observes a torn index, and
 ``expect_version``/409 semantics fall out of snapshot identity.
@@ -55,14 +56,17 @@ them, and served by ``GET /v1/events`` as a long-poll (see
 
 from __future__ import annotations
 
-import bisect
 import json
+import math
 import threading
 import time
-from collections.abc import Callable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from repro.core.patterns import FlippingPattern, MiningResult
 from repro.core.serialize import (
@@ -97,7 +101,7 @@ STORE_FORMAT_VERSION = 1
 #: to a shard manifest)
 STORE_FILE_NAME = "pattern_store.json"
 
-#: serving measures with a sorted array each: name -> value getter
+#: serving measures with a column each: name -> value getter
 MEASURE_GETTERS: dict[str, Callable[[FlippingPattern], float]] = {
     "correlation": lambda p: p.leaf_link.correlation,
     "support": lambda p: float(p.leaf_link.support),
@@ -106,8 +110,35 @@ MEASURE_GETTERS: dict[str, Callable[[FlippingPattern], float]] = {
     "mean_gap": lambda p: p.mean_gap,
 }
 
-#: sorts above every pattern id in tuple comparisons (ids are ASCII)
-_ID_CEILING = "\U0010ffff"
+#: serving measures in the row order of a snapshot's measure matrix
+_MEASURES = tuple(MEASURE_GETTERS)
+_MEASURE_ROW = {name: row for row, name in enumerate(_MEASURES)}
+
+
+#: a posting key: ``("item" | "node" | "signature", name)``
+_Key = tuple[str, str]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only (every published index array is)."""
+    array.setflags(write=False)
+    return array
+
+
+_NO_ORDINALS = _frozen(np.empty(0, dtype=np.int32))
+
+
+def _within(values: np.ndarray, lo: Any, hi: Any) -> np.ndarray:
+    """Mask of the ``values`` inside the inclusive ``[lo, hi]`` bounds
+    (``None`` is unbounded).  A value is out only when it is below
+    ``lo`` or above ``hi``, exactly as :func:`repro.serve.query.matches`
+    tests a pattern."""
+    inside = np.ones(len(values), dtype=bool)
+    if lo is not None:
+        inside &= ~(values < lo)
+    if hi is not None:
+        inside &= ~(values > hi)
+    return inside
 
 
 @dataclass(frozen=True)
@@ -140,22 +171,22 @@ class PatternEvent:
 
 
 def _diff_events(
-    old: "StoreSnapshot", new: "StoreSnapshot"
+    old: StoreSnapshot, new: StoreSnapshot, touched: list[str]
 ) -> list[PatternEvent]:
     """Lifecycle transitions between two consecutive generations.
 
-    Keyed by pattern id (the leaf itemset), exactly like
-    :meth:`StoreSnapshot.with_result`: an id appearing starts a flip,
-    one vanishing stops it, and a changed signature (the per-level
-    label trajectory — a changed chain height always changes it)
-    moves the flip level.  Support/correlation drift that leaves the
-    trajectory intact is *not* an event.  Deterministic order: sorted
-    by pattern id.
+    ``touched`` are the ids the build of ``new`` added, changed or
+    removed, sorted; no other id can produce an event.  Keyed by
+    pattern id, exactly like the build's diff: an id appearing starts
+    a flip, one vanishing stops it, and a changed
+    signature (the per-level label trajectory — a changed chain
+    height always changes it) moves the flip level.
+    Support/correlation drift that leaves the trajectory intact is
+    *not* an event.  Deterministic order: sorted by pattern id.
     """
     version = new.version
     events: list[PatternEvent] = []
-    ids = set(old.ids()) | set(new.ids())
-    for pid in sorted(ids):
+    for pid in touched:
         before = old.get(pid)
         after = new.get(pid)
         if before is None and after is not None:
@@ -198,229 +229,276 @@ def pattern_id_of(pattern: FlippingPattern) -> str:
     return "-".join(str(item) for item in pattern.leaf_link.itemset)
 
 
-class _SnapshotBuilder:
-    """Mutable scratch space that produces one :class:`StoreSnapshot`.
+def _id_map(result: MiningResult) -> dict[str, FlippingPattern]:
+    incoming: dict[str, FlippingPattern] = {}
+    for pattern in result.patterns:
+        pid = pattern_id_of(pattern)
+        if pid in incoming:
+            raise ServeError(
+                f"mining result contains two patterns with leaf "
+                f"itemset {pid!r}"
+            )
+        incoming[pid] = pattern
+    return incoming
 
-    Built either empty (a from-scratch index) or on top of an existing
-    snapshot, in which case the top-level dicts are shallow copies and
-    each posting set / sorted array is copied at most once, the first
-    time this build touches it (copy-on-write with structural sharing:
-    untouched entries remain the *same objects* as the base
-    snapshot's, which is what keeps generation swaps cheap when a
-    delta changes a handful of patterns out of millions).
+
+def _same_number(a: Any, b: Any) -> bool:
+    """Whether two chain numbers encode to the same JSON text: equal
+    values of one type, where NaN equals NaN and ``-0.0`` differs
+    from ``0.0``."""
+    if type(a) is not type(b):
+        return False
+    if a == b:
+        return a != 0 or math.copysign(1.0, a) == math.copysign(1.0, b)
+    return a != a and b != b
+
+
+def _same_chain(old: FlippingPattern, new: FlippingPattern) -> bool:
+    """Whether ``new`` is stored exactly as ``old`` is: true exactly
+    when the two chains serialize to the same JSON links."""
+    if old is new:
+        return True
+    if len(old.links) != len(new.links):
+        return False
+    for a, b in zip(old.links, new.links):
+        if a is b:
+            continue
+        if not (
+            a.level == b.level
+            and a.itemset == b.itemset
+            and a.names == b.names
+            and a.label is b.label
+            and _same_number(a.support, b.support)
+            and _same_number(a.correlation, b.correlation)
+        ):
+            return False
+    return True
+
+
+def _merge_postings(
+    old: dict[_Key, np.ndarray],
+    remap: np.ndarray,
+    fresh: Iterable[tuple[int, Iterable[_Key]]],
+) -> dict[_Key, np.ndarray]:
+    """The postings of the next generation.
+
+    ``old`` postings move to new ordinals through ``remap`` (-1 drops
+    a row); ``fresh`` adds each ``(ordinal, keys)`` row.  Every
+    ``(key, ordinal)`` entry becomes one int64 (key number above bit
+    32), so one sort orders all postings by key, then ordinal; each
+    key's postings are a read-only slice of the result, and a key
+    left without rows is dropped.  The work is a fixed number of
+    array calls whatever the number of keys: an array call may
+    release the interpreter lock, and a reader thread then holds it
+    for a whole switch interval.
+    """
+    numbered = list(old)
+    number = dict(zip(numbered, range(len(numbered))))
+    entries: list[int] = []
+    for ordinal, keys in fresh:
+        for key in keys:
+            owner = number.get(key)
+            if owner is None:
+                owner = number[key] = len(numbered)
+                numbered.append(key)
+            entries.append(owner << 32 | ordinal)
+    parts = [np.array(entries, dtype=np.int64)]
+    if old:
+        moved = remap[np.concatenate(list(old.values()))]
+        owners = np.repeat(
+            np.arange(len(old), dtype=np.int64),
+            [len(members) for members in old.values()],
+        )
+        live = moved >= 0
+        parts.append(owners[live] << 32 | moved[live])
+    merged = np.sort(np.concatenate(parts))
+    if not len(merged):
+        return {}
+    ordinals = _frozen((merged & 0xFFFFFFFF).astype(np.int32))
+    owners = merged >> 32
+    starts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist()]
+    return {
+        numbered[owner]: ordinals[start:stop]
+        for owner, start, stop in zip(
+            owners[starts].tolist(), starts, [*starts[1:], len(merged)]
+        )
+    }
+
+
+class _SnapshotBuilder:
+    """Assembles the next :class:`StoreSnapshot` from a base
+    generation and the incoming id map.
+
+    Every id is classified as added, changed (its chain differs, see
+    :func:`_same_chain`), removed or unchanged.  Unchanged rows keep
+    the base's pattern object and are gathered from the base's
+    arrays by their old ordinal; only added and changed patterns run
+    the measure getters and feed postings.  A build that adds,
+    changes and removes nothing shares every base array.
     """
 
-    def __init__(self, base: StoreSnapshot | None = None) -> None:
-        if base is None:
-            self._patterns: dict[str, FlippingPattern] = {}
-            self._fingerprints: dict[str, str] = {}
-            self._by_item: dict[str, set[str]] = {}
-            self._by_node: dict[str, set[str]] = {}
-            self._by_signature: dict[str, set[str]] = {}
-            self._by_height: dict[int, set[str]] = {}
-            self._sorted: dict[str, list[tuple[float, str]]] = {
-                name: [] for name in MEASURE_GETTERS
-            }
-        else:
-            self._patterns = dict(base._patterns)
-            self._fingerprints = dict(base._fingerprints)
-            self._by_item = dict(base._by_item)
-            self._by_node = dict(base._by_node)
-            self._by_signature = dict(base._by_signature)
-            self._by_height = dict(base._by_height)
-            self._sorted = dict(base._sorted)
-        # sets created (and therefore safely mutable) in THIS build;
-        # everything else may be shared with the base snapshot.  The
-        # builder holds references to every owned set via the index
-        # dicts, so the ids stay unique for the build's lifetime.
-        self._owned: set[int] = set()
-        self._owned_arrays: set[str] = set()
-
-    # -- copy-on-write primitives --------------------------------------
-
-    def _posting_add(self, index: dict, key: Any, pid: str) -> None:
-        postings = index.get(key)
-        if postings is None:
-            postings = {pid}
-            index[key] = postings
-            self._owned.add(id(postings))
-            return
-        if id(postings) not in self._owned:
-            postings = set(postings)
-            index[key] = postings
-            self._owned.add(id(postings))
-        postings.add(pid)
-
-    def _posting_discard(self, index: dict, key: Any, pid: str) -> None:
-        postings = index.get(key)
-        if postings is None:
-            return
-        if id(postings) not in self._owned:
-            postings = set(postings)
-            index[key] = postings
-            self._owned.add(id(postings))
-        postings.discard(pid)
-        if not postings:
-            del index[key]
-
-    def _array(self, name: str) -> list[tuple[float, str]]:
-        if name not in self._owned_arrays:
-            self._sorted[name] = list(self._sorted[name])
-            self._owned_arrays.add(name)
-        return self._sorted[name]
-
-    # -- pattern-level operations --------------------------------------
-
-    def __contains__(self, pid: str) -> bool:
-        return pid in self._patterns
-
-    def insert(
-        self,
-        pid: str,
-        pattern: FlippingPattern,
-        fingerprint: str | None = None,
+    def __init__(
+        self, base: StoreSnapshot, incoming: dict[str, FlippingPattern]
     ) -> None:
-        self._patterns[pid] = pattern
-        self._fingerprints[pid] = fingerprint or _fingerprint(pattern)
-        for name in pattern.leaf_names:
-            self._posting_add(self._by_item, name, pid)
-        for link in pattern.links:
-            for name in link.names:
-                self._posting_add(self._by_node, name, pid)
-        self._posting_add(self._by_signature, pattern.signature, pid)
-        self._posting_add(self._by_height, pattern.height, pid)
-        for name, getter in MEASURE_GETTERS.items():
-            bisect.insort(self._array(name), (getter(pattern), pid))
+        self._base = base
+        self._ids = tuple(sorted(incoming))
+        rows: list[FlippingPattern] = []
+        #: per new ordinal, the base ordinal an unchanged row comes
+        #: from, or -1 for an added or changed row
+        sources: list[int] = []
+        self.added: list[str] = []
+        self.changed: list[str] = []
+        base_ordinals, base_rows = base._ordinals, base._rows
+        for pid in self._ids:
+            pattern = incoming[pid]
+            ordinal = base_ordinals.get(pid)
+            if ordinal is None:
+                self.added.append(pid)
+                ordinal = -1
+            elif _same_chain(base_rows[ordinal], pattern):
+                pattern = base_rows[ordinal]
+            else:
+                self.changed.append(pid)
+                ordinal = -1
+            rows.append(pattern)
+            sources.append(ordinal)
+        self._rows = tuple(rows)
+        self._sources = np.array(sources, dtype=np.intp)
+        self.removed: list[str] = []
+        if len(self._ids) - len(self.added) < len(base):
+            self.removed = [pid for pid in base._ids if pid not in incoming]
 
-    def remove(self, pid: str) -> None:
-        pattern = self._patterns.pop(pid)
-        del self._fingerprints[pid]
-        for name in pattern.leaf_names:
-            self._posting_discard(self._by_item, name, pid)
-        for link in pattern.links:
-            for name in link.names:
-                self._posting_discard(self._by_node, name, pid)
-        self._posting_discard(self._by_signature, pattern.signature, pid)
-        self._posting_discard(self._by_height, pattern.height, pid)
-        for name, getter in MEASURE_GETTERS.items():
-            entry = (getter(pattern), pid)
-            array = self._array(name)
-            index = bisect.bisect_left(array, entry)
-            if index < len(array) and array[index] == entry:
-                del array[index]
+    @property
+    def dirty(self) -> bool:
+        return bool(self.added or self.changed or self.removed)
 
-    def fingerprint_of(self, pid: str) -> str:
-        return self._fingerprints[pid]
+    @property
+    def version(self) -> int:
+        """The next version: bumped by any content change, and from
+        0 by the first build."""
+        version = self._base._version
+        return version + 1 if self.dirty or version == 0 else version
 
-    def freeze(self, version: int, config: dict[str, Any]) -> "StoreSnapshot":
+    @property
+    def touched(self) -> list[str]:
+        """Added, changed and removed ids, sorted."""
+        return sorted(self.added + self.changed + self.removed)
+
+    def diff(self) -> dict[str, int]:
+        return {
+            "added": len(self.added),
+            "changed": len(self.changed),
+            "removed": len(self.removed),
+            "unchanged": len(self._ids) - len(self.added) - len(self.changed),
+            "version": self.version,
+        }
+
+    def freeze(self, version: int, config: dict[str, Any]) -> StoreSnapshot:
+        base = self._base
         snapshot = StoreSnapshot.__new__(StoreSnapshot)
-        snapshot._patterns = self._patterns
-        snapshot._fingerprints = self._fingerprints
-        snapshot._by_item = self._by_item
-        snapshot._by_node = self._by_node
-        snapshot._by_signature = self._by_signature
-        snapshot._by_height = self._by_height
-        snapshot._sorted = self._sorted
-        snapshot._ids = tuple(sorted(self._patterns))
+        if not self.dirty:
+            for slot in StoreSnapshot.__slots__:
+                setattr(snapshot, slot, getattr(base, slot))
+        else:
+            self._fill(snapshot)
         snapshot._version = version
         snapshot._config = dict(config)
         return snapshot
+
+    def _fill(self, snapshot: StoreSnapshot) -> None:
+        base = self._base
+        n = len(self._ids)
+        kept = np.flatnonzero(self._sources >= 0)
+        origins = self._sources[kept]
+        fresh = np.flatnonzero(self._sources < 0)
+        fresh_ordinals = fresh.tolist()
+        fresh_rows = [self._rows[ordinal] for ordinal in fresh_ordinals]
+
+        # every measure is a row of one matrix, so a gather, a sort or
+        # a scatter is one array call for all of them
+        measures = np.empty((len(_MEASURES), n), dtype=np.float64)
+        measures[:, kept] = base._measures[:, origins]
+        measures[:, fresh] = [
+            [MEASURE_GETTERS[name](pattern) for pattern in fresh_rows]
+            for name in _MEASURES
+        ]
+        heights = np.empty(n, dtype=np.int32)
+        heights[kept] = base._heights[origins]
+        heights[fresh] = [pattern.height for pattern in fresh_rows]
+        # stable: equal values keep ordinal (= id) order either way
+        orders = np.argsort(
+            np.concatenate((measures, -measures)), axis=1, kind="stable"
+        ).astype(np.int32)
+        positions = np.arange(n, dtype=np.int32)
+        ranks = np.empty_like(orders)
+        ranks[np.arange(len(orders))[:, None], orders] = positions
+        shape = (2, len(_MEASURES), n)
+
+        fresh_keys: list[tuple[int, set[_Key]]] = []
+        for ordinal, pattern in zip(fresh_ordinals, fresh_rows):
+            keys = {
+                ("node", name) for link in pattern.links for name in link.names
+            }
+            keys.update(("item", name) for name in pattern.leaf_names)
+            keys.add(("signature", pattern.signature))
+            fresh_keys.append((ordinal, keys))
+        remap = np.full(len(base), -1, dtype=np.int32)
+        remap[origins] = kept
+
+        snapshot._ids = self._ids
+        snapshot._rows = self._rows
+        snapshot._ordinals = dict(zip(self._ids, range(n)))
+        snapshot._measures = _frozen(measures)
+        snapshot._heights = _frozen(heights)
+        snapshot._orders = _frozen(orders.reshape(shape))
+        snapshot._ranks = _frozen(ranks.reshape(shape))
+        snapshot._postings = _merge_postings(base._postings, remap, fresh_keys)
 
 
 class StoreSnapshot:
     """One immutable generation of the indexed pattern corpus.
 
-    Never mutated after construction: readers that hold a reference
-    see exactly one consistent generation forever, no matter how many
-    newer generations are published behind their back.  The snapshot
-    *is* the unit of consistency — its :attr:`version` is the value
-    stamped into query answers, encoded into pagination cursors and
-    checked by ``expect_version``.
-
-    Build the next generation with :meth:`with_result`; it returns a
-    brand-new snapshot (plus the reindex diff) and leaves ``self``
-    untouched.
+    Never mutated after construction (every array is read-only):
+    readers that hold a reference see exactly one consistent
+    generation forever, no matter how many newer generations are
+    published behind their back.  The snapshot *is* the unit of
+    consistency — its :attr:`version` is the value stamped into query
+    answers, encoded into pagination cursors and checked by
+    ``expect_version``.  :meth:`PatternStore.apply_result` builds the
+    next generation beside it.
     """
 
     __slots__ = (
-        "_patterns",
-        "_fingerprints",
-        "_by_item",
-        "_by_node",
-        "_by_signature",
-        "_by_height",
-        "_sorted",
         "_ids",
+        "_rows",
+        "_ordinals",
+        "_measures",
+        "_heights",
+        "_orders",
+        "_ranks",
+        "_postings",
         "_version",
         "_config",
     )
 
     def __init__(self) -> None:
-        empty = _SnapshotBuilder()
-        frozen = empty.freeze(0, {})
-        for slot in StoreSnapshot.__slots__:
-            setattr(self, slot, getattr(frozen, slot))
+        self._ids: tuple[str, ...] = ()
+        self._rows: tuple[FlippingPattern, ...] = ()
+        self._ordinals: dict[str, int] = {}
+        self._measures = _frozen(np.empty((len(_MEASURES), 0)))
+        self._heights = _NO_ORDINALS
+        self._orders = _frozen(
+            np.empty((2, len(_MEASURES), 0), dtype=np.int32)
+        )
+        self._ranks = self._orders
+        self._postings: dict[_Key, np.ndarray] = {}
+        self._version = 0
+        self._config: dict[str, Any] = {}
 
     @classmethod
-    def empty(cls) -> "StoreSnapshot":
+    def empty(cls) -> StoreSnapshot:
         """The version-0 snapshot an unbuilt store starts from."""
         return cls()
-
-    # ------------------------------------------------------------------
-    # building the next generation
-    # ------------------------------------------------------------------
-
-    def with_result(
-        self, result: MiningResult
-    ) -> tuple["StoreSnapshot", dict[str, int]]:
-        """Index ``result`` as the next generation, copy-on-write.
-
-        Patterns are diffed by id and chain fingerprint: unchanged
-        patterns keep their index entries (shared with this
-        snapshot), changed ones are removed and re-inserted, and ids
-        absent from ``result`` are dropped.  The version is bumped
-        exactly when content changed, so an empty diff (e.g. a
-        ``noop`` incremental update) keeps cached query results
-        valid.  Returns ``(next_snapshot, diff_counts)``; ``self`` is
-        not modified.
-        """
-        incoming: dict[str, FlippingPattern] = {}
-        for pattern in result.patterns:
-            pid = pattern_id_of(pattern)
-            if pid in incoming:
-                raise ServeError(
-                    f"mining result contains two patterns with leaf "
-                    f"itemset {pid!r}"
-                )
-            incoming[pid] = pattern
-        builder = _SnapshotBuilder(self)
-        added = changed = unchanged = 0
-        removed_ids = [pid for pid in self._patterns if pid not in incoming]
-        for pid in removed_ids:
-            builder.remove(pid)
-        for pid, pattern in incoming.items():
-            fingerprint = _fingerprint(pattern)
-            if pid not in builder:
-                builder.insert(pid, pattern, fingerprint)
-                added += 1
-            elif builder.fingerprint_of(pid) != fingerprint:
-                builder.remove(pid)
-                builder.insert(pid, pattern, fingerprint)
-                changed += 1
-            else:
-                unchanged += 1
-        dirty = bool(added or changed or removed_ids)
-        version = self._version
-        if dirty or version == 0:
-            version += 1
-        snapshot = builder.freeze(version, dict(result.config))
-        return snapshot, {
-            "added": added,
-            "changed": changed,
-            "removed": len(removed_ids),
-            "unchanged": unchanged,
-            "version": version,
-        }
 
     # ------------------------------------------------------------------
     # read access (what the query engine compiles against)
@@ -437,61 +515,92 @@ class StoreSnapshot:
         return dict(self._config)
 
     def __len__(self) -> int:
-        return len(self._patterns)
+        return len(self._ids)
 
     def __contains__(self, pid: str) -> bool:
-        return pid in self._patterns
+        return pid in self._ordinals
 
     def get(self, pid: str) -> FlippingPattern | None:
-        return self._patterns.get(pid)
+        ordinal = self._ordinals.get(pid)
+        return None if ordinal is None else self._rows[ordinal]
 
     def ids(self) -> list[str]:
         """All pattern ids, sorted (the deterministic scan order)."""
         return list(self._ids)
 
     def items(self) -> Iterator[tuple[str, FlippingPattern]]:
-        for pid in self._ids:
-            yield pid, self._patterns[pid]
+        return zip(self._ids, self._rows)
+
+    def ids_at(self, ordinals: np.ndarray) -> list[str]:
+        """The ids at ``ordinals``, in their order."""
+        ids = self._ids
+        return [ids[ordinal] for ordinal in ordinals.tolist()]
+
+    def patterns_at(self, ordinals: np.ndarray) -> list[FlippingPattern]:
+        """The patterns at ``ordinals``, in their order."""
+        rows = self._rows
+        return [rows[ordinal] for ordinal in ordinals.tolist()]
+
+    def item_ordinals(self, name: str) -> np.ndarray:
+        """Ascending ordinals of the patterns whose *leaf* itemset
+        contains the item ``name``."""
+        return self._postings.get(("item", name), _NO_ORDINALS)
+
+    def node_ordinals(self, name: str) -> np.ndarray:
+        """Ascending ordinals of the patterns touching taxonomy node
+        ``name`` at any chain level."""
+        return self._postings.get(("node", name), _NO_ORDINALS)
+
+    def signature_ordinals(self, signature: str) -> np.ndarray:
+        """Ascending ordinals of the patterns with label trajectory
+        ``signature``."""
+        return self._postings.get(("signature", signature), _NO_ORDINALS)
+
+    def height_mask(self, lo: int | None, hi: int | None) -> np.ndarray:
+        """Per ordinal, whether the chain height is in ``[lo, hi]``."""
+        return _within(self._heights, lo, hi)
+
+    def measure_mask(
+        self, measure: str, lo: float | None, hi: float | None
+    ) -> np.ndarray:
+        """Per ordinal, whether ``measure`` is in ``[lo, hi]``."""
+        return _within(self._measures[_MEASURE_ROW[measure]], lo, hi)
+
+    def order(
+        self, measure: str, descending: bool
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, rank)`` of ``measure``: the ordinals sorted by
+        value (ties by id) and each ordinal's position in that
+        order."""
+        key = (int(descending), _MEASURE_ROW[measure])
+        return self._orders[key], self._ranks[key]
 
     def item_postings(self, name: str) -> set[str]:
         """Patterns whose *leaf* itemset contains the item ``name``."""
-        return set(self._by_item.get(name, ()))
+        return set(self.ids_at(self.item_ordinals(name)))
 
     def node_postings(self, name: str) -> set[str]:
         """Patterns touching taxonomy node ``name`` at any chain level."""
-        return set(self._by_node.get(name, ()))
+        return set(self.ids_at(self.node_ordinals(name)))
 
     def signature_postings(self, signature: str) -> set[str]:
-        return set(self._by_signature.get(signature, ()))
+        return set(self.ids_at(self.signature_ordinals(signature)))
 
     def height_postings(self, lo: int | None, hi: int | None) -> set[str]:
-        found: set[str] = set()
-        for height, pids in self._by_height.items():
-            if lo is not None and height < lo:
-                continue
-            if hi is not None and height > hi:
-                continue
-            found |= pids
-        return found
-
-    def height_estimate(self, lo: int | None, hi: int | None) -> int:
-        return sum(
-            len(pids)
-            for height, pids in self._by_height.items()
-            if (lo is None or height >= lo) and (hi is None or height <= hi)
-        )
+        return set(self.ids_at(np.flatnonzero(self.height_mask(lo, hi))))
 
     def range_bounds(
         self, measure: str, lo: float | None, hi: float | None
     ) -> tuple[int, int]:
-        """``[left, right)`` slice of the sorted ``measure`` array
+        """``[left, right)`` slice of the ascending ``measure`` order
         holding values in the inclusive ``[lo, hi]`` range."""
-        array = self._sorted[measure]
-        left = 0 if lo is None else bisect.bisect_left(array, (float(lo), ""))
+        order, _ = self.order(measure, False)
+        values = self._measures[_MEASURE_ROW[measure]][order]
+        left = 0 if lo is None else int(np.searchsorted(values, lo, "left"))
         right = (
-            len(array)
+            len(values)
             if hi is None
-            else bisect.bisect_right(array, (float(hi), _ID_CEILING))
+            else int(np.searchsorted(values, hi, "right"))
         )
         return left, max(left, right)
 
@@ -499,10 +608,12 @@ class StoreSnapshot:
         self, measure: str, lo: float | None, hi: float | None
     ) -> set[str]:
         left, right = self.range_bounds(measure, lo, hi)
-        return {pid for _, pid in self._sorted[measure][left:right]}
+        order, _ = self.order(measure, False)
+        return set(self.ids_at(order[left:right]))
 
     def measure_value(self, measure: str, pid: str) -> float:
-        return MEASURE_GETTERS[measure](self._patterns[pid])
+        row = _MEASURE_ROW[measure]
+        return float(self._measures[row, self._ordinals[pid]])
 
     def require_version(self, expected: int) -> None:
         """Fail loudly when a reader pinned a different generation."""
@@ -514,18 +625,23 @@ class StoreSnapshot:
 
     def stats(self) -> dict[str, Any]:
         """Index shape summary (the ``/v1/stats`` endpoint payload)."""
+        heights, counts = np.unique(self._heights, return_counts=True)
+        families = Counter(family for family, _ in self._postings)
+        signatures = sorted(
+            key for family, key in self._postings if family == "signature"
+        )
         return {
             "version": self._version,
-            "n_patterns": len(self._patterns),
-            "n_items_indexed": len(self._by_item),
-            "n_nodes_indexed": len(self._by_node),
+            "n_patterns": len(self._ids),
+            "n_items_indexed": families["item"],
+            "n_nodes_indexed": families["node"],
             "signatures": {
-                signature: len(pids)
-                for signature, pids in sorted(self._by_signature.items())
+                signature: len(self.signature_ordinals(signature))
+                for signature in signatures
             },
             "heights": {
-                str(height): len(pids)
-                for height, pids in sorted(self._by_height.items())
+                str(height): count
+                for height, count in zip(heights.tolist(), counts.tolist())
             },
             "measures": sorted(MEASURE_GETTERS),
         }
@@ -557,7 +673,8 @@ class StoreSnapshot:
 
 
 class PatternStore:
-    """Patterns behind inverted indexes and sorted measure arrays.
+    """Patterns behind a columnar index of postings, measure columns
+    and orders.
 
     A thin mutable facade over an immutable :class:`StoreSnapshot`:
     every read delegates to the *current* snapshot, and
@@ -653,17 +770,17 @@ class PatternStore:
                 f"{file_version!r} (this build reads version "
                 f"{STORE_FORMAT_VERSION})"
             )
-        builder = _SnapshotBuilder()
+        incoming: dict[str, FlippingPattern] = {}
         for chain in raw.get("patterns", []):
             pattern = FlippingPattern(
                 links=tuple(_link_from_dict(link) for link in chain)
             )
             pid = pattern_id_of(pattern)
-            if pid in builder:
+            if pid in incoming:
                 raise ServeError(f"{target}: duplicate pattern id {pid!r}")
-            builder.insert(pid, pattern)
+            incoming[pid] = pattern
         store = cls()
-        store._snap = builder.freeze(
+        store._snap = _SnapshotBuilder(store._snap, incoming).freeze(
             int(raw.get("store_version", 1)), dict(raw.get("config", {}))
         )
         store._published_at = time.monotonic()
@@ -686,18 +803,24 @@ class PatternStore:
     def apply_result(self, result: MiningResult) -> dict[str, int]:
         """Re-point the store at ``result``, reindexing only changes.
 
-        Builds the next snapshot copy-on-write (readers keep serving
-        the old one throughout) and publishes it with a single
-        reference assignment — atomic under the GIL, so a concurrent
-        :meth:`snapshot` pin gets either the old generation or the
-        new one, never a mix.  The generation diff is also emitted as
-        lifecycle events into the ring (waking long-pollers).
-        Returns the diff counts.
+        Patterns are diffed by id and chain: unchanged patterns keep
+        their rows, changed ones are re-read, and ids absent from
+        ``result`` are dropped.  The version is bumped exactly when
+        content changed, so an empty diff (e.g. a ``noop``
+        incremental update) keeps cached query results valid and
+        shares every array.  The next snapshot is built off to the
+        side (readers keep serving the old one throughout) and
+        published with a single reference assignment — atomic under
+        the GIL, so a concurrent :meth:`snapshot` pin gets either the
+        old generation or the new one, never a mix.  The ids the
+        build touched are also diffed into lifecycle events in the
+        ring (waking long-pollers).  Returns the diff counts.
         """
         old = self._snap
-        snapshot, diff = old.with_result(result)
+        builder = _SnapshotBuilder(old, _id_map(result))
+        snapshot = builder.freeze(builder.version, result.config)
         events = (
-            _diff_events(old, snapshot)
+            _diff_events(old, snapshot, builder.touched)
             if snapshot.version != old.version
             else []
         )
@@ -716,7 +839,7 @@ class PatternStore:
                 for event in events:
                     self._m_events.inc(type=event.type)
                 self._events_cond.notify_all()
-        return diff
+        return builder.diff()
 
     # ------------------------------------------------------------------
     # lifecycle events (the ``/v1/events`` long-poll primitive)
@@ -833,9 +956,6 @@ class PatternStore:
     def height_postings(self, lo: int | None, hi: int | None) -> set[str]:
         return self._snap.height_postings(lo, hi)
 
-    def height_estimate(self, lo: int | None, hi: int | None) -> int:
-        return self._snap.height_estimate(lo, hi)
-
     def range_bounds(
         self, measure: str, lo: float | None, hi: float | None
     ) -> tuple[int, int]:
@@ -867,9 +987,3 @@ def _store_file(path: str | Path) -> Path:
     if target.is_dir():
         return target / STORE_FILE_NAME
     return target
-
-
-def _fingerprint(pattern: FlippingPattern) -> str:
-    return json.dumps(
-        [_link_to_dict(link) for link in pattern.links], sort_keys=True
-    )

@@ -3,8 +3,8 @@
 import bisect
 
 
-def extend_sorted(snapshot, pattern_id):
-    snapshot._sorted["support"].append(pattern_id)  # FLIP001
+def extend_postings(snapshot, ordinal):
+    snapshot._postings["item", "milk"].append(ordinal)  # FLIP001
 
 
 def insort_ids(snapshot, pattern_id):
@@ -13,3 +13,7 @@ def insort_ids(snapshot, pattern_id):
 
 def sneaky(snapshot):
     setattr(snapshot, "_version", 99)  # FLIP001
+
+
+def unfreeze(snapshot):
+    snapshot._postings["node", "cat01"].setflags(write=True)  # FLIP001

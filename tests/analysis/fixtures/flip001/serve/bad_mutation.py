@@ -1,8 +1,8 @@
 """Known-bad: direct writes to snapshot fields outside the builder."""
 
 
-def patch_in_place(snapshot, pattern_id, pattern):
-    snapshot._patterns[pattern_id] = pattern  # FLIP001
+def patch_in_place(snapshot, pattern_id, ordinal):
+    snapshot._ordinals[pattern_id] = ordinal  # FLIP001
 
 
 def bump_version(snapshot):
@@ -11,4 +11,4 @@ def bump_version(snapshot):
 
 class Handler:
     def rewrite(self, snapshot):
-        snapshot._by_item["milk"] = []  # FLIP001
+        snapshot._postings["item", "milk"] = []  # FLIP001

@@ -2,26 +2,26 @@
 
 
 class StoreSnapshot:
-    def __init__(self, patterns, version):
-        self._patterns = dict(patterns)
+    def __init__(self, ordinals, version):
+        self._ordinals = dict(ordinals)
         self._version = version
 
 
 class _SnapshotBuilder:
     def __init__(self, snapshot):
-        self._patterns = dict(snapshot._patterns)
-        self._by_item = {}
+        self._ordinals = dict(snapshot._ordinals)
+        self._postings = {}
 
-    def add(self, pattern_id, pattern):
+    def add(self, pattern_id, ordinal):
         # mutation inside the builder is the sanctioned path
-        self._patterns[pattern_id] = pattern
-        self._by_item.setdefault("x", []).append(pattern_id)
+        self._ordinals[pattern_id] = ordinal
+        self._postings.setdefault("x", []).append(pattern_id)
 
     def freeze(self):
-        return StoreSnapshot(self._patterns, 1)
+        return StoreSnapshot(self._ordinals, 1)
 
 
 def read_only(snapshot):
     # reads never trip the rule
-    total = len(snapshot._patterns)
+    total = len(snapshot._ordinals)
     return total, snapshot._version

@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import RULE_IDS, RULES, analyze_paths
+from repro.analysis.rules import SNAPSHOT_FIELDS
 from repro.errors import ConfigError, DataError
+from repro.serve.store import StoreSnapshot
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,7 +25,7 @@ CORPUS = {
         ["flip001/serve/good.py"],
         {
             "flip001/serve/bad_mutation.py": 3,
-            "flip001/serve/bad_call.py": 3,
+            "flip001/serve/bad_call.py": 4,
         },
     ),
     "FLIP002": (
@@ -119,6 +121,12 @@ def test_bad_fixture_is_flagged(rule_id, fixture, minimum):
         # the baseline key is the live source line
         source = (FIXTURES / fixture).read_text().splitlines()
         assert finding.line_content == source[finding.line - 1].strip()
+
+
+class TestSnapshotFields:
+    def test_flip001_guards_every_snapshot_slot(self):
+        # a slot the rule does not know is a field it cannot protect
+        assert SNAPSHOT_FIELDS == frozenset(StoreSnapshot.__slots__)
 
 
 class TestScoping:

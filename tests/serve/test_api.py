@@ -367,6 +367,52 @@ class TestEtagRevalidation:
         _envelope(response, "not_found")
 
 
+#: correlation bounds that are not finite numbers
+NON_FINITE_BOUNDS = [
+    "/v1/patterns?min_corr=nan&limit=2",
+    "/v1/patterns?max_corr=inf",
+    "/v1/patterns?min_corr=-inf",
+]
+
+
+def _strict_json(body: bytes):
+    """``body`` parsed as RFC 8259 JSON (no NaN or Infinity)."""
+
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    return json.loads(body, parse_constant=reject)
+
+
+class TestNonFiniteBounds:
+    @pytest.mark.parametrize("target", NON_FINITE_BOUNDS)
+    def test_dispatch_answers_400(self, api, target):
+        response = api.dispatch("GET", target)
+        assert response.status == 400
+        error = _envelope(response, "bad_request")
+        assert "must be finite" in error["message"]
+        _strict_json(response.encode())
+
+    def test_over_a_socket(self, corpus_store):
+        import http.client
+
+        from repro.serve import AsyncPatternServer
+
+        with AsyncPatternServer(corpus_store) as server:
+            conn = http.client.HTTPConnection(
+                server.host, server.port, timeout=10
+            )
+            try:
+                for target in NON_FINITE_BOUNDS:
+                    conn.request("GET", target)
+                    response = conn.getresponse()
+                    body = _strict_json(response.read())
+                    assert response.status == 400, (target, body)
+                    assert body["error"]["code"] == "bad_request"
+            finally:
+                conn.close()
+
+
 class TestOverHttp:
     """The same contract through real sockets."""
 

@@ -9,12 +9,15 @@ it — versions in the payload are real store generations.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 import threading
 import time
 
 import pytest
 
+from repro.bench.serve import synthetic_serve_result
 from repro.core.labels import Label
 from repro.core.patterns import ChainLink, FlippingPattern, MiningResult
 from repro.core.stats import MiningStats
@@ -26,7 +29,7 @@ from repro.serve import (
     QueryEngine,
 )
 from repro.serve.api import EventsIntent
-from repro.serve.store import pattern_id_of
+from repro.serve.store import EVENT_TYPES, PatternEvent, pattern_id_of
 
 
 def chain(leaf_items, signature, support=50):
@@ -139,6 +142,93 @@ class TestDiffing:
         assert [event.pattern_id for event in events] == sorted(
             event.pattern_id for event in events
         )
+
+
+def _walk_every_id(old, new):
+    """The brute-force diff: every id of both generations, sorted."""
+    events = []
+    for pid in sorted(set(old.ids()) | set(new.ids())):
+        before, after = old.get(pid), new.get(pid)
+        if before is None:
+            events.append(
+                PatternEvent(
+                    "flip_started", pid, new.version, after.signature, None
+                )
+            )
+        elif after is None:
+            events.append(
+                PatternEvent(
+                    "flip_stopped", pid, new.version, None, before.signature
+                )
+            )
+        elif before.signature != after.signature:
+            events.append(
+                PatternEvent(
+                    "flip_level_changed",
+                    pid,
+                    new.version,
+                    after.signature,
+                    before.signature,
+                )
+            )
+    return events
+
+
+_OPPOSITE = {Label.POSITIVE: Label.NEGATIVE, Label.NEGATIVE: Label.POSITIVE}
+
+
+def _flipped(pattern):
+    """The same leaf itemset with every label inverted."""
+    links = tuple(
+        dataclasses.replace(link, label=_OPPOSITE[link.label])
+        for link in pattern.links
+    )
+    return FlippingPattern(links=links)
+
+
+def _bumped(pattern):
+    """The same chain with a different leaf support (no new signature)."""
+    leaf = dataclasses.replace(
+        pattern.links[-1], support=pattern.links[-1].support + 1
+    )
+    return FlippingPattern(links=(*pattern.links[:-1], leaf))
+
+
+class TestTouchedIds:
+    def test_events_equal_a_walk_over_every_id(self):
+        base = synthetic_serve_result(2000, seed=3)
+        store = PatternStore(event_capacity=4096)
+        store.apply_result(base)
+        patterns = list(base.patterns)
+        seen = set()
+        for generation in range(6):
+            rng = random.Random(generation)
+            rng.shuffle(patterns)
+            ids = {pattern_id_of(p) for p in patterns}
+            variant = synthetic_serve_result(60, seed=900 + generation)
+            fresh = [
+                p for p in variant.patterns if pattern_id_of(p) not in ids
+            ]
+            # drop 40, flip 30 signatures, drift 50 supports, add ~60
+            patterns = (
+                [_flipped(p) for p in patterns[40:70]]
+                + [_bumped(p) for p in patterns[70:120]]
+                + patterns[120:]
+                + fresh
+            )
+            old = store.snapshot()
+            diff = store.apply_result(
+                MiningResult(patterns=list(patterns), stats=base.stats)
+            )
+            assert (diff["removed"], diff["changed"]) == (40, 80)
+            new = store.snapshot()
+            events, truncated = store.events_since(old.version)
+            expected = _walk_every_id(old, new)
+            assert not truncated
+            encoded = [json.dumps(e.to_dict()) for e in events]
+            assert encoded == [json.dumps(e.to_dict()) for e in expected]
+            seen.update(event.type for event in events)
+        assert seen == set(EVENT_TYPES)
 
 
 class TestRing:

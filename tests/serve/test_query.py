@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError, ServeError
@@ -38,6 +40,14 @@ class TestQueryValidation:
             Query(limit=-5)
         with pytest.raises(ConfigError, match="min_height"):
             Query(min_height=0)
+
+    @pytest.mark.parametrize("field", ["min_correlation", "max_correlation"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_correlation_bound(self, field, value):
+        # a NaN bound would echo as bare NaN (not JSON) and, compared
+        # as arrays, match differently from matches()
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            Query(**{field: value})
 
     def test_to_dict_round_trip_defaults(self):
         assert Query().to_dict() == {}

@@ -1,13 +1,15 @@
-"""Copy-on-write snapshot semantics of the pattern store.
+"""Snapshot semantics of the pattern store.
 
 The serving tier's whole concurrency story rests on three properties
 of :class:`~repro.serve.store.StoreSnapshot`:
 
-* a published snapshot never changes — readers that pinned it keep
-  seeing exactly the world they pinned, however many updates land
-  after;
-* building the next generation shares every untouched structure with
-  the previous one (updates cost O(delta), not O(corpus));
+* a published snapshot never changes — every index array is
+  read-only, and readers that pinned it keep seeing exactly the world
+  they pinned, however many updates land after;
+* building the next generation reads only the added and changed
+  patterns (per-pattern work is O(delta)); unchanged rows are
+  gathered from the previous generation's arrays, and an update that
+  changes nothing shares every array;
 * publication is a single reference swap, so concurrent readers only
   ever observe fully-built generations.
 """
@@ -15,15 +17,22 @@ of :class:`~repro.serve.store.StoreSnapshot`:
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench.serve import synthetic_serve_result
 from repro.core.patterns import MiningResult
+from repro.core.serialize import _link_to_dict
+from repro.core.stats import MiningStats
 from repro.errors import ServeError
-from repro.serve import PatternStore, Query, linear_scan
-from repro.serve.store import pattern_id_of
+from repro.serve import PatternStore, Query, QueryEngine, linear_scan
+from repro.serve.store import MEASURE_GETTERS, pattern_id_of
 
 
 def _bumped(pattern):
@@ -130,65 +139,189 @@ class TestPinnedSnapshots:
             PatternStore.build(doubled)
 
 
+def _published_arrays(snapshot):
+    """Every index array a snapshot publishes, by slot and key."""
+    found = {}
+    for slot in type(snapshot).__slots__:
+        value = getattr(snapshot, slot)
+        entries = value.items() if isinstance(value, dict) else [(None, value)]
+        for key, entry in entries:
+            if isinstance(entry, np.ndarray):
+                found[slot, key] = entry
+    return found
+
+
 class TestStructuralSharing:
-    def test_untouched_postings_are_shared(self, corpus_result):
-        store = PatternStore.build(corpus_result)
-        old = store.snapshot()
-        store.apply_result(_variant(corpus_result, 30, seed=91))
-        new = store.snapshot()
-        touched_ids = (set(old.ids()) ^ set(new.ids())) | {
-            pid
-            for pid in old.ids()
-            if pid in new
-            and old.get(pid).to_dict() != new.get(pid).to_dict()
-        }
-        touched = {
-            name
-            for pid in touched_ids
-            for link in (old.get(pid) or new.get(pid)).links
-            for name in link.names
-        }
-        shared = dirty = 0
-        for item, postings in old._by_item.items():
-            if item in touched:
-                continue
-            if new._by_item.get(item) is postings:
-                shared += 1
-            else:
-                dirty += 1
-        # copy-on-write: every posting set no update touched is the
-        # *same object* in both generations
-        assert dirty == 0
-        assert shared > 0
-
-    def test_touched_postings_are_copied_not_mutated(self, corpus_result):
-        store = PatternStore.build(corpus_result)
-        old = store.snapshot()
-        before = {
-            item: set(postings)
-            for item, postings in old._by_item.items()
-        }
-        store.apply_result(_variant(corpus_result, 30, seed=91))
-        # whatever the update rewired, the old snapshot's sets still
-        # hold their original members
-        assert {
-            item: set(postings)
-            for item, postings in old._by_item.items()
-        } == before
-
-    def test_noop_update_shares_everything(self, corpus_result):
+    def test_noop_update_shares_every_array(self, corpus_result):
         store = PatternStore.build(corpus_result)
         old = store.snapshot()
         # re-applying the same corpus keeps the version (cached query
-        # results stay valid) and every index structure is the same
-        # object, not a rebuilt copy
-        store.apply_result(corpus_result)
+        # results stay valid) and every index array is the same
+        # object, not a rebuilt copy; the config is the result's
+        store.apply_result(
+            dataclasses.replace(corpus_result, config={"window": 2})
+        )
         new = store.snapshot()
         assert new.version == old.version
-        for name in old._sorted:
-            assert new._sorted[name] is old._sorted[name]
-        for item, postings in old._by_item.items():
-            assert new._by_item[item] is postings
+        assert new.config == {"window": 2} != old.config
+        before, after = _published_arrays(old), _published_arrays(new)
+        assert before.keys() == after.keys()
+        assert len(before) > 20
+        for key, array in before.items():
+            assert after[key] is array, key
+
+    def test_published_arrays_are_read_only(self, corpus_result):
+        built = PatternStore.build(corpus_result).snapshot()
+        store = PatternStore.build(corpus_result)
+        store.apply_result(_variant(corpus_result, 30, seed=91))
+        for snapshot in (built, store.snapshot()):
+            arrays = _published_arrays(snapshot)
+            assert arrays
+            for key, array in arrays.items():
+                if not len(array):
+                    continue
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[-1]
+                assert not array.flags.writeable, key
+
+    def test_swap_reads_only_added_and_changed_patterns(
+        self, corpus_result, monkeypatch
+    ):
+        store = PatternStore.build(corpus_result)
+        calls = dict.fromkeys(MEASURE_GETTERS, 0)
+
+        def spy(name, getter):
+            def counted(pattern):
+                calls[name] += 1
+                return getter(pattern)
+
+            return counted
+
+        for name, getter in list(MEASURE_GETTERS.items()):
+            monkeypatch.setitem(MEASURE_GETTERS, name, spy(name, getter))
+        diff = store.apply_result(_variant(corpus_result, 30, seed=91))
+        touched = diff["added"] + diff["changed"]
+        assert diff["changed"] == 30 and diff["unchanged"] > 300
+        assert calls == dict.fromkeys(MEASURE_GETTERS, touched)
+
+    def test_old_postings_survive_a_swap(self, corpus_result):
+        store = PatternStore.build(corpus_result)
+        old = store.snapshot()
+        names = {
+            name
+            for _, pattern in old.items()
+            for link in pattern.links
+            for name in link.names
+        }
+        items = {name: old.item_postings(name) for name in names}
+        nodes = {name: old.node_postings(name) for name in names}
+        store.apply_result(_variant(corpus_result, 30, seed=91))
+        new = store.snapshot()
+        # the swap moved postings in the new generation...
+        assert any(new.node_postings(name) != nodes[name] for name in names)
+        # ...while the old one answers exactly as before
+        assert {name: old.item_postings(name) for name in names} == items
+        assert {name: old.node_postings(name) for name in names} == nodes
+
+
+def _family_queries(result: MiningResult) -> list[Query]:
+    """One query of each ``serve-read`` family, an unfiltered query, a
+    height range and an ascending sort."""
+    pair = next(p for p in result.patterns if p.k == 2 and p.height == 3)
+    return [
+        Query(contains_items=("item0007",), limit=20),
+        Query(contains_items=("item0042",), sort_by="support", limit=50),
+        Query(contains_items=pair.leaf_names),
+        Query(under_node="grp007", min_correlation=0.6, limit=20),
+        Query(under_node="cat03", sort_by="support", limit=50, offset=30),
+        Query(
+            signature="+-+",
+            min_support=300,
+            max_support=800,
+            sort_by="support",
+            descending=False,
+            limit=50,
+        ),
+        Query(),
+        Query(min_height=3, max_height=3, sort_by="min_gap", limit=40),
+        Query(sort_by="mean_gap", descending=False, offset=15, limit=25),
+    ]
+
+
+class TestPinnedParity:
+    def test_engine_equals_scan_on_every_pinned_generation(self):
+        result = synthetic_serve_result(2000, seed=5)
+        queries = _family_queries(result)
+        store = PatternStore.build(result)
+        engine = QueryEngine(store, cache_size=0)
+        pinned = [store.snapshot()]
+        matched = dict.fromkeys(queries, 0)
+        for swap in range(5):
+            result = _variant(result, 120, seed=400 + swap)
+            store.apply_result(result)
+            pinned.append(store.snapshot())
+            # the newest generation and every older one still pinned
+            for snap in pinned:
+                for query in queries:
+                    got = engine.execute(query, snapshot=snap)
+                    expected = linear_scan(snap, query)
+                    context = (swap, snap.version, query)
+                    assert got.store_version == snap.version
+                    assert got.ids == expected.ids, context
+                    assert got.total == expected.total, context
+                    matched[query] += expected.total
+        assert [snap.version for snap in pinned] == list(range(1, 7))
+        assert all(matched.values()), matched
+
+
+def _chain_json(pattern) -> str:
+    """A pattern's stored links as JSON text, the form a saved store
+    holds."""
+    return json.dumps(
+        [_link_to_dict(link) for link in pattern.links], sort_keys=True
+    )
+
+
+def _with_top_link(pattern, correlation, support):
+    top = dataclasses.replace(
+        pattern.links[0], correlation=correlation, support=support
+    )
+    return dataclasses.replace(pattern, links=(top, *pattern.links[1:]))
+
+
+_NUMBERS = [0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, 1, 1.0]
+
+
+class TestChangeDetection:
+    """A pattern counts as changed exactly when its links, written as
+    JSON, differ: NaN equals NaN, ``-0.0`` differs from ``0.0``, and
+    ``1`` differs from ``1.0``."""
+
+    @given(
+        correlations=st.tuples(
+            st.sampled_from(_NUMBERS), st.sampled_from(_NUMBERS)
+        ),
+        supports=st.sampled_from([(7, 7), (7, 8), (7, 7.0)]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_changed_exactly_when_the_json_differs(
+        self, correlations, supports
+    ):
+        pattern = synthetic_serve_result(1, seed=3).patterns[0]
+        before, after = (
+            _with_top_link(pattern, correlation, support)
+            for correlation, support in zip(correlations, supports)
+        )
+        store = PatternStore.build(
+            MiningResult(patterns=[before], stats=MiningStats("t", "k"))
+        )
+        diff = store.apply_result(
+            MiningResult(patterns=[after], stats=MiningStats("t", "k"))
+        )
+        differs = _chain_json(before) != _chain_json(after)
+        assert diff["changed"] == int(differs)
+        assert diff["unchanged"] == int(not differs)
+        assert store.version == 1 + differs
 
 
 class TestConcurrentSwaps:

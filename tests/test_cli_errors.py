@@ -14,7 +14,9 @@ import json
 
 import pytest
 
+from repro.bench.serve import synthetic_serve_result
 from repro.cli import main
+from repro.core.serialize import save_result
 from repro.data.io import save_transactions
 from repro.datasets import example3_taxonomy, example3_transactions
 from repro.taxonomy.io import save_taxonomy
@@ -208,6 +210,20 @@ class TestConflictingSources:
             capsys,
             ["explain", "--approx", "--measure", "kulczynski"],
             "not both",
+        )
+
+
+class TestQueryBounds:
+    @pytest.mark.parametrize(
+        "bound", ["--min-corr=nan", "--max-corr=inf", "--min-corr=-inf"]
+    )
+    def test_non_finite_correlation_bound(self, capsys, tmp_path, bound):
+        archive = tmp_path / "run.json"
+        save_result(synthetic_serve_result(20), archive)
+        _expect_error(
+            capsys,
+            ["query", "--result", str(archive), bound],
+            "must be finite",
         )
 
 
