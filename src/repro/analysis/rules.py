@@ -233,6 +233,7 @@ SNAPSHOT_FIELDS = frozenset(
     {
         "_ids",
         "_rows",
+        "_bodies",
         "_ordinals",
         "_measures",
         "_heights",

@@ -41,15 +41,18 @@ class Label(enum.Enum):
     @property
     def symbol(self) -> str:
         """Compact rendering used in pattern chains: ``+ - . x``."""
-        return {
-            Label.POSITIVE: "+",
-            Label.NEGATIVE: "-",
-            Label.NON_CORRELATED: ".",
-            Label.INFREQUENT: "x",
-        }[self]
+        return _SYMBOLS[self]
 
     def __str__(self) -> str:
         return self.value
+
+
+_SYMBOLS = {
+    Label.POSITIVE: "+",
+    Label.NEGATIVE: "-",
+    Label.NON_CORRELATED: ".",
+    Label.INFREQUENT: "x",
+}
 
 
 def label_for(

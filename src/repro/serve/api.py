@@ -32,6 +32,15 @@ Every response body is a pure function of ``(snapshot version,
 request target)`` — which is what makes whole-response byte caching
 sound.
 
+**Rendering.**  A pattern is rendered once, when its row enters a
+snapshot (:meth:`~repro.serve.store.StoreSnapshot.body`).
+``/v1/patterns`` and ``/v1/patterns/{id}`` put those stored texts in
+their payload as a :class:`RawJSON` value, and
+:meth:`ApiResponse.encode` writes it verbatim between the payload's
+other members, each encoded with ``json.dumps``: the bytes equal
+``json.dumps`` of the answer rendered afresh
+(:meth:`~repro.serve.query.QueryResult.to_dict`).
+
 **Errors.**  Every 4xx/5xx is one uniform envelope::
 
     {"error": {"code": "...", "message": "...", "detail": {...}}}
@@ -79,6 +88,7 @@ __all__ = [
     "ApiResponse",
     "EventsIntent",
     "PatternAPI",
+    "RawJSON",
     "UpdateIntent",
     "decode_cursor",
     "encode_cursor",
@@ -176,14 +186,31 @@ def error_payload(
     }
 
 
+class RawJSON:
+    """A payload member's value, already encoded as JSON text."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def _member(key: str, value: Any) -> str:
+    text = value.text if isinstance(value, RawJSON) else json.dumps(value)
+    return f"{json.dumps(key)}: {text}"
+
+
 @dataclass
 class ApiResponse:
     """One fully-decided HTTP response, transport not included.
 
     ``payload is None`` means an empty body (the 304 case); otherwise
-    the payload is JSON-encoded by :meth:`encode`.  Non-JSON routes
-    (the Prometheus exposition) set ``body`` directly along with
-    their ``content_type``; ``body`` wins over ``payload``.
+    the payload is JSON-encoded by :meth:`encode`: a :class:`RawJSON`
+    member value is written verbatim, every other value as
+    ``json.dumps`` writes it, so the bytes are those of ``json.dumps``
+    over the decoded payload.  Non-JSON routes (the Prometheus
+    exposition) set ``body`` directly along with their
+    ``content_type``; ``body`` wins over ``payload``.
     """
 
     status: int
@@ -197,7 +224,15 @@ class ApiResponse:
             return self.body
         if self.payload is None:
             return b""
-        return json.dumps(self.payload).encode("utf-8")
+        payload = self.payload
+        if isinstance(payload, dict) and any(
+            isinstance(value, RawJSON) for value in payload.values()
+        ):
+            members = ", ".join(
+                _member(key, value) for key, value in payload.items()
+            )
+            return f"{{{members}}}".encode("utf-8")
+        return json.dumps(payload).encode("utf-8")
 
 
 @dataclass
@@ -392,7 +427,8 @@ class PatternAPI:
 
         Feeds the per-route request counter and latency histogram,
         and emits exactly one structured JSON log line: route, status,
-        latency, snapshot version and a per-API request id.
+        latency, snapshot version and a per-API request id.  The line
+        is built only when ``repro.serve`` logs at INFO.
         """
         elapsed = max(0.0, self.now() - started)
         route = self.route_template(target)
@@ -401,6 +437,8 @@ class PatternAPI:
         with self._counter_lock:
             self._request_seq += 1
             request_id = self._request_seq
+        if not logger.isEnabledFor(logging.INFO):
+            return
         logger.info(
             json.dumps(
                 {
@@ -614,7 +652,8 @@ class PatternAPI:
         result = self._engine.execute(
             query, expect_version=expect_version, snapshot=snap
         )
-        payload = result.to_dict()
+        page = RawJSON("[" + ", ".join(result.bodies) + "]")
+        payload = result.envelope(page)
         if (
             query.limit is not None
             and query.offset + len(result.ids) < result.total
@@ -625,8 +664,8 @@ class PatternAPI:
         return ApiResponse(200, payload, response_headers)
 
     def _one(self, snap: StoreSnapshot, pid: str) -> ApiResponse:
-        pattern = snap.get(pid)
-        if pattern is None:
+        body = snap.body(pid)
+        if body is None:
             raise ApiError(
                 404,
                 "not_found",
@@ -634,11 +673,7 @@ class PatternAPI:
                 {"id": pid},
             )
         return ApiResponse(
-            200,
-            {
-                "store_version": snap.version,
-                "pattern": dict(pattern.to_dict(), id=pid),
-            },
+            200, {"store_version": snap.version, "pattern": RawJSON(body)}
         )
 
     # ------------------------------------------------------------------

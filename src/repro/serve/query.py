@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -206,21 +206,32 @@ class QueryResult:
     total: int  #: matches before pagination
     ids: list[str]
     patterns: list[FlippingPattern]
+    #: the page's stored JSON texts, one per id
+    #: (:meth:`StoreSnapshot.bodies_at`); :func:`linear_scan` leaves
+    #: them out
+    bodies: list[str] = field(default_factory=list)
     plan: QueryPlan | None = None
     cached: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
+    def envelope(self, patterns: Any) -> dict[str, Any]:
+        """The answer's JSON object, with ``patterns`` as its page."""
         return {
             "store_version": self.store_version,
             "query": self.query.to_dict(),
             "total": self.total,
             "offset": self.query.offset,
             "count": len(self.ids),
-            "patterns": [
-                dict(pattern.to_dict(), id=pid)
-                for pid, pattern in zip(self.ids, self.patterns)
-            ],
+            "patterns": patterns,
         }
+
+    def to_dict(self) -> dict[str, Any]:
+        """The answer with each pattern rendered afresh: the reference
+        the stored texts of :attr:`bodies` reproduce byte for byte."""
+        patterns = [
+            dict(pattern.to_dict(), id=pid)
+            for pid, pattern in zip(self.ids, self.patterns)
+        ]
+        return self.envelope(patterns)
 
 
 def _pin(source: PatternStore | StoreSnapshot) -> StoreSnapshot:
@@ -422,6 +433,7 @@ class QueryEngine:
                     total=hit.total,
                     ids=list(hit.ids),
                     patterns=list(hit.patterns),
+                    bodies=list(hit.bodies),
                     plan=hit.plan,
                     cached=True,
                 )
@@ -441,6 +453,7 @@ class QueryEngine:
             total=total,
             ids=store.ids_at(page),
             patterns=store.patterns_at(page),
+            bodies=store.bodies_at(page),
             plan=plan,
         )
         if use_cache and self._cache_size:
@@ -452,6 +465,7 @@ class QueryEngine:
                 total=result.total,
                 ids=list(result.ids),
                 patterns=list(result.patterns),
+                bodies=list(result.bodies),
                 plan=result.plan,
             )
             with self._cache_lock:

@@ -17,7 +17,11 @@ holds, ordinals:
 * **orders** — per (measure, direction), a stable argsort of the
   measure column (ties break by id, because ordinals follow ids) and
   its inverse rank: a page of any matched set is the order at the
-  first sorted ranks.
+  first sorted ranks;
+* **bodies** — per ordinal, the pattern's JSON text exactly as a
+  ``/v1`` answer carries it (``json.dumps`` of its ``to_dict()`` with
+  its ``id``), encoded once when the row enters a snapshot, so a read
+  splices stored texts instead of rendering patterns.
 
 The index lives in an **immutable** :class:`StoreSnapshot`: every
 array is read-only, and a snapshot never changes after it is built.
@@ -25,12 +29,12 @@ array is read-only, and a snapshot never changes after it is built.
 holds on to: it keeps a reference to the current snapshot, and
 :meth:`PatternStore.apply_result` diffs an updated
 :class:`MiningResult` against it, builds the *next* snapshot
-(unchanged rows are gathered from the current arrays; only added and
-changed patterns are read) and publishes it with a single atomic
-reference swap.  Readers pin one snapshot
-(:meth:`PatternStore.snapshot`) and serve their whole request from
-it, so no read ever takes a lock, never observes a torn index, and
-``expect_version``/409 semantics fall out of snapshot identity.
+(unchanged rows are gathered from the current arrays and keep their
+JSON texts; only added and changed patterns are read and encoded) and
+publishes it with a single atomic reference swap.  Readers pin one
+snapshot (:meth:`PatternStore.snapshot`) and serve their whole request
+from it, so no read ever takes a lock, never observes a torn index,
+and ``expect_version``/409 semantics fall out of snapshot identity.
 
 Pattern identity is the leaf itemset (``pattern_id`` is its item ids
 joined with ``-``), which makes the diff incremental: only added,
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 import time
 from collections import Counter
@@ -139,6 +144,21 @@ def _within(values: np.ndarray, lo: Any, hi: Any) -> np.ndarray:
     if hi is not None:
         inside &= ~(values > hi)
     return inside
+
+
+def _column_bound(bound: Any) -> Any:
+    """``bound`` as the float64 measure columns compare it: an int past
+    float range (``Query`` takes any int support bound) becomes the
+    infinity of its sign, which every column value compares with as it
+    does with the int."""
+    if isinstance(bound, int) and abs(bound) > sys.float_info.max:
+        return math.inf if bound > 0 else -math.inf
+    return bound
+
+
+def _body(pid: str, pattern: FlippingPattern) -> str:
+    """The JSON text of one pattern as every ``/v1`` answer carries it."""
+    return json.dumps(dict(pattern.to_dict(), id=pid))
 
 
 @dataclass(frozen=True)
@@ -331,10 +351,11 @@ class _SnapshotBuilder:
 
     Every id is classified as added, changed (its chain differs, see
     :func:`_same_chain`), removed or unchanged.  Unchanged rows keep
-    the base's pattern object and are gathered from the base's
-    arrays by their old ordinal; only added and changed patterns run
-    the measure getters and feed postings.  A build that adds,
-    changes and removes nothing shares every base array.
+    the base's pattern object and JSON text and are gathered from the
+    base's arrays by their old ordinal; only added and changed
+    patterns run the measure getters, are encoded and feed postings.
+    A build that adds, changes and removes nothing shares every base
+    array and the base's texts.
     """
 
     def __init__(
@@ -444,9 +465,17 @@ class _SnapshotBuilder:
             fresh_keys.append((ordinal, keys))
         remap = np.full(len(base), -1, dtype=np.int32)
         remap[origins] = kept
+        base_bodies = base._bodies
+        bodies = [
+            base_bodies[origin] if origin >= 0 else ""
+            for origin in self._sources.tolist()
+        ]
+        for ordinal, pattern in zip(fresh_ordinals, fresh_rows):
+            bodies[ordinal] = _body(self._ids[ordinal], pattern)
 
         snapshot._ids = self._ids
         snapshot._rows = self._rows
+        snapshot._bodies = tuple(bodies)
         snapshot._ordinals = dict(zip(self._ids, range(n)))
         snapshot._measures = _frozen(measures)
         snapshot._heights = _frozen(heights)
@@ -471,6 +500,7 @@ class StoreSnapshot:
     __slots__ = (
         "_ids",
         "_rows",
+        "_bodies",
         "_ordinals",
         "_measures",
         "_heights",
@@ -484,6 +514,7 @@ class StoreSnapshot:
     def __init__(self) -> None:
         self._ids: tuple[str, ...] = ()
         self._rows: tuple[FlippingPattern, ...] = ()
+        self._bodies: tuple[str, ...] = ()
         self._ordinals: dict[str, int] = {}
         self._measures = _frozen(np.empty((len(_MEASURES), 0)))
         self._heights = _NO_ORDINALS
@@ -541,6 +572,17 @@ class StoreSnapshot:
         rows = self._rows
         return [rows[ordinal] for ordinal in ordinals.tolist()]
 
+    def body(self, pid: str) -> str | None:
+        """The JSON text of pattern ``pid`` (``None``: no such id)."""
+        ordinal = self._ordinals.get(pid)
+        return None if ordinal is None else self._bodies[ordinal]
+
+    def bodies_at(self, ordinals: np.ndarray) -> list[str]:
+        """The JSON texts of the patterns at ``ordinals``, in their
+        order."""
+        bodies = self._bodies
+        return [bodies[ordinal] for ordinal in ordinals.tolist()]
+
     def item_ordinals(self, name: str) -> np.ndarray:
         """Ascending ordinals of the patterns whose *leaf* itemset
         contains the item ``name``."""
@@ -564,7 +606,11 @@ class StoreSnapshot:
         self, measure: str, lo: float | None, hi: float | None
     ) -> np.ndarray:
         """Per ordinal, whether ``measure`` is in ``[lo, hi]``."""
-        return _within(self._measures[_MEASURE_ROW[measure]], lo, hi)
+        return _within(
+            self._measures[_MEASURE_ROW[measure]],
+            _column_bound(lo),
+            _column_bound(hi),
+        )
 
     def order(
         self, measure: str, descending: bool
@@ -596,6 +642,7 @@ class StoreSnapshot:
         holding values in the inclusive ``[lo, hi]`` range."""
         order, _ = self.order(measure, False)
         values = self._measures[_MEASURE_ROW[measure]][order]
+        lo, hi = _column_bound(lo), _column_bound(hi)
         left = 0 if lo is None else int(np.searchsorted(values, lo, "left"))
         right = (
             len(values)

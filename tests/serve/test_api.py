@@ -14,6 +14,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.bench.serve import synthetic_serve_result
 from repro.obs import catalog
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
@@ -25,6 +26,7 @@ from repro.serve import (
     UpdateIntent,
     decode_cursor,
     encode_cursor,
+    linear_scan,
 )
 from repro.serve.api import ApiError
 
@@ -411,6 +413,35 @@ class TestNonFiniteBounds:
                     assert body["error"]["code"] == "bad_request"
             finally:
                 conn.close()
+
+
+#: an int support bound past float range
+HUGE = "1" + "0" * 400
+
+#: (parameter, sign, total over 50 patterns) of such bounds
+HUGE_SUPPORT_BOUNDS = [
+    ("min_support", "", 0),
+    ("max_support", "", 50),
+    ("min_support", "-", 50),
+    ("max_support", "-", 0),
+]
+
+
+class TestSupportBoundsPastFloatRange:
+    @pytest.mark.parametrize(("param", "sign", "total"), HUGE_SUPPORT_BOUNDS)
+    def test_dispatch_answers_as_the_scan(self, param, sign, total):
+        store = PatternStore.build(synthetic_serve_result(50))
+        api = PatternAPI(QueryEngine(store, cache_size=0))
+        response = api.dispatch("GET", f"/v1/patterns?{param}={sign}{HUGE}")
+        assert response.status == 200, response.encode()
+        payload = _json(response)
+        bound = int(sign + HUGE)
+        expected = linear_scan(store, Query(**{param: bound}))
+        assert payload["total"] == expected.total == total
+        assert [p["id"] for p in payload["patterns"]] == expected.ids
+        lo, hi = (bound, None) if param == "min_support" else (None, bound)
+        postings = store.range_postings("support", lo, hi)
+        assert postings == set(expected.ids)
 
 
 class TestOverHttp:

@@ -15,7 +15,13 @@ import pytest
 from repro.obs import catalog
 from repro.obs.exposition import CONTENT_TYPE_TEXT
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import AsyncPatternServer, PatternStore
+from repro.serve import (
+    AsyncPatternServer,
+    PatternAPI,
+    PatternStore,
+    QueryEngine,
+)
+from repro.serve import api as api_module
 
 
 def _get(url: str) -> tuple[int, dict[str, str], bytes]:
@@ -254,6 +260,31 @@ class TestStructuredLogs:
             entry["route"] == "/patterns" and entry["status"] == 200
             for entry in entries
         )
+
+
+    @pytest.mark.parametrize(
+        ("level", "per_request"), [(logging.WARNING, 0), (logging.INFO, 1)]
+    )
+    def test_line_is_built_only_when_logged(
+        self, toy_store, caplog, monkeypatch, level, per_request
+    ):
+        api = PatternAPI(QueryEngine(toy_store, registry=MetricsRegistry()))
+        built = []
+
+        def dumps(obj, **kwargs):
+            built.append(obj)
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(api_module, "json", SimpleNamespace(dumps=dumps))
+        targets = ["/v1/healthz", "/v1/patterns?limit=1", "/v1/stats"]
+        with caplog.at_level(level, logger="repro.serve"):
+            for target in targets:
+                api.log_request("GET", target, 200, api.now())
+        lines = [r for r in caplog.records if r.name == "repro.serve"]
+        assert len(lines) == len(built) == per_request * len(targets)
+        assert [entry["target"] for entry in built] == [
+            json.loads(line.message)["target"] for line in lines
+        ]
 
 
 class TestAsyncMetrics:

@@ -6,10 +6,10 @@ of :class:`~repro.serve.store.StoreSnapshot`:
 * a published snapshot never changes — every index array is
   read-only, and readers that pinned it keep seeing exactly the world
   they pinned, however many updates land after;
-* building the next generation reads only the added and changed
-  patterns (per-pattern work is O(delta)); unchanged rows are
-  gathered from the previous generation's arrays, and an update that
-  changes nothing shares every array;
+* building the next generation reads and encodes only the added and
+  changed patterns (per-pattern work is O(delta)); unchanged rows are
+  gathered from the previous generation's arrays and keep their JSON
+  texts, and an update that changes nothing shares every array;
 * publication is a single reference swap, so concurrent readers only
   ever observe fully-built generations.
 """
@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import threading
+from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
 import pytest
@@ -27,11 +28,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.serve import synthetic_serve_result
-from repro.core.patterns import MiningResult
+from repro.core.patterns import FlippingPattern, MiningResult
 from repro.core.serialize import _link_to_dict
 from repro.core.stats import MiningStats
 from repro.errors import ServeError
-from repro.serve import PatternStore, Query, QueryEngine, linear_scan
+from repro.serve import (
+    PatternAPI,
+    PatternStore,
+    Query,
+    QueryEngine,
+    encode_cursor,
+    linear_scan,
+    query_from_params,
+)
 from repro.serve.store import MEASURE_GETTERS, pattern_id_of
 
 
@@ -169,6 +178,46 @@ class TestStructuralSharing:
         assert len(before) > 20
         for key, array in before.items():
             assert after[key] is array, key
+        assert new._bodies is old._bodies
+
+    def test_unchanged_rows_keep_their_texts(self, corpus_result):
+        store = PatternStore.build(corpus_result)
+        old = store.snapshot()
+        update = _variant(corpus_result, 30, seed=91)
+        store.apply_result(update)
+        new = store.snapshot()
+        kept = changed = 0
+        for pattern in update.patterns:
+            pid = pattern_id_of(pattern)
+            before = old.get(pid)
+            if before is None:
+                continue
+            if before.to_dict() == pattern.to_dict():
+                assert new.body(pid) is old.body(pid), pid
+                kept += 1
+            else:
+                assert new.body(pid) != old.body(pid), pid
+                changed += 1
+        assert changed == 30 and kept > 300
+
+    def test_swap_encodes_only_added_and_changed_patterns(
+        self, corpus_result, monkeypatch
+    ):
+        store = PatternStore.build(corpus_result)
+        calls = []
+        to_dict = FlippingPattern.to_dict
+
+        def counted(pattern):
+            calls.append(pattern)
+            return to_dict(pattern)
+
+        monkeypatch.setattr(FlippingPattern, "to_dict", counted)
+        diff = store.apply_result(_variant(corpus_result, 30, seed=91))
+        assert diff["added"] > 0 and diff["changed"] == 30
+        assert len(calls) == diff["added"] + diff["changed"]
+        calls.clear()
+        store.apply_result(_variant(corpus_result, 30, seed=91))
+        assert calls == []
 
     def test_published_arrays_are_read_only(self, corpus_result):
         built = PatternStore.build(corpus_result).snapshot()
@@ -224,34 +273,32 @@ class TestStructuralSharing:
         assert {name: old.node_postings(name) for name in names} == nodes
 
 
-def _family_queries(result: MiningResult) -> list[Query]:
-    """One query of each ``serve-read`` family, an unfiltered query, a
-    height range and an ascending sort."""
+def _page_targets(result: MiningResult) -> list[str]:
+    """One ``/v1/patterns`` read of each ``serve-read`` family, an
+    unfiltered read, a height range and an ascending sort."""
     pair = next(p for p in result.patterns if p.k == 2 and p.height == 3)
     return [
-        Query(contains_items=("item0007",), limit=20),
-        Query(contains_items=("item0042",), sort_by="support", limit=50),
-        Query(contains_items=pair.leaf_names),
-        Query(under_node="grp007", min_correlation=0.6, limit=20),
-        Query(under_node="cat03", sort_by="support", limit=50, offset=30),
-        Query(
-            signature="+-+",
-            min_support=300,
-            max_support=800,
-            sort_by="support",
-            descending=False,
-            limit=50,
-        ),
-        Query(),
-        Query(min_height=3, max_height=3, sort_by="min_gap", limit=40),
-        Query(sort_by="mean_gap", descending=False, offset=15, limit=25),
+        "/v1/patterns?items=item0007&limit=20",
+        "/v1/patterns?items=item0042&sort=support&limit=50",
+        "/v1/patterns?items=" + ",".join(pair.leaf_names),
+        "/v1/patterns?under=grp007&min_corr=0.6&limit=20",
+        "/v1/patterns?under=cat03&sort=support&limit=50&offset=30",
+        "/v1/patterns?signature=%2B-%2B&min_support=300&max_support=800"
+        "&sort=support&order=asc&limit=50",
+        "/v1/patterns",
+        "/v1/patterns?min_height=3&max_height=3&sort=min_gap&limit=40",
+        "/v1/patterns?sort=mean_gap&order=asc&offset=15&limit=25",
     ]
+
+
+def _query_of(target: str) -> Query:
+    return query_from_params(dict(parse_qsl(urlsplit(target).query)))
 
 
 class TestPinnedParity:
     def test_engine_equals_scan_on_every_pinned_generation(self):
         result = synthetic_serve_result(2000, seed=5)
-        queries = _family_queries(result)
+        queries = [_query_of(target) for target in _page_targets(result)]
         store = PatternStore.build(result)
         engine = QueryEngine(store, cache_size=0)
         pinned = [store.snapshot()]
@@ -272,6 +319,145 @@ class TestPinnedParity:
                     matched[query] += expected.total
         assert [snap.version for snap in pinned] == list(range(1, 7))
         assert all(matched.values()), matched
+
+
+def _served(api, snap, target, monkeypatch) -> bytes:
+    """The bytes ``api`` sends for ``target`` from the pinned ``snap``
+    (its store hands ``dispatch`` that generation)."""
+    with monkeypatch.context() as patched:
+        patched.setattr(api.store, "snapshot", lambda: snap)
+        response = api.dispatch("GET", target)
+    assert response.status == 200, (target, response.encode())
+    return response.encode()
+
+
+def _rendered(snap, query) -> bytes:
+    """``json.dumps`` of the answer rendered afresh, with the cursor
+    ``/v1/patterns`` adds to a page that has a next one."""
+    result = QueryEngine(snap, cache_size=0).execute(query)
+    payload = result.to_dict()
+    stop = query.offset + len(result.ids)
+    if query.limit is not None and stop < result.total:
+        payload["next_cursor"] = encode_cursor(snap.version, stop)
+    return json.dumps(payload).encode()
+
+
+def _rendered_one(snap, pid) -> bytes:
+    pattern = dict(snap.get(pid).to_dict(), id=pid)
+    payload = {"store_version": snap.version, "pattern": pattern}
+    return json.dumps(payload).encode()
+
+
+class TestStoredBodies:
+    """``/v1`` splices each pattern's stored JSON text into the
+    answer; the bytes equal ``json.dumps`` of the answer rendered
+    afresh (:meth:`QueryResult.to_dict`)."""
+
+    def test_served_bytes_equal_rendered_on_every_pinned_generation(
+        self, monkeypatch
+    ):
+        result = synthetic_serve_result(2000, seed=5)
+        targets = _page_targets(result)
+        store = PatternStore.build(result)
+        # cached answers carry the texts too: revisiting an older
+        # generation hits the query cache
+        api = PatternAPI(QueryEngine(store))
+        pinned = [store.snapshot()]
+        totals = dict.fromkeys(targets, 0)
+        for swap in range(5):
+            result = _variant(result, 120, seed=400 + swap)
+            store.apply_result(result)
+            pinned.append(store.snapshot())
+            # the newest generation and every older one still pinned
+            for snap in pinned:
+                for target in targets:
+                    query = _query_of(target)
+                    body = _served(api, snap, target, monkeypatch)
+                    assert body == _rendered(snap, query), (swap, target)
+                    totals[target] += json.loads(body)["total"]
+                cursor = encode_cursor(snap.version, 60)
+                target = f"/v1/patterns?sort=support&limit=30&cursor={cursor}"
+                body = _served(api, snap, target, monkeypatch)
+                query = Query(sort_by="support", limit=30, offset=60)
+                assert body == _rendered(snap, query), (swap, "cursor")
+                # changed rows lead the ids (see _variant), so the
+                # stride meets old, changed and added texts
+                for pid in snap.ids()[::150]:
+                    target = f"/v1/patterns/{pid}"
+                    body = _served(api, snap, target, monkeypatch)
+                    assert body == _rendered_one(snap, pid), (swap, pid)
+        assert [snap.version for snap in pinned] == list(range(1, 7))
+        assert all(totals.values()), totals
+        assert api.engine.cache_info()["hits"] > 0
+
+    def test_empty_pages(self, corpus_store, monkeypatch):
+        api = PatternAPI(QueryEngine(corpus_store))
+        snap = corpus_store.snapshot()
+        for target in ("/v1/patterns?items=nope", "/v1/patterns?limit=0"):
+            body = _served(api, snap, target, monkeypatch)
+            assert body == _rendered(snap, _query_of(target)), target
+            assert json.loads(body)["patterns"] == []
+
+    def test_non_ascii_names_are_escaped(self, monkeypatch):
+        pattern = synthetic_serve_result(1, seed=3).patterns[0]
+        names = tuple(f"caf\u00e9-{i}" for i in range(pattern.k))
+        leaf = dataclasses.replace(pattern.leaf_link, names=names)
+        links = (*pattern.links[:-1], leaf)
+        renamed = dataclasses.replace(pattern, links=links)
+        stats = MiningStats("t", "k")
+        store = PatternStore.build(MiningResult([renamed], stats))
+        api = PatternAPI(QueryEngine(store))
+        snap = store.snapshot()
+        (pid,) = snap.ids()
+        assert "\\u00e9" in snap.body(pid)
+        target = "/v1/patterns?items=caf%C3%A9-0"
+        body = _served(api, snap, target, monkeypatch)
+        assert body == _rendered(snap, Query(contains_items=names[:1]))
+        assert body.isascii() and b"caf\\u00e9-0" in body
+        body = _served(api, snap, f"/v1/patterns/{pid}", monkeypatch)
+        assert body == _rendered_one(snap, pid)
+        assert body.isascii() and b"caf\\u00e9-0" in body
+
+    def test_nan_correlation_text_survives_a_swap(self, monkeypatch):
+        first, second = synthetic_serve_result(2, seed=3).patterns
+        nan_row = _with_top_link(first, math.nan, first.links[0].support)
+        stats = MiningStats("t", "k")
+        store = PatternStore.build(MiningResult([nan_row, second], stats))
+        api = PatternAPI(QueryEngine(store))
+        old = store.snapshot()
+        # an equal NaN row (a new object) beside a changed one
+        nan_again = _with_top_link(first, math.nan, first.links[0].support)
+        patterns = [nan_again, _bumped(second)]
+        diff = store.apply_result(MiningResult(patterns, stats))
+        assert diff["changed"] == 1 and diff["unchanged"] == 1
+        new = store.snapshot()
+        pid = pattern_id_of(first)
+        assert new.body(pid) is old.body(pid)
+        assert '"correlation": NaN' in new.body(pid)
+        for snap in (old, new):
+            body = _served(api, snap, f"/v1/patterns/{pid}", monkeypatch)
+            assert body == _rendered_one(snap, pid)
+            body = _served(api, snap, "/v1/patterns", monkeypatch)
+            assert body == _rendered(snap, Query())
+
+    def test_int_to_float_correlation_re_encodes_the_row(self, monkeypatch):
+        pattern = synthetic_serve_result(1, seed=3).patterns[0]
+        support = pattern.links[0].support
+        stats = MiningStats("t", "k")
+        as_int = _with_top_link(pattern, 1, support)
+        store = PatternStore.build(MiningResult([as_int], stats))
+        api = PatternAPI(QueryEngine(store))
+        old = store.snapshot()
+        as_float = _with_top_link(pattern, 1.0, support)
+        diff = store.apply_result(MiningResult([as_float], stats))
+        assert diff["changed"] == 1
+        new = store.snapshot()
+        pid = pattern_id_of(pattern)
+        assert '"correlation": 1,' in old.body(pid)
+        assert '"correlation": 1.0,' in new.body(pid)
+        for snap in (old, new):
+            body = _served(api, snap, f"/v1/patterns/{pid}", monkeypatch)
+            assert body == _rendered_one(snap, pid)
 
 
 def _chain_json(pattern) -> str:

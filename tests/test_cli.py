@@ -949,6 +949,35 @@ class TestQueryCommand:
         )
         assert [p["id"] for p in payload["patterns"]] == expected.ids
 
+    @pytest.mark.parametrize(
+        ("flag", "sign", "total"),
+        [
+            ("--min-support", "", 0),
+            ("--max-support", "", 50),
+            ("--min-support", "-", 50),
+            ("--max-support", "-", 0),
+        ],
+    )
+    def test_support_bound_past_float_range(
+        self, flag, sign, total, tmp_path, capsys
+    ):
+        from repro.bench.serve import synthetic_serve_result
+        from repro.core.serialize import save_result
+        from repro.serve import PatternStore, Query, linear_scan
+
+        result = synthetic_serve_result(50)
+        archive = tmp_path / "run.json"
+        save_result(result, archive)
+        bound = sign + "1" + "0" * 400
+        argv = ["query", "--result", str(archive), f"{flag}={bound}"]
+        assert main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        field = flag[2:].replace("-", "_")
+        query = Query(**{field: int(bound)})
+        expected = linear_scan(PatternStore.build(result), query)
+        assert payload["total"] == expected.total == total
+        assert [p["id"] for p in payload["patterns"]] == expected.ids
+
     def test_query_archive(self, example_files, tmp_path, capsys):
         transactions, taxonomy = example_files
         assert main([
