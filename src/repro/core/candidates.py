@@ -15,10 +15,15 @@ Candidates travel as ``(n, k)`` int64 row matrices of node ids, one
 canonical (ascending) itemset per row.  The miner runs child
 expansion through :func:`expand_children`, which walks the product
 position by position over all parents at once and prunes prefixes by
-SIBP bans, the pair screen and prefix support as it goes.  Both
-regimes then pass through :func:`prune_infrequent_subsets`, which
-drops one column at a time and tests the (k-1)-subsets against the
-left cell's sorted keys.  :func:`child_expansion_candidates`,
+SIBP bans, the pair screen and prefix support as it goes.  The pair
+screen is one table of child-pair verdicts per cell, laid out by
+parent node pair, so a row grows over the frequent partners of its
+first child and tests its other pairs by lookup, not by search.
+Both regimes then pass through :func:`prune_infrequent_subsets`,
+which drops one column at a time and tests the (k-1)-subsets against
+the left cell's sorted keys (the engine skips it where the pair
+screen has already tested every subset: child-expanded 3-itemsets).
+:func:`child_expansion_candidates`,
 :func:`filter_banned` and :func:`filter_known_infrequent_subsets` are
 the scalar, tuple-based references the array paths are
 property-tested against.
@@ -142,17 +147,94 @@ def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return source, np.arange(len(source)) - first[source]
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an integer matrix and, for every row, the
-    index of its distinct row — parents that share their first nodes
-    share prefixes, so a batch repeats many."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(len(ordered), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+def _distinct_rows(
+    rows: np.ndarray, keys: RowKeys
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a node-id matrix, in lexicographic order,
+    and for every row the index of its distinct row — parents that
+    share their first nodes share prefixes, so a batch repeats many.
+    ``keys`` must cover every value of ``rows``."""
+    _, first, inverse = np.unique(
+        keys.pack(rows), return_index=True, return_inverse=True
+    )
+    return rows[first], inverse.ravel()
+
+
+class _PairTable:
+    """The pair screen of one cell: the verdict on every child pair
+    the expansion can form, laid out by parent node pair.
+
+    Every node pair (A, B) that two positions of an alive parent hold
+    owns a block of ``|ch(A)| x |ch(B)|`` flags in row-major (a, b)
+    child-offset order, so the verdict on a pair is one gather at
+    ``start[block] + a * width[block] + b``.  Each line (block, a) of
+    a block also lists, as CSR, the offsets b whose pair with a is
+    frequent: its *partners*.
+    """
+
+    def __init__(
+        self,
+        node_of: np.ndarray,
+        counts: np.ndarray,
+        starts: np.ndarray,
+        children: np.ndarray,
+        frequent_pairs: FrequentOf,
+    ) -> None:
+        n, k = len(counts), node_of.shape[1]
+        first, second = np.triu_indices(k, 1)
+        #: the column of position pair (i, j), i < j, in ``_block``
+        self._column = np.zeros((k, k), dtype=np.intp)
+        self._column[first, second] = np.arange(len(first))
+        # one int64 code per node pair: a 1-D unique, in (A, B) order
+        codes, block = np.unique(
+            node_of[:, first] * n + node_of[:, second], return_inverse=True
+        )
+        #: the block of every (parent row, position pair)
+        self._block = block.reshape(len(node_of), len(first))
+        left, right = np.divmod(codes, n)
+        height, self._width = counts[left], counts[right]
+        size = height * self._width
+        self._start = np.cumsum(size) - size
+        source, offset = _spread(size)
+        a, b = np.divmod(offset, self._width[source])
+        one = children[starts[left][source] + a]
+        two = children[starts[right][source] + b]
+        self._flags = frequent_pairs(
+            np.column_stack((np.minimum(one, two), np.maximum(one, two)))
+        )
+        #: the first line of every block
+        self._line = np.cumsum(height) - height
+        self._partners = b[self._flags]
+        self._n_partners = np.bincount(
+            (self._line[source] + a)[self._flags], minlength=int(height.sum())
+        )
+        self._first_partner = np.cumsum(self._n_partners) - self._n_partners
+
+    def extend(
+        self, owner: np.ndarray, offsets: np.ndarray, position: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Extend rows of child offsets (``owner`` their parent rows)
+        at ``position`` >= 1: every row spreads over the partners of
+        its position-0 child among the position's children, and keeps
+        an extension only if its pairs with positions 1 to
+        ``position - 1`` are frequent too.  Returns the source row and
+        child offset of every kept extension, rows in order and each
+        row's extensions by ascending offset."""
+        column = self._column
+        line = self._line[self._block[owner, column[0, position]]]
+        line += offsets[:, 0]
+        source, rank = _spread(self._n_partners[line])
+        added = self._partners[self._first_partner[line][source] + rank]
+        held = owner[source]
+        alive = np.ones(len(added), dtype=bool)
+        for earlier in range(1, position):
+            block = self._block[held, column[earlier, position]]
+            alive &= self._flags[
+                self._start[block]
+                + offsets[source, earlier] * self._width[block]
+                + added
+            ]
+        return source[alive], added[alive]
 
 
 def expand_children(
@@ -171,19 +253,25 @@ def expand_children(
     and not SIBP-banned for size-k itemsets (``banned[child] < k``).
     The product is built one parent position at a time, over all
     parents at once, and thinned as it grows, so it never exists in
-    full:
+    full.  Rows carry one child offset per position (the child's
+    place among its parent node's children) and become node ids only
+    for the prefix test and the output:
 
     * **pair screen** (k >= 3): every child pair the expansion can
       form is passed to ``frequent_pairs`` once, as one ``(n, 2)``
-      matrix; a prefix containing a pair its mask rejects dies.
+      matrix of canonical, distinct pairs, and its mask fills a
+      :class:`_PairTable`.  A row then grows only over the frequent
+      partners of its first child, and each other pair it gains is
+      one lookup in the table.
     * **prefix support**: the distinct surviving prefixes of length 3
       to k-1 are passed to ``frequent_prefixes`` in one matrix per
-      length, and those its mask rejects die.
+      length, in lexicographic order, and those its mask rejects die.
 
     Both tests are anti-monotone support arguments, so no candidate
     that could be frequent is lost.  The result equals
     :func:`child_expansion_candidates` with the same screen, minus
-    banned candidates and candidates with an infrequent prefix.
+    banned candidates and candidates with an infrequent prefix, in
+    the same order.
     """
     k = alive_parents.shape[1]
     none = np.zeros((0, k), dtype=np.int64)
@@ -209,67 +297,32 @@ def expand_children(
     node_of = node_of[(counts[node_of] > 0).all(axis=1)]
     if not len(node_of):
         return ChildExpansion(none, banned_children)
-    pair_keys = RowKeys(int(children.max()) + 1)
-
-    dead = np.zeros(0, dtype=np.int64)
+    # where each parent position's children begin in ``children``
+    first_child = starts[node_of]
+    table = None
     if k >= 3:
-        dead = _dead_pairs(
-            node_of, counts, starts, children, pair_keys, frequent_pairs
-        )
+        table = _PairTable(node_of, counts, starts, children, frequent_pairs)
 
     owner = np.arange(len(node_of))
-    rows = np.zeros((len(node_of), 0), dtype=np.int64)
+    offsets = np.zeros((len(node_of), 0), dtype=np.int64)
     for position in range(k):
-        node = node_of[owner, position]
-        source, offset = _spread(counts[node])
-        added = children[starts[node][source] + offset]
-        owner, rows = owner[source], rows[source]
-        if len(dead) and position:
-            alive = np.ones(len(added), dtype=bool)
-            for column in rows.T:
-                pairs = np.column_stack(
-                    (np.minimum(column, added), np.maximum(column, added))
-                )
-                alive &= ~RowKeys.contains(dead, pair_keys.pack(pairs))
-            owner, rows, added = owner[alive], rows[alive], added[alive]
-        rows = np.column_stack((rows, added))
-        if not len(rows):
+        if table is None or not position:
+            source, added = _spread(counts[node_of[owner, position]])
+        else:
+            source, added = table.extend(owner, offsets, position)
+        owner = owner[source]
+        offsets = np.column_stack((offsets[source], added))
+        if not len(offsets):
             return ChildExpansion(none, banned_children)
         if 3 <= position + 1 < k:
-            distinct, inverse = _distinct_rows(np.sort(rows, axis=1))
+            prefixes = children[first_child[owner, : position + 1] + offsets]
+            distinct, inverse = _distinct_rows(
+                np.sort(prefixes, axis=1), RowKeys.of_nodes(flat)
+            )
             frequent = frequent_prefixes(distinct)[inverse]
-            owner, rows = owner[frequent], rows[frequent]
+            owner, offsets = owner[frequent], offsets[frequent]
+    rows = children[first_child[owner] + offsets]
     return ChildExpansion(np.sort(rows, axis=1), banned_children)
-
-
-def _dead_pairs(
-    node_of: np.ndarray,
-    counts: np.ndarray,
-    starts: np.ndarray,
-    children: np.ndarray,
-    pair_keys: RowKeys,
-    frequent_pairs: FrequentOf,
-) -> np.ndarray:
-    """Sorted keys of the infrequent child pairs, over every pair of
-    parent nodes that share a parent."""
-    k = node_of.shape[1]
-    node_pairs = np.unique(
-        np.concatenate(
-            [node_of[:, [i, j]] for i in range(k) for j in range(i + 1, k)]
-        ),
-        axis=0,
-    )
-    left, right = node_pairs[:, 0], node_pairs[:, 1]
-    source, offset = _spread(counts[left])
-    first = children[starts[left][source] + offset]
-    right = right[source]
-    source, offset = _spread(counts[right])
-    second = children[starts[right][source] + offset]
-    first = first[source]
-    pairs = np.column_stack(
-        (np.minimum(first, second), np.maximum(first, second))
-    )
-    return pair_keys.sort(pairs[~frequent_pairs(pairs)])
 
 
 def filter_banned(

@@ -94,10 +94,6 @@ class RowKeys:
             wide[:, index] = word
         return wide.view(self.dtype(k)).ravel()
 
-    def sort(self, rows: np.ndarray) -> np.ndarray:
-        """The sorted keys of ``rows``."""
-        return np.sort(self.pack(rows))
-
     @staticmethod
     def find(
         sorted_keys: np.ndarray, keys: np.ndarray

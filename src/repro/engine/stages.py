@@ -7,7 +7,10 @@ split along the data handoffs (see :mod:`repro.engine.plan`):
   child expansion) and apply the known-infrequent-subset filter.
   Child expansion is one array-level path on every substrate: it
   drops SIBP-banned children and prunes prefixes by the pair screen
-  and by batch-counted prefix supports while it expands.  The pair
+  and by batch-counted prefix supports while it expands.  The screen
+  reads the level's pair cache, then the (h,2) cell, and counts only
+  what neither knows; a child-expanded 3-itemset cell skips the
+  subset filter, which the screen has already applied.  The pair
   cache, the prefix test and the subset filter are ``searchsorted``
   lookups in sorted row keys.
 * :class:`CountStage` — count the candidate row matrix through
@@ -60,16 +63,22 @@ class GenerateStage:
 
     def run(self, context: MiningContext, state: CellState) -> None:
         level, k = state.task.level, state.task.k
-        if level == 1 or not context.pruning.flipping:
-            candidates = self._row_join(context, level, k)
-        else:
+        expanded = level > 1 and context.pruning.flipping
+        if expanded:
             candidates = self._expand(context, state)
+        else:
+            candidates = self._row_join(context, level, k)
         state.stats.candidates = len(candidates)
-        cell_left = context.cells.get((level, k - 1))
-        candidates, dropped = prune_infrequent_subsets(
-            candidates, cell_left, strict=not context.pruning.flipping
-        )
-        state.stats.filtered_subset = dropped
+        # A child-expanded 3-itemset passed the pair screen: each of
+        # its three 2-subsets is a child pair with support >= θ_h.  The
+        # left cell (h,2) marks as infrequent only pairs below that
+        # same θ_h, so the filter could not drop a row there.
+        if not (expanded and k == 3):
+            cell_left = context.cells.get((level, k - 1))
+            candidates, dropped = prune_infrequent_subsets(
+                candidates, cell_left, strict=not context.pruning.flipping
+            )
+            state.stats.filtered_subset = dropped
         state.candidates = candidates
 
     # -- generation regimes -------------------------------------------
@@ -90,9 +99,13 @@ class GenerateStage:
         Expanding a parent as a raw Cartesian product would
         materialize ``fanout**k`` combinations, nearly all of which
         support counting would discard.  :func:`expand_children`
-        instead prunes prefixes while it expands: the cheapest
-        unknowns — the level-h child pairs — are batch-counted once
-        per level (the pair screen, cached across columns), and each
+        instead prunes prefixes while it expands.  The cheapest
+        unknowns, the level-h child pairs, form the pair screen: a
+        pair is answered from the level's pair cache (counts from
+        earlier screens of the level), else from the (h,2) cell (a
+        frequent entry is frequent, a counted-infrequent key is not),
+        and only pairs that neither knows are batch-counted through
+        the backend (``extra["screen_pairs"]`` counts those).  Each
         surviving prefix of length 3 to k-1 is first looked up in the
         already-processed cell of its length (a frequent entry keeps
         it, a counted-infrequent one drops it); only the prefixes
@@ -113,6 +126,8 @@ class GenerateStage:
         theta = context.thresholds.min_count(level)
         keys = context.row_keys[level]
 
+        pair_cell = context.cells.get((level, 2))
+
         def frequent_pairs(pairs: np.ndarray) -> np.ndarray:
             empty = np.zeros(0, dtype=keys.dtype(2))
             cached, counts = context.pair_supports.get(
@@ -120,20 +135,25 @@ class GenerateStage:
             )
             wanted = keys.pack(pairs)
             index, known = RowKeys.find(cached, wanted)
-            supports = np.zeros(len(pairs), dtype=np.int64)
-            supports[known] = counts[index[known]]
-            unknown = ~known
-            if unknown.any():
-                supports[unknown] = backend.supports(level, pairs[unknown])
+            frequent = np.zeros(len(pairs), dtype=bool)
+            frequent[known] = counts[index[known]] >= theta
+            unknown = np.flatnonzero(~known)
+            if pair_cell is not None and len(unknown):
+                hit, miss = pair_cell.find(pairs[unknown])
+                frequent[unknown[hit]] = True
+                unknown = unknown[~(hit | miss)]
+            if len(unknown):
+                supports = backend.supports(level, pairs[unknown])
+                frequent[unknown] = supports >= theta
                 merged = np.concatenate((cached, wanted[unknown]))
                 order = np.argsort(merged, kind="stable")
                 context.pair_supports[level] = (
                     merged[order],
-                    np.concatenate((counts, supports[unknown]))[order],
+                    np.concatenate((counts, supports))[order],
                 )
-                screened = extra.get("screen_pairs", 0) + int(unknown.sum())
+                screened = extra.get("screen_pairs", 0) + len(unknown)
                 extra["screen_pairs"] = screened
-            return supports >= theta
+            return frequent
 
         def frequent_prefixes(prefixes: np.ndarray) -> np.ndarray:
             known = context.cells.get((level, prefixes.shape[1]))

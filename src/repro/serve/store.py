@@ -191,8 +191,8 @@ class PatternEvent:
 
 
 def _diff_events(
-    old: StoreSnapshot, new: StoreSnapshot, touched: list[str]
-) -> list[PatternEvent]:
+    old: StoreSnapshot, new: StoreSnapshot, touched: list[str], keep: int
+) -> tuple[list[PatternEvent], Counter[str]]:
     """Lifecycle transitions between two consecutive generations.
 
     ``touched`` are the ids the build of ``new`` added, changed or
@@ -203,39 +203,37 @@ def _diff_events(
     height always changes it) moves the flip level.
     Support/correlation drift that leaves the trajectory intact is
     *not* an event.  Deterministic order: sorted by pattern id.
+
+    Every touched id is classified, and the returned counts per event
+    type cover every transition, but only the newest ``keep`` of them
+    (what a ring of ``keep`` events can hold) become
+    :class:`PatternEvent` objects.
     """
-    version = new.version
-    events: list[PatternEvent] = []
+    transitions: list[
+        tuple[str, str, FlippingPattern | None, FlippingPattern | None]
+    ] = []
     for pid in touched:
         before = old.get(pid)
         after = new.get(pid)
-        if before is None and after is not None:
-            events.append(
-                PatternEvent(
-                    "flip_started", pid, version, after.signature, None
-                )
-            )
-        elif after is None and before is not None:
-            events.append(
-                PatternEvent(
-                    "flip_stopped", pid, version, None, before.signature
-                )
-            )
-        elif (
-            before is not None
-            and after is not None
-            and before.signature != after.signature
-        ):
-            events.append(
-                PatternEvent(
-                    "flip_level_changed",
-                    pid,
-                    version,
-                    after.signature,
-                    before.signature,
-                )
-            )
-    return events
+        if before is None:
+            if after is not None:
+                transitions.append(("flip_started", pid, None, after))
+        elif after is None:
+            transitions.append(("flip_stopped", pid, before, None))
+        elif before.signature != after.signature:
+            transitions.append(("flip_level_changed", pid, before, after))
+    version = new.version
+    events = [
+        PatternEvent(
+            kind,
+            pid,
+            version,
+            None if after is None else after.signature,
+            None if before is None else before.signature,
+        )
+        for kind, pid, before, after in transitions[-keep:]
+    ]
+    return events, Counter(kind for kind, *_ in transitions)
 
 
 def pattern_id_of(pattern: FlippingPattern) -> str:
@@ -866,25 +864,34 @@ class PatternStore:
         old = self._snap
         builder = _SnapshotBuilder(old, _id_map(result))
         snapshot = builder.freeze(builder.version, result.config)
-        events = (
-            _diff_events(old, snapshot, builder.touched)
-            if snapshot.version != old.version
-            else []
-        )
+        events: list[PatternEvent] = []
+        emitted: Counter[str] = Counter()
+        if snapshot.version != old.version:
+            events, emitted = _diff_events(
+                old, snapshot, builder.touched, self._event_capacity
+            )
         with self._events_cond:
             self._snap = snapshot
             self._published_at = time.monotonic()
             if events:
-                self._events.extend(events)
-                overflow = len(self._events) - self._event_capacity
+                ring = self._events
+                overflow = (
+                    len(ring) + sum(emitted.values()) - self._event_capacity
+                )
                 if overflow > 0:
-                    dropped = self._events[:overflow]
-                    del self._events[:overflow]
-                    self._dropped_through = dropped[-1].version
+                    # the ring's oldest events go first, then the
+                    # oldest of this generation's (never built)
+                    self._dropped_through = (
+                        ring[overflow - 1].version
+                        if overflow <= len(ring)
+                        else snapshot.version
+                    )
+                    del ring[:overflow]
                     self.events_dropped += overflow
                     self._m_events_dropped.inc(overflow)
-                for event in events:
-                    self._m_events.inc(type=event.type)
+                ring.extend(events)
+                for kind, count in emitted.items():
+                    self._m_events.inc(count, type=kind)
                 self._events_cond.notify_all()
         return builder.diff()
 

@@ -143,7 +143,7 @@ def test_mined_cells_count_every_counted_itemset(random_db):
         assert cell_stats.counted == len(cell) == len(supports)
         rows = np.array(sorted(infrequent), dtype=np.int64)
         assert np.array_equal(
-            cell.infrequent, cell.keys.sort(rows.reshape(-1, cell.k))
+            cell.infrequent, np.sort(cell.keys.pack(rows.reshape(-1, cell.k)))
         )
         assert all(itemset in cell for itemset in supports)
         best: dict[int, float] = {}

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.labels import Label
@@ -67,6 +70,54 @@ class TestFlippingPattern:
     def test_rejects_single_level(self):
         with pytest.raises(ValueError):
             FlippingPattern(links=(link(1, ("a", "b"), 0.8, Label.POSITIVE),))
+
+
+class TestSignatureBuiltOnce:
+    """The signature is built with the pattern and kept; it takes no
+    part in equality, hashing, ``repr`` or ``to_dict``'s shape."""
+
+    def test_repeated_reads_return_the_identical_string(self, pattern):
+        first = pattern.signature
+        assert first == "+-+"
+        assert all(pattern.signature is first for _ in range(3))
+
+    def test_equality_hash_and_repr_see_only_the_links(self, pattern):
+        twin = FlippingPattern(links=pattern.links)
+        assert twin == pattern
+        assert hash(twin) == hash(pattern) == hash((pattern.links,))
+        assert repr(pattern) == f"FlippingPattern(links={pattern.links!r})"
+        compared = [f.name for f in dataclasses.fields(pattern) if f.compare]
+        assert compared == ["links"]
+
+    def test_to_dict_and_pickle_round_trip(self, pattern):
+        clone = pickle.loads(pickle.dumps(pattern))
+        assert clone == pattern
+        assert hash(clone) == hash(pattern)
+        assert clone.signature == "+-+"
+        assert clone.to_dict() == pattern.to_dict()
+        assert list(pattern.to_dict()) == [
+            "items",
+            "k",
+            "signature",
+            "min_gap",
+            "chain",
+        ]
+        assert pattern.to_dict()["signature"] == "+-+"
+
+    def test_replace_builds_the_new_signature(self, pattern):
+        opposite = {
+            Label.POSITIVE: Label.NEGATIVE,
+            Label.NEGATIVE: Label.POSITIVE,
+        }
+        flipped = dataclasses.replace(
+            pattern,
+            links=tuple(
+                dataclasses.replace(one, label=opposite[one.label])
+                for one in pattern.links
+            ),
+        )
+        assert flipped.signature == "-+-"
+        assert pattern.signature == "+-+"
 
 
 class TestMiningResult:

@@ -3,9 +3,13 @@
 :func:`repro.core.candidates.expand_children` is what the miner runs.
 Its reference is :func:`~repro.core.candidates.child_expansion_candidates`
 with the same pair screen, then :func:`~repro.core.candidates.filter_banned`,
-then a brute-force prefix-support filter.  Random parents, fanouts,
-SIBP bans, dead pairs and transactions must give the same candidate
-list, in the same order.
+then a brute-force prefix-support filter.  Random parents, fanouts (up
+to 8), SIBP bans, dead pairs and transactions must give the same
+candidate list, in the same order.  Parents may share a node pair at
+different positions, and one node pair may have every child pair
+dead, so the pair table's blocks and its partner lists are read from
+every position.  The screen must be asked once, for canonical,
+distinct pairs.
 """
 
 from __future__ import annotations
@@ -21,13 +25,35 @@ from repro.core.candidates import (
     filter_banned,
 )
 
+#: the largest product of one parent's fanouts the strategy draws
+#: (8 children per node up to k = 4, fewer beyond)
+PRODUCT_BUDGET = 4096
+
+
+def _shifted(parent, n_nodes):
+    """Another parent that holds a node pair of ``parent`` at other
+    positions (one node swapped for a node outside it), or None."""
+    for node in range(n_nodes):
+        if node in parent:
+            continue
+        for dropped in parent:
+            other = tuple(sorted({*parent, node} - {dropped}))
+            if any(
+                parent.index(a) != other.index(a)
+                for a in other
+                if a != node
+            ):
+                return other
+    return None
+
 
 @st.composite
 def expansion_instances(draw):
     rng = draw(st.randoms(use_true_random=False))
-    k = draw(st.integers(min_value=2, max_value=5))
-    n_nodes = draw(st.integers(min_value=k, max_value=k + 2))
-    fanouts = [rng.randint(0, 4) for _ in range(n_nodes)]
+    k = draw(st.integers(min_value=2, max_value=6))
+    n_nodes = draw(st.integers(min_value=k + 1, max_value=k + 3))
+    top = min(8, int(round(PRODUCT_BUDGET ** (1 / k))))
+    fanouts = [rng.randint(0, top) for _ in range(n_nodes)]
     # child ids are shuffled so a candidate's canonical order differs
     # from its parent-position order
     ids = list(range(100, 100 + sum(fanouts)))
@@ -43,6 +69,10 @@ def expansion_instances(draw):
     all_children = sorted(parent_of)
     subsets = list(combinations(range(n_nodes), k))
     parents = rng.sample(subsets, rng.randint(0, min(6, len(subsets))))
+    if parents and draw(st.booleans()):
+        shifted = _shifted(parents[0], n_nodes)
+        if shifted is not None and shifted not in parents:
+            parents.append(shifted)
     p_infrequent = draw(st.sampled_from([0.0, 0.2]))
     p_banned = draw(st.sampled_from([0.0, 0.3]))
     p_dead = draw(st.sampled_from([0.0, 0.2, 0.5]))
@@ -57,6 +87,14 @@ def expansion_instances(draw):
         for pair in combinations(all_children, 2)
         if rng.random() < p_dead
     }
+    if parents and draw(st.booleans()):
+        # a node pair whose every child pair is dead
+        first, second = rng.sample(rng.choice(parents), 2)
+        dead |= {
+            (min(a, b), max(a, b))
+            for a in children_of[first]
+            for b in children_of[second]
+        }
     transactions = [
         set(rng.sample(all_children, rng.randint(0, len(all_children))))
         for _ in range(rng.randint(0, 30))
@@ -93,8 +131,12 @@ def test_array_expansion_matches_scalar_reference(instance):
     def support(itemset):
         return sum(1 for row in transactions if set(itemset) <= row)
 
+    screens = []
+
     def frequent_pairs(pairs):
+        screens.append(len(pairs))
         assert all(a < b for a, b in pairs.tolist())
+        assert len(set(map(tuple, pairs.tolist()))) == len(pairs)
         return np.array(
             [pair not in dead for pair in map(tuple, pairs.tolist())],
             dtype=bool,
@@ -142,6 +184,7 @@ def test_array_expansion_matches_scalar_reference(instance):
 
     reference = [c for c in reference if prefixes_frequent(c)]
     assert list(map(tuple, got.candidates.tolist())) == reference
+    assert len(screens) <= (1 if k >= 3 else 0)
     assert got.banned_children == sum(
         1
         for node in {node for parent in parents for node in parent}

@@ -73,7 +73,9 @@ def test_keys_equal_a_tuple_reference(space, k):
         tuple(_node(rng, universe) for _ in range(k)) for _ in range(10)
     ]
     probe_matrix = np.array(probes, dtype=np.int64).reshape(-1, k)
-    found = RowKeys.contains(keys.sort(matrix), keys.pack(probe_matrix))
+    found = RowKeys.contains(
+        np.sort(keys.pack(matrix)), keys.pack(probe_matrix)
+    )
     members = set(rows)
     assert found.tolist() == [probe in members for probe in probes]
 

@@ -22,6 +22,8 @@ from repro.core.labels import Label
 from repro.core.patterns import ChainLink, FlippingPattern, MiningResult
 from repro.core.stats import MiningStats
 from repro.errors import ConfigError
+from repro.obs import catalog
+from repro.obs.metrics import default_registry
 from repro.serve import (
     AsyncPatternServer,
     PatternAPI,
@@ -229,6 +231,108 @@ class TestTouchedIds:
             assert encoded == [json.dumps(e.to_dict()) for e in expected]
             seen.update(event.type for event in events)
         assert seen == set(EVENT_TYPES)
+
+
+class _WholeRing:
+    """The ring kept by building every transition's event and then
+    dropping the overflow: the model the store's ring must match."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.events = []
+        self.dropped_through = 0
+        self.dropped = 0
+        self.emitted = {kind: 0 for kind in EVENT_TYPES}
+
+    def publish(self, events):
+        if not events:
+            return
+        self.events.extend(events)
+        overflow = len(self.events) - self.capacity
+        if overflow > 0:
+            self.dropped_through = self.events[overflow - 1].version
+            del self.events[:overflow]
+            self.dropped += overflow
+        for event in events:
+            self.emitted[event.type] += 1
+
+    def since(self, version):
+        return (
+            [event for event in self.events if event.version > version],
+            version < self.dropped_through,
+        )
+
+
+class TestRingBuildsOnlyWhatItKeeps:
+    """A generation with more transitions than the ring holds builds
+    events only for the newest ``event_capacity``; the ring, every
+    counter and every ``/v1/events`` answer are those of a ring that
+    built them all."""
+
+    def _counters(self):
+        registry = default_registry()
+        emitted = registry.counter(catalog.EVENTS_EMITTED)
+        dropped = registry.counter(catalog.EVENTS_DROPPED)
+        return (
+            {kind: emitted.value(type=kind) for kind in EVENT_TYPES},
+            dropped.value(),
+        )
+
+    def test_first_build_and_overflowing_swaps_match_the_whole_ring(self):
+        capacity = 100
+        store = PatternStore(event_capacity=capacity)
+        api = PatternAPI(QueryEngine(store))
+        model = _WholeRing(capacity)
+        emitted_before, dropped_before = self._counters()
+        base = list(synthetic_serve_result(500, seed=5).patterns)
+        generations = [
+            base,  # first build: 500 flip_started
+            [_flipped(p) for p in base[:30]] + base[30:],  # fits the ring
+            base[:150],  # 350 flip_stopped: overflows the ring
+            [_flipped(p) for p in base[:60]] + base[60:150],  # partly
+            base[:150] + list(synthetic_serve_result(300, seed=6).patterns),
+        ]
+        for patterns in generations:
+            old = store.snapshot()
+            store.apply_result(
+                MiningResult(patterns=list(patterns), stats=MiningStats())
+            )
+            new = store.snapshot()
+            model.publish(_walk_every_id(old, new))
+
+            events, truncated = store.events_since(0)
+            assert len(events) <= capacity
+            assert [e.to_dict() for e in events] == [
+                e.to_dict() for e in model.events
+            ]
+            assert store.events_dropped == model.dropped
+            emitted, dropped = self._counters()
+            assert dropped - dropped_before == model.dropped
+            assert {
+                kind: emitted[kind] - emitted_before[kind]
+                for kind in EVENT_TYPES
+            } == model.emitted
+            for since in range(store.version + 1):
+                expected, expected_truncated = model.since(since)
+                for limit in ("", "&limit=7"):
+                    intent = api.dispatch(
+                        "GET", f"/v1/events?since_version={since}{limit}"
+                    )
+                    payload = api.run_events(intent).payload
+                    assert payload["truncated"] is expected_truncated
+                    got = payload["events"]
+                    shortest = (
+                        min(7, len(expected)) if limit else len(expected)
+                    )
+                    assert len(got) >= shortest
+                    assert got == [
+                        e.to_dict() for e in expected[: len(got)]
+                    ]
+                    assert payload["next_since"] == (
+                        got[-1]["version"] if got else since
+                    )
+        assert model.dropped > 0
+        assert set(model.emitted.values()) != {0}
 
 
 class TestRing:
